@@ -9,10 +9,9 @@ from .timeseries import (
     interpolate_gaps,
     kfold_split,
     load_series,
-    partition_windows,
 )
-from .granulation import Granule, GranuleSeries, granulate_series, granulate_window
-from .fuzzy_rough import ClusterConfig, ClusterResult, FeatureRecord, extract_features
+from .granulation import Granule, granulate_series, granulate_window
+from .fuzzy_rough import ClusterConfig, ClusterResult, extract_features
 from .learners import (
     KINDS,
     LearnerConfig,
@@ -64,14 +63,11 @@ __all__ = [
     "interpolate_gaps",
     "kfold_split",
     "load_series",
-    "partition_windows",
     "Granule",
-    "GranuleSeries",
     "granulate_series",
     "granulate_window",
     "ClusterConfig",
     "ClusterResult",
-    "FeatureRecord",
     "extract_features",
     "KINDS",
     "LearnerConfig",

@@ -41,7 +41,6 @@ def zdt_problem(which: int, dim: int = 4) -> OptimizationProblem:
     return OptimizationProblem(
         evaluate=lambda v: np.array(zdt_evaluate(which, v)),
         bounds=Bounds.cube(0.0, 1.0, dim),
-        objective_count=2,
     )
 
 

@@ -136,32 +136,21 @@ def cmd_granulate(args) -> int:
     run = _run_config(args)
     series, _ = _load_clean_series(args.data)
     granules = granulate_series(series, run.window_size)
-    records, cluster_result = extract_features(
-        granules, run.cluster, record_trace=args.trace
-    )
+    features, cluster_result = extract_features(granules, run.cluster, record_trace=args.trace)
+    nearest = np.argmax(cluster_result.memberships, axis=0)
 
     _write_rows(
         out / "granules.csv",
         ["window_index", "low", "peak", "up"],
-        (
-            [i, _fmt(g.low), _fmt(g.peak), _fmt(g.up)]
-            for i, g in enumerate(granules.granules)
-        ),
+        ([i, *(_fmt(x) for x in row)] for i, row in enumerate(granules)),
     )
     member_cols = [f"membership_{j + 1}" for j in range(run.cluster.cluster_count)]
     _write_rows(
         out / "features.csv",
         ["window_index", *member_cols, "low", "peak", "up", "nearest_cluster"],
         (
-            [
-                rec.window_index,
-                *(_fmt(m) for m in rec.memberships),
-                _fmt(rec.granule.low),
-                _fmt(rec.granule.peak),
-                _fmt(rec.granule.up),
-                rec.nearest_cluster,
-            ]
-            for rec in records
+            [i, *(_fmt(x) for x in row), int(nearest[i])]
+            for i, row in enumerate(features)
         ),
     )
     names = ["granules.csv", "features.csv"]
@@ -271,20 +260,29 @@ def cmd_forecast(args) -> int:
 
 def _parse_forecast_csv(path: str):
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [row for row in reader]
+        rows = [row for row in csv.reader(handle) if row]
+    if not rows:
+        raise GranucastError(f"{path}: file is empty")
+    header, rows = rows[0], rows[1:]
     if header[:3] != ["index", "actual", "point"]:
         raise GranucastError(f"{path}: expected forecast columns index,actual,point,...")
-    data = np.array([[float(cell) for cell in row[1:]] for row in rows], dtype=np.float64)
-    if data.size == 0:
-        raise GranucastError(f"{path}: no forecast rows")
     levels = []
     for j in range(3, len(header), 2):
         match = re.fullmatch(r"lo(\d+)", header[j])
-        if not match or header[j + 1] != f"hi{match.group(1)}":
+        if not match or header[j + 1 : j + 2] != [f"hi{match.group(1)}"]:
             raise GranucastError(f"{path}: malformed interval columns at {header[j]!r}")
         levels.append(int(match.group(1)) / 100.0)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise GranucastError(
+                f"{path}: row {line} has {len(row)} fields, expected {len(header)}"
+            )
+    try:
+        data = np.array([[float(cell) for cell in row[1:]] for row in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise GranucastError(f"{path}: unparseable number: {exc}") from None
+    if data.size == 0:
+        raise GranucastError(f"{path}: no forecast rows")
     actual, point = data[:, 0], data[:, 1]
     bounds = {
         level: (data[:, 2 + 2 * k], data[:, 3 + 2 * k]) for k, level in enumerate(levels)
@@ -437,6 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "forecast" and bool(args.solo) != (args.model is not None):
         parser.error("--solo and --model must be used together")
+    if args.command == "cv" and args.folds < 2:
+        parser.error(f"--folds must be at least 2, got {args.folds}")
     try:
         return args.func(args)
     except GranucastError as exc:

@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .ensemble import DEFAULT_LEVELS
 from .errors import GranucastError
 from .fuzzy_rough import ClusterConfig
 from .learners import KINDS, LearnerConfig
@@ -21,8 +22,6 @@ from .sunflower import OptimizerConfig
 from .timeseries import SplitSpec
 
 PRESETS = ("full", "desk")
-
-DEFAULT_LEVELS = (0.95, 0.85)
 
 
 class ConfigError(GranucastError):
@@ -116,6 +115,13 @@ def _replace_field(obj, field_name: str, value, context: str):
         raise ConfigError(f"invalid value for {context}.{field_name}: {exc}") from exc
 
 
+def _checked(key: str, value, ok: bool, expected: str):
+    """``value`` when ``ok``; otherwise a ConfigError naming the key."""
+    if not ok:
+        raise ConfigError(f"invalid value for {key}: expected {expected}, got {value!r}")
+    return value
+
+
 def build_run_config(
     preset: str | None = None,
     seed: int | None = None,
@@ -147,11 +153,13 @@ def build_run_config(
     for key in sorted(entries):
         value = _parse_value(entries[key])
         if key == "window_size":
-            window_size = value
+            window_size = _checked(key, value, type(value) is int and value >= 2, "an integer >= 2")
         elif key == "lag":
-            lag = value
+            lag = _checked(key, value, type(value) is int and value >= 1, "an integer >= 1")
         elif key == "levels":
             levels = value if isinstance(value, tuple) else (value,)
+            in_range = all(isinstance(v, float) and 0.0 < v < 1.0 for v in levels)
+            _checked(key, entries[key], in_range, "levels in (0, 1)")
         elif key.startswith("split."):
             part = key.split(".", 1)[1]
             if part not in split_fracs:

@@ -133,7 +133,6 @@ def fit_weights(panel: PredictionPanel, config: OptimizerConfig = OptimizerConfi
     problem = OptimizationProblem(
         evaluate=lambda w: np.array(ensemble_objectives(w, panel)),
         bounds=Bounds.cube(WEIGHT_LOW, WEIGHT_HIGH, k),
-        objective_count=2,
     )
     archive = SunflowerOptimizer(problem, config).run()
     for candidate in baseline_candidates(k):

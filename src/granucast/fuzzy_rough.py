@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GranucastError
-from .granulation import Granule, GranuleSeries
 
 logger = logging.getLogger(__name__)
+
+# column of the granule peak in an extract_features row
+PEAK_COLUMN = -2
 
 
 class TooFewGranules(GranucastError):
@@ -64,21 +66,6 @@ class ClusterResult:
     converged: bool
     center_trace: tuple[np.ndarray, ...] = ()
     membership_trace: tuple[np.ndarray, ...] = ()
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """Converged cluster view of a single granule."""
-
-    window_index: int
-    memberships: np.ndarray
-    granule: Granule
-    nearest_cluster: int
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Memberships followed by the raw (low, peak, up) triple."""
-        return np.concatenate([self.memberships, self.granule.as_array()])
 
 
 def init_centers(points: np.ndarray, cluster_count: int) -> np.ndarray:
@@ -216,24 +203,15 @@ class FuzzyRoughCMeans:
 
 
 def extract_features(
-    series: GranuleSeries,
+    granules: np.ndarray,
     config: ClusterConfig = ClusterConfig(),
     record_trace: bool = False,
-) -> tuple[list[FeatureRecord], ClusterResult]:
-    """Cluster the granules and emit one feature record per window.
+) -> tuple[np.ndarray, ClusterResult]:
+    """Cluster the ``(n, 3)`` granule rows and return one feature row per window.
 
-    Each record carries the converged membership column, the raw granule and
-    the argmax cluster (ties break to the lowest index).
+    The feature matrix has shape ``(n, k + 3)`` for k clusters: row i holds
+    window i's k converged memberships, then its granule's low, peak and up
+    (so the peak is column ``PEAK_COLUMN``).
     """
-    points = series.as_matrix()
-    result = FuzzyRoughCMeans(config).fit(points, record_trace=record_trace)
-    records = [
-        FeatureRecord(
-            window_index=i,
-            memberships=result.memberships[:, i].copy(),
-            granule=series.granules[i],
-            nearest_cluster=int(np.argmax(result.memberships[:, i])),
-        )
-        for i in range(len(series))
-    ]
-    return records, result
+    result = FuzzyRoughCMeans(config).fit(granules, record_trace=record_trace)
+    return np.column_stack([result.memberships.T, granules]), result

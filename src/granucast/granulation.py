@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GranucastError
-from .timeseries import Series, WindowSet, partition_windows
+from .timeseries import Series, SeriesTooShort
 
 
 class InvalidGranule(GranucastError):
@@ -59,23 +59,6 @@ class Granule:
         return np.array([self.low, self.peak, self.up], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class GranuleSeries:
-    """Granules for consecutive windows of one series."""
-
-    window_size: int
-    granules: tuple[Granule, ...]
-
-    def __len__(self) -> int:
-        return len(self.granules)
-
-    def as_matrix(self) -> np.ndarray:
-        """Stack granules row-wise into an (n, 3) array of (low, peak, up)."""
-        if not self.granules:
-            return np.empty((0, 3), dtype=np.float64)
-        return np.stack([g.as_array() for g in self.granules])
-
-
 def granulate_window(values: np.ndarray) -> Granule:
     """Summarise one window as (min, mean, max).
 
@@ -92,10 +75,27 @@ def granulate_window(values: np.ndarray) -> Granule:
     return Granule(low=low, peak=min(max(float(values.mean()), low), up), up=up)
 
 
-def granulate_series(series: Series, window_size: int) -> GranuleSeries:
-    """Partition the series into windows and granulate each one."""
-    window_set: WindowSet = partition_windows(series, window_size)
-    granules = tuple(
-        granulate_window(series.values[start:stop]) for start, stop in window_set.windows
+def granulate_series(series: Series, window_size: int) -> np.ndarray:
+    """Granulate ``floor(n / window_size)`` non-overlapping windows of the series.
+
+    The trailing remainder shorter than one window is dropped. Returns an
+    ``(windows, 3)`` array whose row i is ``granulate_window`` of window i,
+    as (low, peak, up), with the mean clamped the same way.
+    """
+    if window_size < 2:
+        raise ValueError(f"window_size must be >= 2, got {window_size}")
+    n = len(series)
+    if n < window_size:
+        raise SeriesTooShort(f"series length {n} < window size {window_size}")
+    count = n // window_size
+    windows = np.asarray(series.values[: count * window_size], dtype=np.float64).reshape(
+        count, window_size
     )
-    return GranuleSeries(window_size=window_size, granules=granules)
+    nan_rows = np.isnan(windows).any(axis=1)
+    if nan_rows.any():
+        raise InvalidGranule(f"window {int(np.argmax(nan_rows))} contains NaN")
+    low, up, mean = windows.min(axis=1), windows.max(axis=1), windows.mean(axis=1)
+    # the clamp of granulate_window; np.clip would turn the 0.0 mean of a
+    # window of -0.0 readings into -0.0
+    peak = np.where(mean < low, low, np.where(mean > up, up, mean))
+    return np.column_stack([low, peak, up])

@@ -11,7 +11,6 @@ from .models import (
     SupervisedSet,
     TooFewRecords,
     UntrainedModel,
-    desk_config,
     fit_learner,
     load_model,
     make_supervised,
@@ -37,7 +36,6 @@ __all__ = [
     "Tree",
     "UntrainedModel",
     "build_cart",
-    "desk_config",
     "fit_learner",
     "load_model",
     "make_supervised",

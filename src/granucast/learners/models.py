@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GranucastError
-from ..fuzzy_rough import FeatureRecord
+from ..fuzzy_rough import PEAK_COLUMN
 from .nn import (
     BiLSTMLayer,
     Conv1dLayer,
@@ -90,28 +90,32 @@ class SupervisedSet:
     def __len__(self) -> int:
         return len(self.targets)
 
+    def take(self, rows) -> "SupervisedSet":
+        """The samples selected by ``rows`` (a slice or an index array)."""
+        return replace(
+            self,
+            inputs=self.inputs[rows],
+            targets=self.targets[rows],
+            target_indices=self.target_indices[rows],
+        )
 
-def make_supervised(records: list[FeatureRecord], lag: int) -> SupervisedSet:
-    """Row i concatenates records i..i+lag-1; the target is record i+lag's peak.
 
-    Inputs therefore never contain any information from the target's own
-    window or later ones.
+def make_supervised(features: np.ndarray, lag: int) -> SupervisedSet:
+    """Row i concatenates feature rows i..i+lag-1; the target is row i+lag's peak.
+
+    ``features`` is an ``extract_features`` matrix. Inputs therefore never
+    contain any information from the target's own window or later ones.
     """
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    count = len(records)
+    features = np.asarray(features, dtype=np.float64)
+    count, width = features.shape
     if count <= lag:
         raise TooFewRecords(f"need more than {lag} records, got {count}")
-    width = len(records[0].vector)
     n = count - lag
-    inputs = np.empty((n, lag * width))
-    targets = np.empty(n)
-    for i in range(n):
-        inputs[i] = np.concatenate([records[i + k].vector for k in range(lag)])
-        targets[i] = records[i + lag].granule.peak
     return SupervisedSet(
-        inputs=inputs,
-        targets=targets,
+        inputs=np.hstack([features[k : k + n] for k in range(lag)]),
+        targets=features[lag:, PEAK_COLUMN].copy(),
         lag=lag,
         record_width=width,
         target_indices=np.arange(lag, count),
@@ -471,9 +475,3 @@ def load_model(path: str | Path):
     config = LearnerConfig(**raw_config)
     cls = _MODEL_CLASSES[meta["kind"]]
     return cls._from_state(config, meta["extra"], arrays)
-
-
-def desk_config(config: LearnerConfig | None = None) -> LearnerConfig:
-    """Shrink a config to sizes that train in seconds; other fields kept."""
-    base = config or LearnerConfig()
-    return replace(base, hidden_sizes=(16, 8), epochs=min(base.epochs, 60))

@@ -1,8 +1,8 @@
 """End-to-end orchestration: granules -> features -> learners -> ensemble.
 
-The record sequence is split chronologically (train/validation/test) and
+The feature rows are split chronologically (train/validation/test) and
 each split builds its own lagged supervised set, so a split's first ``lag``
-records serve only as history. Learners train on the train split, ensemble
+rows serve only as history. Learners train on the train split, ensemble
 weights and interval offsets come from the validation split, and all
 reported scores are test-split only.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import (
+    DEFAULT_LEVELS,
     LEARNER_ORDER,
     ForecastBundle,
     IntervalModel,
@@ -26,8 +27,8 @@ from .ensemble import (
     forecast,
 )
 from .evaluation import IntervalScores, PointScores, interval_scores, point_scores
-from .fuzzy_rough import ClusterConfig, ClusterResult, FeatureRecord, extract_features
-from .granulation import GranuleSeries, granulate_series
+from .fuzzy_rough import ClusterConfig, ClusterResult, extract_features
+from .granulation import granulate_series
 from .learners import LearnerConfig, SupervisedSet, fit_learner, make_supervised
 from .sunflower import OptimizerConfig
 from .timeseries import Series, SplitSpec, chrono_split, kfold_split
@@ -68,7 +69,7 @@ class PipelineConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     learners: dict[str, LearnerConfig] = field(default_factory=default_learner_configs)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    levels: tuple[float, ...] = (0.95, 0.85)
+    levels: tuple[float, ...] = DEFAULT_LEVELS
 
     def __post_init__(self):
         missing = [kind for kind in LEARNER_ORDER if kind not in self.learners]
@@ -78,8 +79,8 @@ class PipelineConfig:
 
 @dataclass
 class ForecastRun:
-    granules: GranuleSeries
-    records: list[FeatureRecord]
+    granules: np.ndarray
+    features: np.ndarray
     cluster_result: ClusterResult
     split_bounds: tuple[int, int]
     models: dict[str, object]
@@ -106,13 +107,15 @@ def _panel(models: dict[str, object], data: SupervisedSet) -> PredictionPanel:
 
 def extract_and_split(
     series: Series, config: PipelineConfig
-) -> tuple[GranuleSeries, list[FeatureRecord], ClusterResult, tuple, tuple[int, int]]:
+) -> tuple[np.ndarray, np.ndarray, ClusterResult, tuple, tuple[int, int]]:
+    """Granules, feature rows, the clustering, the train/validation/test
+    feature parts and the (train_end, val_end) row bounds."""
     granules = granulate_series(series, config.window_size)
-    records, cluster_result = extract_features(granules, config.cluster)
-    parts = chrono_split(records, config.split)
+    features, cluster_result = extract_features(granules, config.cluster)
+    parts = chrono_split(features, config.split)
     train_end = len(parts[0])
     val_end = train_end + len(parts[1])
-    return granules, records, cluster_result, parts, (train_end, val_end)
+    return granules, features, cluster_result, parts, (train_end, val_end)
 
 
 def train_models(train_set: SupervisedSet, config: PipelineConfig) -> dict[str, object]:
@@ -124,37 +127,25 @@ def train_models(train_set: SupervisedSet, config: PipelineConfig) -> dict[str, 
 def run_forecast(
     series: Series, config: PipelineConfig = PipelineConfig(), solo: str | None = None
 ) -> ForecastRun:
-    """Full pipeline on one series; ``solo`` bypasses the ensemble and uses
-    a single learner's predictions (intervals still from its validation
-    residuals)."""
-    granules, records, cluster_result, parts, bounds = extract_and_split(series, config)
-    train_records, val_records, test_records = parts
-    train_set = make_supervised(train_records, config.lag)
-    val_set = make_supervised(val_records, config.lag)
-    test_set = make_supervised(test_records, config.lag)
+    """Full pipeline on one series; ``solo`` names one learner whose
+    predictions stand alone (a one-hot weight vector, no weight search),
+    with intervals from its own validation residuals."""
+    granules, features, cluster_result, parts, bounds = extract_and_split(series, config)
+    train_set, val_set, test_set = (make_supervised(part, config.lag) for part in parts)
     models = train_models(train_set, config)
     val_panel = _panel(models, val_set)
     test_panel = _panel(models, test_set)
 
     if solo is None:
         weight_fit = fit_weights(val_panel, config.optimizer)
-        val_point = combine(val_panel, weight_fit.chosen)
-        interval_model = fit_intervals(val_set.targets - val_point, config.levels)
-        bundle = forecast(test_panel, weight_fit.chosen, interval_model)
+        weights = weight_fit.chosen
     else:
         if solo not in LEARNER_ORDER:
             raise ValueError(f"unknown learner {solo!r}, expected one of {LEARNER_ORDER}")
         weight_fit = None
-        val_point = val_panel.matrix[LEARNER_ORDER.index(solo)]
-        interval_model = fit_intervals(val_set.targets - val_point, config.levels)
-        point = test_panel.matrix[LEARNER_ORDER.index(solo)]
-        bundle = ForecastBundle(
-            point=point,
-            intervals={
-                level: (point + lo, point + up)
-                for level, (lo, up) in interval_model.offsets.items()
-            },
-        )
+        weights = np.eye(len(LEARNER_ORDER))[LEARNER_ORDER.index(solo)]
+    interval_model = fit_intervals(val_set.targets - combine(val_panel, weights), config.levels)
+    bundle = forecast(test_panel, weights, interval_model)
 
     scores = point_scores(test_set.targets, bundle.point)
     iv_scores = {
@@ -163,7 +154,7 @@ def run_forecast(
     }
     return ForecastRun(
         granules=granules,
-        records=records,
+        features=features,
         cluster_result=cluster_result,
         split_bounds=bounds,
         models=models,
@@ -214,54 +205,30 @@ def _contiguous_runs(indices: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _supervised_from_runs(
-    records: list[FeatureRecord], runs: list[tuple[int, int]], lag: int
+    features: np.ndarray, runs: list[tuple[int, int]], lag: int
 ) -> SupervisedSet:
-    """Lagged samples built inside each contiguous record run, concatenated.
+    """The lagged samples whose input and target rows all lie inside one
+    contiguous run of feature rows, in row order.
 
-    Samples never straddle a run boundary, so no input window mixes records
+    Samples never straddle a run boundary, so no input window mixes rows
     from both sides of a held-out fold.
     """
-    pieces = []
-    for start, stop in runs:
-        if stop - start > lag:
-            piece = make_supervised(records[start:stop], lag)
-            pieces.append(
-                dataclasses.replace(piece, target_indices=piece.target_indices + start)
-            )
-    if not pieces:
+    rows = np.concatenate([np.arange(start, stop - lag) for start, stop in runs])
+    if not rows.size:
         raise ValueError("no contiguous run long enough for the configured lag")
-    return SupervisedSet(
-        inputs=np.concatenate([p.inputs for p in pieces]),
-        targets=np.concatenate([p.targets for p in pieces]),
-        lag=lag,
-        record_width=pieces[0].record_width,
-        target_indices=np.concatenate([p.target_indices for p in pieces]),
-    )
+    return make_supervised(features, lag).take(rows)
 
 
 def run_cv(series: Series, config: PipelineConfig = PipelineConfig(), k: int = 5) -> CvReport:
     """Contiguous k-fold evaluation of the full train + weight-fit + combine
-    path; each fold's scores use only its own held-out records."""
-    _, records, _, _, _ = extract_and_split(series, config)
+    path; each fold's scores use only its own held-out feature rows."""
+    _, features, _, _, _ = extract_and_split(series, config)
     folds = []
-    for fold_index, (train_idx, test_idx) in enumerate(kfold_split(records, k)):
-        train_set = _supervised_from_runs(records, _contiguous_runs(train_idx), config.lag)
-        test_set = _supervised_from_runs(records, _contiguous_runs(test_idx), config.lag)
+    for fold_index, (train_idx, test_idx) in enumerate(kfold_split(features, k)):
+        train_set = _supervised_from_runs(features, _contiguous_runs(train_idx), config.lag)
+        test_set = _supervised_from_runs(features, _contiguous_runs(test_idx), config.lag)
         cut = int(0.75 * len(train_set))
-        inner_train = SupervisedSet(
-            inputs=train_set.inputs[:cut],
-            targets=train_set.targets[:cut],
-            lag=config.lag,
-            record_width=train_set.record_width,
-            target_indices=train_set.target_indices[:cut],
-        )
-        inner_val = SupervisedSet(
-            inputs=train_set.inputs[cut:],
-            targets=train_set.targets[cut:],
-            lag=config.lag,
-            record_width=train_set.record_width,
-            target_indices=train_set.target_indices[cut:],
-        )
+        inner_train, inner_val = train_set.take(slice(cut)), train_set.take(slice(cut, None))
         fold_salt = 1000 * (fold_index + 1)
         fold_config = dataclasses.replace(
             config,

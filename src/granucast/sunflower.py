@@ -255,7 +255,6 @@ class OptimizationProblem:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     bounds: Bounds
-    objective_count: int = 2
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Wind-speed series ingestion, gap imputation, windowing and splitting.
+"""Wind-speed series ingestion, gap imputation and splitting.
 
 Input format is a two-column CSV with header ``timestamp,wind_speed``.
 Timestamps are ISO-8601 strings or integer epoch seconds (auto-detected per
@@ -80,17 +80,6 @@ class Series:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class WindowSet:
-    """Contiguous, non-overlapping index windows tiling a series prefix."""
-
-    window_size: int
-    windows: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.windows)
 
 
 @dataclass(frozen=True)
@@ -189,21 +178,6 @@ def interpolate_gaps(raw: RawSeries) -> Series:
     return Series(values=filled, origin=int(raw.timestamps[0]), step=step)
 
 
-def partition_windows(series: Series, window_size: int) -> WindowSet:
-    """Tile the series with ``floor(n / window_size)`` non-overlapping windows.
-
-    The trailing remainder shorter than one window is dropped.
-    """
-    if window_size < 2:
-        raise ValueError(f"window_size must be >= 2, got {window_size}")
-    n = len(series)
-    if n < window_size:
-        raise SeriesTooShort(f"series length {n} < window size {window_size}")
-    count = n // window_size
-    windows = tuple((i * window_size, (i + 1) * window_size) for i in range(count))
-    return WindowSet(window_size=window_size, windows=windows)
-
-
 def chrono_split(items, spec: SplitSpec = SplitSpec()):
     """Split an ordered collection into contiguous train/validation/test parts.
 
@@ -216,15 +190,6 @@ def chrono_split(items, spec: SplitSpec = SplitSpec()):
     train_end = math.floor(spec.train_frac * n)
     val_end = math.floor((spec.train_frac + spec.val_frac) * n)
     return items[:train_end], items[train_end:val_end], items[val_end:]
-
-
-def chrono_split_bounds(n: int, spec: SplitSpec = SplitSpec()) -> tuple[int, int]:
-    """Return the (train_end, val_end) index boundaries for a length-n split."""
-    if n < 5:
-        raise TooFewItems(f"need at least 5 items to split, got {n}")
-    train_end = math.floor(spec.train_frac * n)
-    val_end = math.floor((spec.train_frac + spec.val_frac) * n)
-    return train_end, val_end
 
 
 def kfold_split(items, k: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -65,7 +65,6 @@ def zdt_runs():
         problem = OptimizationProblem(
             evaluate=lambda v, w=which: np.array(zdt_evaluate(w, v)),
             bounds=Bounds.cube(0.0, 1.0, 4),
-            objective_count=2,
         )
         for seed in ZDT_SEEDS:
             config = OptimizerConfig(population=100, iterations=100, rng_seed=seed)

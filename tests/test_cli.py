@@ -136,6 +136,8 @@ class TestGranulate:
         assert len(features) == 201
         memberships = [float(v) for v in features[1][1:4]]
         assert sum(memberships) == pytest.approx(1.0, abs=1e-9)
+        for row in features[1:]:
+            assert int(row[-1]) == int(np.argmax([float(v) for v in row[1:4]]))
 
     def test_trace_rows_per_iteration(self, cli_env, tmp_path, capsys):
         out = tmp_path / "t"
@@ -430,6 +432,46 @@ class TestExitCodes:
         assert code == 1
         assert "unknown setting" in capsys.readouterr().err
 
+    def test_bad_config_value_returns_one(self, cli_env, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("preset = desk\nlevels = 1.5\n")
+        out = tmp_path / "f"
+        code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "levels" in err
+        assert not (out / "forecast.csv").exists()
+
+    def test_single_fold_is_a_usage_error(self, cli_env, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", "--data", cli_env.data, "--out", str(tmp_path), "--folds", "1"])
+        assert exc.value.code == 2
+        assert "--folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "index,actual,point,lo95\n0,5.0,5.1,4.0\n",
+            "index,actual,point\n0,5.0,fast\n",
+            "index,actual,point,lo95,hi95\n0,5.0,5.1,4.0,6.0\n1,5.0,5.1\n",
+        ],
+        ids=["empty", "unpaired_interval_column", "unparseable_number", "ragged_rows"],
+    )
+    def test_malformed_forecast_csv_returns_one(self, tmp_path, capsys, text):
+        path = tmp_path / "forecast.csv"
+        path.write_text(text)
+        assert main(["evaluate", "--forecast", str(path), "--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def env_with_package_on_path() -> dict[str, str]:
+    """The environment with the package this suite imported first on
+    PYTHONPATH, so a fresh interpreter imports the same code."""
+    src_root = str(Path(granucast.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
 
 def test_console_script_entry_point(tmp_path):
     """The `granucast` script declared in pyproject.toml runs `synth`.
@@ -450,14 +492,12 @@ def test_console_script_entry_point(tmp_path):
         "sys.argv[0] = 'granucast'\n"
         f"sys.exit({attr}())\n"
     )
-    src_root = str(Path(granucast.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "s"
     result = subprocess.run(
         [sys.executable, "-c", launcher, "synth", "--out", str(out), "--samples", "50"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=env_with_package_on_path(),
     )
     assert result.returncode == 0, result.stderr
     assert (out / "data.csv").exists(), result.stderr
@@ -465,7 +505,10 @@ def test_console_script_entry_point(tmp_path):
 
 def test_module_entry_point():
     result = subprocess.run(
-        [sys.executable, "-m", "granucast", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "granucast", "--help"],
+        capture_output=True,
+        text=True,
+        env=env_with_package_on_path(),
     )
     assert result.returncode == 0
     assert "forecast" in result.stdout

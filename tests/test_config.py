@@ -168,6 +168,22 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="optimizer.population"):
             build_run_config(config_path=path)
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("window_size = 1", "window_size"),
+            ("window_size = 2.5", "window_size"),
+            ("lag = 0", "lag"),
+            ("levels = 1.5", "levels"),
+            ("levels = 0.95, 0.0", "levels"),
+            ("levels = 0.95, high", "levels"),
+        ],
+    )
+    def test_out_of_range_value_names_the_key(self, tmp_path, line, key):
+        path = write_config(tmp_path, line + "\n")
+        with pytest.raises(ConfigError, match=f"invalid value for {key}"):
+            build_run_config(config_path=path)
+
     def test_pipeline_wiring(self, tmp_path):
         path = write_config(tmp_path, "window_size = 48\noptimizer.population = 33\n")
         run = build_run_config(config_path=path)

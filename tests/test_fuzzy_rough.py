@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granucast.fuzzy_rough import (
+    PEAK_COLUMN,
     ClusterConfig,
     FuzzyRoughCMeans,
     TooFewGranules,
@@ -15,7 +16,7 @@ from granucast.fuzzy_rough import (
     update_centers,
     _distances,
 )
-from granucast.granulation import Granule, GranuleSeries, granulate_series
+from granucast.granulation import granulate_series
 from granucast.timeseries import Series
 
 
@@ -208,36 +209,29 @@ class TestExtractFeatures:
 
     def test_record_vector_layout(self):
         granules = self.make_granules()
-        records, result = extract_features(granules)
-        assert len(records) == len(granules)
-        rec = records[5]
-        assert rec.vector.shape == (6,)
-        assert rec.vector[:3] == pytest.approx(result.memberships[:, 5])
-        assert rec.vector[3:] == pytest.approx(granules.granules[5].as_array())
+        features, result = extract_features(granules)
+        assert features.shape == (len(granules), 6)
+        assert features[5, :3] == pytest.approx(result.memberships[:, 5])
+        assert features[5, 3:] == pytest.approx(granules[5])
+        np.testing.assert_array_equal(features[:, PEAK_COLUMN], granules[:, 1])
 
     def test_nearest_cluster_is_argmax_membership(self):
-        records, result = extract_features(self.make_granules(seed=4))
-        for rec in records:
-            assert rec.nearest_cluster == int(np.argmax(result.memberships[:, rec.window_index]))
+        granules = self.make_granules(seed=4)
+        features, result = extract_features(granules)
+        nearest = np.argmin(_distances(granules, result.centers), axis=0)
+        np.testing.assert_array_equal(np.argmax(features[:, :3], axis=1), nearest)
 
     def test_permutation_equivariance(self):
         granules = self.make_granules(seed=7)
-        records, _ = extract_features(granules)
+        features, _ = extract_features(granules)
         perm = np.random.default_rng(0).permutation(len(granules))
-        permuted = GranuleSeries(
-            window_size=granules.window_size,
-            granules=tuple(granules.granules[i] for i in perm),
-        )
-        p_records, _ = extract_features(permuted)
+        p_features, _ = extract_features(granules[perm])
         for new_pos, old_pos in enumerate(perm):
-            assert p_records[new_pos].memberships == pytest.approx(
-                records[old_pos].memberships, abs=1e-9
-            )
+            assert p_features[new_pos, :3] == pytest.approx(features[old_pos, :3], abs=1e-9)
 
     def test_too_few_granules(self):
-        granules = GranuleSeries(window_size=2, granules=(Granule(1, 2, 3),))
         with pytest.raises(TooFewGranules):
-            extract_features(granules)
+            extract_features(np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_distance_matrix_shape_and_values():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from granucast.granulation import (
     Granule,
-    GranuleSeries,
     InvalidGranule,
     granulate_series,
     granulate_window,
@@ -110,22 +109,64 @@ class TestMembership:
 
 class TestGranulateSeries:
     def test_two_windows(self):
-        gs = granulate_series(series_of([1, 2, 3, 4, 6, 8]), 3)
-        assert gs.granules == (Granule(1, 2, 3), Granule(4, 6, 8))
+        rows = granulate_series(series_of([1, 2, 3, 4, 6, 8]), 3)
+        assert rows.tolist() == [[1, 2, 3], [4, 6, 8]]
 
     def test_stuck_reading_window(self):
         # A 36-sample stretch of one repeated reading, as from a stuck sensor.
         values = np.concatenate([np.linspace(3.0, 6.5, 36), np.full(36, 0.1)])
-        gs = granulate_series(series_of(values), 36)
-        assert gs.granules[1] == Granule(0.1, 0.1, 0.1)
+        rows = granulate_series(series_of(values), 36)
+        assert rows[1].tolist() == [0.1, 0.1, 0.1]
 
     def test_identical_windows_identical_granules(self):
-        gs = granulate_series(series_of([1, 2, 3] * 3), 3)
-        assert gs.granules == (Granule(1, 2, 3),) * 3
+        rows = granulate_series(series_of([1, 2, 3] * 3), 3)
+        assert rows.tolist() == [[1, 2, 3]] * 3
 
     def test_matrix_layout(self):
-        gs = GranuleSeries(window_size=3, granules=(Granule(1, 2, 3), Granule(4, 6, 8)))
-        assert gs.as_matrix().tolist() == [[1, 2, 3], [4, 6, 8]]
+        # one float64 row per window: (min, mean, max) whatever the order
+        rows = granulate_series(series_of([3, 1, 2, 8, 4, 6]), 3)
+        assert rows.shape == (2, 3) and rows.dtype == np.float64
+        assert rows.tolist() == [[1, 2, 3], [4, 6, 8]]
 
-    def test_empty_series_matrix(self):
-        assert GranuleSeries(window_size=3, granules=()).as_matrix().shape == (0, 3)
+    def test_signed_zero_windows_match_granulate_window(self):
+        values = np.array([-0.0, -0.0, -0.0, 0.0, -0.0, 0.0])
+        rows = granulate_series(series_of(values), 3)
+        for i, row in enumerate(rows):
+            assert row.tobytes() == granulate_window(values[3 * i : 3 * i + 3]).as_array().tobytes()
+
+    @given(
+        window_size=st.integers(2, 40),
+        count=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_rows_match_granulate_window_bit_for_bit(self, window_size, count, data):
+        reading = st.floats(-100, 100)
+        constant = st.one_of(st.sampled_from([0.1, 1.9, 0.0, -0.0]), reading)
+        window = st.one_of(
+            st.lists(reading, min_size=window_size, max_size=window_size),
+            constant.map(lambda v: [v] * window_size),
+        )
+        windows = data.draw(st.lists(window, min_size=count, max_size=count))
+        tail = data.draw(st.lists(reading, max_size=window_size - 1))
+        values = np.array([v for w in windows for v in w] + tail, dtype=np.float64)
+        rows = granulate_series(series_of(values), window_size)
+        assert rows.shape == (count, 3)
+        for i, row in enumerate(rows):
+            window_values = values[i * window_size : (i + 1) * window_size]
+            assert row.tobytes() == granulate_window(window_values).as_array().tobytes()
+
+    @given(
+        window_size=st.integers(2, 12),
+        count=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_nan_in_a_used_window_rejected(self, window_size, count, data):
+        values = np.linspace(1.0, 9.0, count * window_size + window_size - 1)
+        position = data.draw(st.integers(0, len(values) - 1))
+        values[position] = np.nan
+        if position < count * window_size:
+            with pytest.raises(InvalidGranule):
+                granulate_series(series_of(values), window_size)
+        else:
+            # the dropped remainder is never granulated
+            assert len(granulate_series(series_of(values), window_size)) == count

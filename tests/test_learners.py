@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from granucast.ensemble import LEARNER_ORDER
 from granucast.evaluation import point_scores
-from granucast.fuzzy_rough import FeatureRecord
-from granucast.granulation import Granule
+from granucast.fuzzy_rough import PEAK_COLUMN
 from granucast.learners import (
     KINDS,
     BiLstmRegressor,
@@ -35,20 +34,11 @@ from granucast.learners import (
 from granucast.learners.nn import BiLSTMLayer, Conv1dLayer, GRULayer, LSTMLayer
 
 
-def toy_records(count: int) -> list[FeatureRecord]:
-    """Records whose vectors are easy to predict by eye: window i granulates
-    to (i, i + 0.5, i + 1)."""
-    records = []
-    for i in range(count):
-        records.append(
-            FeatureRecord(
-                window_index=i,
-                memberships=np.array([0.25 + 0.01 * i, 0.75 - 0.01 * i]),
-                granule=Granule(float(i), i + 0.5, i + 1.0),
-                nearest_cluster=i % 2,
-            )
-        )
-    return records
+def toy_features(count: int) -> np.ndarray:
+    """Feature rows that are easy to predict by eye: two memberships, then
+    window i's granule (i, i + 0.5, i + 1)."""
+    i = np.arange(count, dtype=np.float64)
+    return np.column_stack([0.25 + 0.01 * i, 0.75 - 0.01 * i, i, i + 0.5, i + 1.0])
 
 
 def toy_supervised(n: int = 30, width: int = 5, lag: int = 4, seed: int = 0) -> SupervisedSet:
@@ -66,53 +56,61 @@ def toy_supervised(n: int = 30, width: int = 5, lag: int = 4, seed: int = 0) -> 
 
 class TestMakeSupervised:
     def test_five_records_lag_two(self):
-        records = toy_records(5)
-        data = make_supervised(records, lag=2)
+        features = toy_features(5)
+        data = make_supervised(features, lag=2)
         assert len(data) == 3
         assert data.inputs.shape == (3, 10)
         assert data.record_width == 5
         assert data.lag == 2
-        np.testing.assert_array_equal(
-            data.inputs[0], np.concatenate([records[0].vector, records[1].vector])
-        )
+        np.testing.assert_array_equal(data.inputs[0], np.concatenate(features[:2]))
         np.testing.assert_array_equal(data.targets, [2.5, 3.5, 4.5])
         np.testing.assert_array_equal(data.target_indices, [2, 3, 4])
 
     def test_minimum_size(self):
-        records = toy_records(2)
-        data = make_supervised(records, lag=1)
+        features = toy_features(2)
+        data = make_supervised(features, lag=1)
         assert len(data) == 1
-        np.testing.assert_array_equal(data.inputs[0], records[0].vector)
-        assert data.targets[0] == records[1].granule.peak
+        np.testing.assert_array_equal(data.inputs[0], features[0])
+        assert data.targets[0] == features[1, PEAK_COLUMN]
 
     def test_too_few_records(self):
         with pytest.raises(TooFewRecords):
-            make_supervised(toy_records(3), lag=4)
+            make_supervised(toy_features(3), lag=4)
         with pytest.raises(TooFewRecords):
-            make_supervised(toy_records(4), lag=4)
-        assert len(make_supervised(toy_records(5), lag=4)) == 1
+            make_supervised(toy_features(4), lag=4)
+        assert len(make_supervised(toy_features(5), lag=4)) == 1
 
     def test_bad_lag(self):
         with pytest.raises(ValueError):
-            make_supervised(toy_records(5), lag=0)
+            make_supervised(toy_features(5), lag=0)
 
     def test_inputs_never_see_the_target_window(self):
-        # every value in record i equals i, so the largest value allowed in
-        # input row j is j + lag - 1
+        # every value in feature row i equals i, so the largest value
+        # allowed in input row j is j + lag - 1
         lag = 3
-        records = [
-            FeatureRecord(
-                window_index=i,
-                memberships=np.array([float(i), float(i)]),
-                granule=Granule(float(i), float(i), float(i)),
-                nearest_cluster=0,
-            )
-            for i in range(8)
-        ]
-        data = make_supervised(records, lag=lag)
+        features = np.repeat(np.arange(8, dtype=np.float64)[:, None], 5, axis=1)
+        data = make_supervised(features, lag=lag)
         for j in range(len(data)):
             assert data.inputs[j].max() == j + lag - 1
             assert data.targets[j] == j + lag
+
+    @pytest.mark.parametrize("lag", [1, 2, 4])
+    def test_matches_row_by_row_reference(self, lag):
+        features = np.random.default_rng(lag).normal(size=(12, 6))
+        data = make_supervised(features, lag=lag)
+        for i in range(len(data)):
+            expected = np.concatenate([features[i + k] for k in range(lag)])
+            assert data.inputs[i].tobytes() == expected.tobytes()
+            assert data.targets[i] == features[i + lag, PEAK_COLUMN]
+
+    def test_take_selects_samples(self):
+        data = make_supervised(toy_features(10), lag=2)
+        for rows in (slice(2, 5), np.array([0, 3, 7])):
+            part = data.take(rows)
+            np.testing.assert_array_equal(part.inputs, data.inputs[rows])
+            np.testing.assert_array_equal(part.targets, data.targets[rows])
+            np.testing.assert_array_equal(part.target_indices, data.target_indices[rows])
+            assert (part.lag, part.record_width) == (data.lag, data.record_width)
 
 
 class TestLstmLayer:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import cheap_pipeline_config
 
-from granucast.ensemble import LEARNER_ORDER
+from granucast.ensemble import LEARNER_ORDER, fit_intervals
 from granucast.evaluation import PointScores, point_scores
 from granucast.pipeline import (
     PipelineConfig,
@@ -17,20 +17,11 @@ from granucast.pipeline import (
     default_learner_configs,
     run_forecast,
 )
-from granucast.fuzzy_rough import FeatureRecord
-from granucast.granulation import Granule
 
 
-def indexed_records(count: int) -> list[FeatureRecord]:
-    return [
-        FeatureRecord(
-            window_index=i,
-            memberships=np.array([float(i), float(i)]),
-            granule=Granule(float(i), float(i), float(i)),
-            nearest_cluster=0,
-        )
-        for i in range(count)
-    ]
+def indexed_features(count: int) -> np.ndarray:
+    """Five-column feature rows whose every value is the row index."""
+    return np.repeat(np.arange(count, dtype=np.float64)[:, None], 5, axis=1)
 
 
 class TestDefaultLearnerConfigs:
@@ -81,10 +72,10 @@ class TestPipelineConfig:
 
 class TestForecastRunStructure:
     def test_counts_and_indices(self, forecast_run):
-        # 7200 samples in 36-point windows make 200 records; the 60/20/20
-        # split leaves 40 test records and lag 4 eats the first four
-        assert len(forecast_run.granules) == 200
-        assert len(forecast_run.records) == 200
+        # 7200 samples in 36-point windows make 200 feature rows; the
+        # 60/20/20 split leaves 40 test rows and lag 4 eats the first four
+        assert forecast_run.granules.shape == (200, 3)
+        assert forecast_run.features.shape == (200, 6)
         assert forecast_run.split_bounds == (120, 160)
         assert len(forecast_run.val_set) == 36
         assert len(forecast_run.test_set) == 36
@@ -120,6 +111,8 @@ class TestSoloPath:
         k = LEARNER_ORDER.index("random_forest")
         np.testing.assert_array_equal(run.bundle.point, run.test_panel.matrix[k])
         assert set(run.bundle.intervals) == {0.95, 0.85}
+        own = fit_intervals(run.val_set.targets - run.val_panel.matrix[k], (0.95, 0.85))
+        assert run.interval_model.offsets == own.offsets
 
     def test_unknown_solo_kind(self, synth_series):
         with pytest.raises(ValueError):
@@ -140,24 +133,22 @@ class TestContiguousRuns:
 
 class TestSupervisedFromRuns:
     def test_samples_never_straddle_runs(self):
-        records = indexed_records(10)
-        data = _supervised_from_runs(records, [(0, 5), (5, 10)], lag=2)
+        data = _supervised_from_runs(indexed_features(10), [(0, 5), (5, 10)], lag=2)
         assert len(data) == 6
         np.testing.assert_array_equal(data.target_indices, [2, 3, 4, 7, 8, 9])
-        # the first sample of the second run starts at record 5, so its
+        # the first sample of the second run starts at row 5, so its
         # inputs contain only values >= 5
         row = data.inputs[3]
         assert row.min() == 5.0 and row.max() == 6.0
 
     def test_offsets_preserved(self):
-        records = indexed_records(10)
-        data = _supervised_from_runs(records, [(3, 8)], lag=2)
+        data = _supervised_from_runs(indexed_features(10), [(3, 8)], lag=2)
         np.testing.assert_array_equal(data.target_indices, [5, 6, 7])
         np.testing.assert_array_equal(data.targets, [5.0, 6.0, 7.0])
 
     def test_all_runs_too_short(self):
         with pytest.raises(ValueError):
-            _supervised_from_runs(indexed_records(10), [(0, 2), (4, 6)], lag=2)
+            _supervised_from_runs(indexed_features(10), [(0, 2), (4, 6)], lag=2)
 
 
 class TestCrossValidation:

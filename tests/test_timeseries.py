@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from granucast.granulation import granulate_series
 from granucast.timeseries import (
     AllMissing,
     BoundaryGap,
@@ -19,7 +20,6 @@ from granucast.timeseries import (
     interpolate_gaps,
     kfold_split,
     load_series,
-    partition_windows,
 )
 
 
@@ -156,27 +156,36 @@ def make_series(n):
 
 
 class TestPartitionWindows:
+    """granulate_series tiles a series with floor(n / w) windows; the
+    series values are their indices, so each row's (low, up) are its
+    window's first and last index."""
+
     def test_exact_tiling(self):
-        ws = partition_windows(make_series(108), 36)
-        assert ws.windows == ((0, 36), (36, 72), (72, 108))
+        rows = granulate_series(make_series(108), 36)
+        assert rows[:, [0, 2]].tolist() == [[0, 35], [36, 71], [72, 107]]
 
     def test_remainder_dropped(self):
-        ws = partition_windows(make_series(100), 36)
-        assert len(ws.windows) == 2
-        assert ws.windows[-1] == (36, 72)
+        rows = granulate_series(make_series(100), 36)
+        assert len(rows) == 2
+        assert rows[-1, [0, 2]].tolist() == [36, 71]
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
-            partition_windows(make_series(10), 36)
+            granulate_series(make_series(10), 36)
+
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_window_size_below_two(self, size):
+        with pytest.raises(ValueError, match="window_size"):
+            granulate_series(make_series(10), size)
 
     @given(n=st.integers(4, 500), size=st.integers(2, 60))
     def test_windows_tile_a_prefix(self, n, size):
         if n < size:
             return
-        series = make_series(n)
-        ws = partition_windows(series, size)
-        flat = np.concatenate([series.values[a:b] for a, b in ws.windows])
-        assert np.array_equal(flat, series.values[: len(ws.windows) * size])
+        rows = granulate_series(make_series(n), size)
+        starts = np.arange(n // size) * size
+        np.testing.assert_array_equal(rows[:, 0], starts)
+        np.testing.assert_array_equal(rows[:, 2], starts + size - 1)
 
 
 class TestChronoSplit:
