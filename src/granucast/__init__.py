@@ -30,7 +30,6 @@ from .sunflower import (
 )
 from .benchmarks import front_quality, zdt_problem
 from .ensemble import (
-    LEARNER_ORDER,
     ForecastBundle,
     IntervalModel,
     PredictionPanel,
@@ -83,7 +82,6 @@ __all__ = [
     "optimize",
     "front_quality",
     "zdt_problem",
-    "LEARNER_ORDER",
     "ForecastBundle",
     "IntervalModel",
     "PredictionPanel",

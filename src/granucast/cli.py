@@ -28,24 +28,20 @@ import numpy as np
 
 from .benchmarks import zdt1_front, zdt2_front, zdt3_front, zdt_problem, front_quality
 from .config import RunConfig, build_run_config
-from .ensemble import LEARNER_ORDER
 from .errors import GranucastError
 from .evaluation import PointScores, dm_test, interval_scores, point_scores
 from .fuzzy_rough import extract_features
 from .granulation import granulate_series
-from .learners import fit_learner, make_supervised, save_model
+from .learners import KINDS, fit_learner, make_supervised, save_model
 from .pipeline import extract_and_split, run_cv, run_forecast
 from .sunflower import optimize
 from .synth import SynthConfig, write_csv as write_synth_csv
 from .timeseries import Series, interpolate_gaps, load_series
 
 _MODEL_ALIASES = {
-    "bilstm": "bilstm",
-    "cnn_gru": "cnn_gru",
+    **{kind: kind for kind in KINDS},
     "cnn-gru": "cnn_gru",
-    "lstm_xgb": "lstm_xgb",
     "lstm-xgb": "lstm_xgb",
-    "random_forest": "random_forest",
     "rf": "random_forest",
 }
 
@@ -181,7 +177,7 @@ def cmd_train(args) -> int:
     series, _ = _load_clean_series(args.data)
     _, _, _, parts, _ = extract_and_split(series, pipeline)
     train_set = make_supervised(parts[0], pipeline.lag)
-    kinds = [_MODEL_ALIASES[args.model]] if args.model else list(LEARNER_ORDER)
+    kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
     names = []
     for kind in kinds:
         model = fit_learner(kind, train_set, pipeline.learners[kind])
@@ -223,10 +219,7 @@ def cmd_forecast(args) -> int:
 
     if result.weight_fit is not None:
         fit = result.weight_fit
-        lines = [
-            f"chosen {kind} = {_fmt(w)}"
-            for kind, w in zip(LEARNER_ORDER, fit.chosen)
-        ]
+        lines = [f"chosen {kind} = {_fmt(w)}" for kind, w in zip(KINDS, fit.chosen)]
         lines.append(f"validation mape = {_fmt(fit.chosen_objectives[0])}")
         lines.append(f"validation mse = {_fmt(fit.chosen_objectives[1])}")
         lines.append(f"excluded from mape = {fit.excluded_from_mape}")
@@ -234,7 +227,7 @@ def cmd_forecast(args) -> int:
         (out / "weights.txt").write_text("\n".join(lines) + "\n")
         _write_rows(
             out / "archive.csv",
-            ["mape", "mse", *(f"weight_{kind}" for kind in LEARNER_ORDER)],
+            ["mape", "mse", *(f"weight_{kind}" for kind in KINDS)],
             (
                 [
                     _fmt(entry.objectives[0]),
@@ -437,6 +430,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--solo and --model must be used together")
     if args.command == "cv" and args.folds < 2:
         parser.error(f"--folds must be at least 2, got {args.folds}")
+    if args.command == "synth" and args.samples < 2:
+        parser.error(f"--samples must be at least 2, got {args.samples}")
+    if args.command == "synth" and not 0.0 <= args.gap_fraction < 0.5:
+        parser.error(f"--gap-fraction must lie in [0, 0.5), got {args.gap_fraction}")
+    if args.command == "benchmark-opt" and args.dim < 2:
+        parser.error(f"--dim must be at least 2, got {args.dim}")
     try:
         return args.func(args)
     except GranucastError as exc:

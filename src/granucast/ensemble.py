@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import GranucastError
 from .evaluation import LengthMismatch, mape_excluding_small, mse
+from .learners import KINDS
 from .sunflower import (
     Bounds,
     OptimizationProblem,
@@ -25,8 +26,6 @@ from .sunflower import (
     ParetoArchive,
     SunflowerOptimizer,
 )
-
-LEARNER_ORDER = ("bilstm", "cnn_gru", "lstm_xgb", "random_forest")
 
 WEIGHT_LOW = -2.0
 WEIGHT_HIGH = 2.0
@@ -46,7 +45,7 @@ class PredictionPanel:
 
     matrix: np.ndarray
     actuals: np.ndarray
-    learner_order: tuple[str, ...] = LEARNER_ORDER
+    learner_order: tuple[str, ...] = KINDS
 
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))

@@ -8,6 +8,7 @@ from .models import (
     LearnerConfig,
     LstmBoostedRegressor,
     LstmRegressor,
+    ModelFileError,
     SupervisedSet,
     TooFewRecords,
     UntrainedModel,
@@ -29,6 +30,7 @@ __all__ = [
     "LearnerConfig",
     "LstmBoostedRegressor",
     "LstmRegressor",
+    "ModelFileError",
     "RandomForest",
     "SequenceTooShort",
     "SupervisedSet",

@@ -38,6 +38,8 @@ _STACK_SHRINKAGE = 0.3
 
 _GRAD_CLIP = 5.0
 
+_FORMAT = 1
+
 
 class TooFewRecords(GranucastError):
     pass
@@ -45,6 +47,10 @@ class TooFewRecords(GranucastError):
 
 class UntrainedModel(GranucastError):
     pass
+
+
+class ModelFileError(GranucastError):
+    """A saved model of an unknown format or learner kind."""
 
 
 @dataclass(frozen=True)
@@ -368,29 +374,15 @@ class LstmBoostedRegressor:
         return self.stage1._state_arrays()
 
     def _state_meta(self) -> dict:
-        meta = self.stage1._state_meta()
-        meta["stage2"] = {
-            "base_score": self.stage2.base_score,
-            "shrinkage": self.stage2.shrinkage,
-            "lambda_reg": self.stage2.lambda_reg,
-            "gamma_reg": self.stage2.gamma_reg,
-            "trees": [tree.to_lists() for tree in self.stage2.trees],
-            "objective_history": self.stage2.objective_history,
-        }
-        return meta
+        return {**self.stage1._state_meta(), "stage2": asdict(self.stage2)}
 
     @classmethod
     def _from_state(cls, config: LearnerConfig, meta: dict, arrays) -> "LstmBoostedRegressor":
         model = cls(config, meta["record_width"], meta["lag"])
         model.stage1 = LstmRegressor._from_state(config, meta, arrays)
-        s2 = meta["stage2"]
+        stage2 = meta["stage2"]
         model.stage2 = BoostedTrees(
-            base_score=s2["base_score"],
-            shrinkage=s2["shrinkage"],
-            lambda_reg=s2["lambda_reg"],
-            gamma_reg=s2["gamma_reg"],
-            trees=[Tree.from_lists(t) for t in s2["trees"]],
-            objective_history=list(s2["objective_history"]),
+            **{**stage2, "trees": [Tree(**t) for t in stage2["trees"]]}
         )
         return model
 
@@ -428,19 +420,19 @@ class ForestRegressor:
         return {
             "record_width": self.record_width,
             "lag": self.lag,
-            "trees": [tree.to_lists() for tree in self.forest.trees],
+            "trees": [asdict(tree) for tree in self.forest.trees],
         }
 
     @classmethod
     def _from_state(cls, config: LearnerConfig, meta: dict, arrays) -> "ForestRegressor":
         model = cls(config, meta["record_width"], meta["lag"])
-        model.forest = RandomForest(trees=[Tree.from_lists(t) for t in meta["trees"]])
+        model.forest = RandomForest(trees=[Tree(**t) for t in meta["trees"]])
         return model
 
 
 _MODEL_CLASSES = {
     cls.kind: cls
-    for cls in (BiLstmRegressor, CnnGruRegressor, LstmRegressor, LstmBoostedRegressor, ForestRegressor)
+    for cls in (BiLstmRegressor, CnnGruRegressor, LstmBoostedRegressor, ForestRegressor)
 }
 
 
@@ -455,7 +447,7 @@ def fit_learner(kind: str, data: SupervisedSet, config: LearnerConfig):
 def save_model(model, path: str | Path):
     """Write a trained model to a single .npz file."""
     meta = {
-        "format": 1,
+        "format": _FORMAT,
         "kind": model.kind,
         "config": asdict(model.config),
         "extra": model._state_meta(),
@@ -470,8 +462,11 @@ def load_model(path: str | Path):
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(str(data["meta"][()]))
         arrays = {k: data[k] for k in data.files if k != "meta"}
+    if meta.get("format") != _FORMAT:
+        raise ModelFileError(f"{path}: model format {meta.get('format')!r}, expected {_FORMAT}")
+    if meta.get("kind") not in KINDS:
+        raise ModelFileError(f"{path}: model kind {meta.get('kind')!r}, expected one of {KINDS}")
     raw_config = dict(meta["config"])
     raw_config["hidden_sizes"] = tuple(raw_config["hidden_sizes"])
     config = LearnerConfig(**raw_config)
-    cls = _MODEL_CLASSES[meta["kind"]]
-    return cls._from_state(config, meta["extra"], arrays)
+    return _MODEL_CLASSES[meta["kind"]]._from_state(config, meta["extra"], arrays)

@@ -1,7 +1,9 @@
 """Regression trees: bagged CART forest and second-order gradient boosting.
 
-Both share a flat array-of-nodes tree representation that serializes to
-plain lists. Split search is exact over sorted feature values with prefix
+Both learners grow their trees with one preorder grower and one split scan
+over a flat array-of-nodes tree representation that serializes to plain
+lists. They differ only in the leaf value, the cut score and one extra
+stop rule. Split search is exact over sorted feature values with prefix
 sums; ties break to the lowest feature index, then the lowest threshold,
 so rebuilds are reproducible across platforms.
 """
@@ -57,56 +59,68 @@ class Tree:
             out[row] = self.value[node]
         return out
 
-    def to_lists(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
-        }
 
-    @classmethod
-    def from_lists(cls, data: dict) -> "Tree":
-        return cls(
-            feature=list(data["feature"]),
-            threshold=list(data["threshold"]),
-            left=list(data["left"]),
-            right=list(data["right"]),
-            value=list(data["value"]),
-        )
+def _best_split(cols: np.ndarray, y: np.ndarray, cut_scores) -> tuple[float, int, float]:
+    """Best cut over the candidate columns ``cols`` of one node.
 
-
-def _best_sse_split(x: np.ndarray, y: np.ndarray, feature_indices) -> tuple[int, float] | None:
-    """Split minimizing the summed squared error of the two sides.
-
-    Returns (feature, threshold) or None when every candidate feature is
-    constant. Strict improvement comparisons keep the lowest feature index
-    and lowest threshold on ties.
+    ``cut_scores(sorted_y, y)`` maps the node's targets sorted by each
+    column, shape (n, k), to the score of cutting after each of the first
+    n - 1 rows. Cuts between equal values score -inf. Returns (score,
+    column position, threshold); the score is -inf when every column is
+    constant. The first maximum in column-major order keeps the lowest
+    column, then the lowest threshold, on ties.
     """
-    n = len(y)
-    best_sse = np.inf
-    best: tuple[int, float] | None = None
-    for j in sorted(feature_indices):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        cuts = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        if len(cuts) == 0:
-            continue
-        s1 = np.cumsum(ys)
-        s2 = np.cumsum(ys**2)
-        left_n = cuts.astype(np.float64)
-        left1 = s1[cuts - 1]
-        left2 = s2[cuts - 1]
-        right_n = n - left_n
-        sse = (left2 - left1**2 / left_n) + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / right_n)
-        pick = int(np.argmin(sse))
-        if sse[pick] < best_sse:
-            best_sse = float(sse[pick])
-            cut = cuts[pick]
-            best = (int(j), float((xs[cut - 1] + xs[cut]) / 2.0))
-    return best
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    scores = cut_scores(y[order], y)
+    scores[~(xs[1:] > xs[:-1])] = -np.inf
+    column, row = divmod(int(np.argmax(scores.T)), len(y) - 1)
+    threshold = float((xs[row, column] + xs[row + 1, column]) / 2.0)
+    return float(scores[row, column]), column, threshold
+
+
+def _grow(x, y, max_depth, leaf_value, cut_scores, candidates, min_score) -> Tree:
+    """Greedy preorder tree growth shared by both learners.
+
+    Every node stores ``leaf_value(targets)``. A node stays a leaf when it
+    has one row, sits at ``max_depth``, ``candidates(targets)`` returns None
+    instead of a sorted array of feature indices, or its best cut scores no
+    more than ``min_score``.
+    """
+    tree = Tree()
+
+    def grow(rows: np.ndarray, depth: int) -> int:
+        node = tree.add_node()
+        sub_y = y[rows]
+        tree.value[node] = leaf_value(sub_y)
+        if len(rows) < 2 or (max_depth is not None and depth >= max_depth):
+            return node
+        features = candidates(sub_y)
+        if features is None:
+            return node
+        score, column, threshold = _best_split(x[rows[:, None], features], sub_y, cut_scores)
+        if score <= min_score:
+            return node
+        feature = int(features[column])
+        goes_left = x[rows, feature] <= threshold
+        tree.feature[node], tree.threshold[node] = feature, threshold
+        tree.left[node] = grow(rows[goes_left], depth + 1)
+        tree.right[node] = grow(rows[~goes_left], depth + 1)
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return tree
+
+
+def _negative_sse(ys: np.ndarray, _y: np.ndarray) -> np.ndarray:
+    """Minus the summed squared error of the two sides of each cut."""
+    n = len(ys)
+    s1 = np.cumsum(ys, axis=0)
+    s2 = np.cumsum(ys**2, axis=0)
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    left1, left2 = s1[:-1], s2[:-1]
+    right_n = n - left_n
+    return -((left2 - left1**2 / left_n) + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / right_n))
 
 
 def build_cart(
@@ -115,48 +129,32 @@ def build_cart(
     rng: np.random.Generator,
     max_depth: int | None = None,
     features_per_split: int | None = None,
-    min_samples_split: int = 2,
 ) -> Tree:
-    """Greedy variance-reduction CART; optional per-split feature sampling."""
+    """Greedy least-squares CART; optional per-split feature sampling.
+
+    Leaves hold the mean target; nodes whose targets are all equal stay
+    leaves.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n_features = x.shape[1]
-    tree = Tree()
 
-    def grow(indices: np.ndarray, depth: int) -> int:
-        node = tree.add_node()
-        sub_y = y[indices]
-        tree.value[node] = float(sub_y.mean())
-        if (
-            len(indices) < min_samples_split
-            or (max_depth is not None and depth >= max_depth)
-            or np.all(sub_y == sub_y[0])
-        ):
-            return node
+    def candidates(sub_y: np.ndarray) -> np.ndarray | None:
+        if np.all(sub_y == sub_y[0]):
+            return None
         if features_per_split is None or features_per_split >= n_features:
-            candidates = range(n_features)
-        else:
-            candidates = rng.choice(n_features, size=features_per_split, replace=False)
-        split = _best_sse_split(x[indices], sub_y, candidates)
-        if split is None:
-            return node
-        feature, threshold = split
-        goes_left = x[indices, feature] <= threshold
-        left_id = grow(indices[goes_left], depth + 1)
-        right_id = grow(indices[~goes_left], depth + 1)
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        tree.left[node] = left_id
-        tree.right[node] = right_id
-        return node
+            return np.arange(n_features)
+        return np.sort(rng.choice(n_features, size=features_per_split, replace=False))
 
-    grow(np.arange(len(y)), 0)
-    return tree
+    return _grow(x, y, max_depth, lambda t: float(t.mean()), _negative_sse, candidates, -np.inf)
 
 
 @dataclass
 class RandomForest:
-    """Bootstrap-aggregated CART trees; prediction is the plain tree mean."""
+    """Bootstrap-aggregated CART trees; prediction is the plain tree mean.
+
+    Each tree draws ceil(sqrt(features)) candidate features per split.
+    """
 
     trees: list[Tree]
 
@@ -168,73 +166,23 @@ class RandomForest:
         tree_count: int,
         seed: int,
         max_depth: int | None = None,
-        bootstrap: bool = True,
-        features_per_split: int | None = None,
     ) -> "RandomForest":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if np.all(y == y[0]):
             logger.warning("all targets identical; forest degenerates to a constant")
         n, f = x.shape
-        if features_per_split is None:
-            features_per_split = math.ceil(math.sqrt(f))
+        features_per_split = math.ceil(math.sqrt(f))
         trees = []
         for index in range(tree_count):
             # derived per-tree seed keeps parallel and serial builds identical
             rng = np.random.default_rng(seed + index)
-            rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-            trees.append(
-                build_cart(
-                    x[rows],
-                    y[rows],
-                    rng,
-                    max_depth=max_depth,
-                    features_per_split=features_per_split,
-                )
-            )
+            rows = rng.integers(0, n, size=n)
+            trees.append(build_cart(x[rows], y[rows], rng, max_depth, features_per_split))
         return cls(trees=trees)
 
-    def tree_predictions(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([tree.predict(x) for tree in self.trees])
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.tree_predictions(x).mean(axis=0)
-
-
-def _best_gain_split(
-    x: np.ndarray, g: np.ndarray, lambda_reg: float
-) -> tuple[float, int, float] | None:
-    """Split maximizing the second-order gain for squared loss (hessian 1).
-
-    Gain is measured against keeping the node whole; the caller compares it
-    with the leaf-count penalty before accepting.
-    """
-    n = len(g)
-    total_g = g.sum()
-    parent_score = total_g**2 / (n + lambda_reg)
-    best_gain = -np.inf
-    best: tuple[float, int, float] | None = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        gs = g[order]
-        cuts = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        if len(cuts) == 0:
-            continue
-        prefix = np.cumsum(gs)
-        left_g = prefix[cuts - 1]
-        left_n = cuts.astype(np.float64)
-        gain = 0.5 * (
-            left_g**2 / (left_n + lambda_reg)
-            + (total_g - left_g) ** 2 / (n - left_n + lambda_reg)
-            - parent_score
-        )
-        pick = int(np.argmax(gain))
-        if gain[pick] > best_gain:
-            best_gain = float(gain[pick])
-            cut = cuts[pick]
-            best = (best_gain, j, float((xs[cut - 1] + xs[cut]) / 2.0))
-    return best
+        return np.stack([tree.predict(x) for tree in self.trees]).mean(axis=0)
 
 
 def build_boosted_tree(
@@ -244,34 +192,30 @@ def build_boosted_tree(
     gamma_reg: float,
     max_depth: int,
 ) -> Tree:
-    """One boosting round's tree on gradients of squared loss.
+    """One boosting round's tree on gradients of squared loss (hessian 1).
 
-    Leaf weight is -G / (H + lambda) with H = member count; a split is kept
-    only when its gain exceeds gamma.
+    Leaf weight is -G / (H + lambda) with H = member count; a cut scores
+    its second-order gain over keeping the node whole, and is kept only
+    when that gain exceeds gamma.
     """
-    tree = Tree()
+    all_features = np.arange(x.shape[1])
 
-    def grow(indices: np.ndarray, depth: int) -> int:
-        node = tree.add_node()
-        g_sum = residual_grad[indices].sum()
-        tree.value[node] = float(-g_sum / (len(indices) + lambda_reg))
-        if depth >= max_depth or len(indices) < 2:
-            return node
-        split = _best_gain_split(x[indices], residual_grad[indices], lambda_reg)
-        if split is None or split[0] <= gamma_reg:
-            return node
-        _, feature, threshold = split
-        goes_left = x[indices, feature] <= threshold
-        left_id = grow(indices[goes_left], depth + 1)
-        right_id = grow(indices[~goes_left], depth + 1)
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        tree.left[node] = left_id
-        tree.right[node] = right_id
-        return node
+    def gain(gs: np.ndarray, g: np.ndarray) -> np.ndarray:
+        n = len(g)
+        total_g = g.sum()
+        parent_score = total_g**2 / (n + lambda_reg)
+        left_g = np.cumsum(gs, axis=0)[:-1]
+        left_n = np.arange(1, n, dtype=np.float64)[:, None]
+        return 0.5 * (
+            left_g**2 / (left_n + lambda_reg)
+            + (total_g - left_g) ** 2 / (n - left_n + lambda_reg)
+            - parent_score
+        )
 
-    grow(np.arange(len(residual_grad)), 0)
-    return tree
+    def leaf_weight(g: np.ndarray) -> float:
+        return float(-g.sum() / (len(g) + lambda_reg))
+
+    return _grow(x, residual_grad, max_depth, leaf_weight, gain, lambda _: all_features, gamma_reg)
 
 
 @dataclass

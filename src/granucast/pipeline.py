@@ -16,7 +16,6 @@ import numpy as np
 
 from .ensemble import (
     DEFAULT_LEVELS,
-    LEARNER_ORDER,
     ForecastBundle,
     IntervalModel,
     PredictionPanel,
@@ -29,7 +28,7 @@ from .ensemble import (
 from .evaluation import IntervalScores, PointScores, interval_scores, point_scores
 from .fuzzy_rough import ClusterConfig, ClusterResult, extract_features
 from .granulation import granulate_series
-from .learners import LearnerConfig, SupervisedSet, fit_learner, make_supervised
+from .learners import KINDS, LearnerConfig, SupervisedSet, fit_learner, make_supervised
 from .sunflower import OptimizerConfig
 from .timeseries import Series, SplitSpec, chrono_split, kfold_split
 
@@ -72,7 +71,7 @@ class PipelineConfig:
     levels: tuple[float, ...] = DEFAULT_LEVELS
 
     def __post_init__(self):
-        missing = [kind for kind in LEARNER_ORDER if kind not in self.learners]
+        missing = [kind for kind in KINDS if kind not in self.learners]
         if missing:
             raise ValueError(f"learner configs missing for {missing}")
 
@@ -101,7 +100,7 @@ class ForecastRun:
 
 
 def _panel(models: dict[str, object], data: SupervisedSet) -> PredictionPanel:
-    matrix = np.stack([models[kind].predict(data.inputs) for kind in LEARNER_ORDER])
+    matrix = np.stack([models[kind].predict(data.inputs) for kind in KINDS])
     return PredictionPanel(matrix=matrix, actuals=data.targets)
 
 
@@ -119,9 +118,7 @@ def extract_and_split(
 
 
 def train_models(train_set: SupervisedSet, config: PipelineConfig) -> dict[str, object]:
-    return {
-        kind: fit_learner(kind, train_set, config.learners[kind]) for kind in LEARNER_ORDER
-    }
+    return {kind: fit_learner(kind, train_set, config.learners[kind]) for kind in KINDS}
 
 
 def run_forecast(
@@ -140,10 +137,10 @@ def run_forecast(
         weight_fit = fit_weights(val_panel, config.optimizer)
         weights = weight_fit.chosen
     else:
-        if solo not in LEARNER_ORDER:
-            raise ValueError(f"unknown learner {solo!r}, expected one of {LEARNER_ORDER}")
+        if solo not in KINDS:
+            raise ValueError(f"unknown learner {solo!r}, expected one of {KINDS}")
         weight_fit = None
-        weights = np.eye(len(LEARNER_ORDER))[LEARNER_ORDER.index(solo)]
+        weights = np.eye(len(KINDS))[KINDS.index(solo)]
     interval_model = fit_intervals(val_set.targets - combine(val_panel, weights), config.levels)
     bundle = forecast(test_panel, weights, interval_model)
 

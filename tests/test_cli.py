@@ -449,6 +449,22 @@ class TestExitCodes:
         assert "--folds" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--samples", "1"],
+            ["synth", "--gap-fraction", "0.7"],
+            ["benchmark-opt", "--problem", "zdt1", "--dim", "1"],
+        ],
+        ids=["synth_one_sample", "synth_gap_fraction", "opt_one_dimension"],
+    )
+    def test_out_of_range_option_is_a_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
         "text",
         [
             "",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from granucast.ensemble import (
-    LEARNER_ORDER,
     ForecastBundle,
     IntervalModel,
     PredictionPanel,
@@ -21,6 +20,7 @@ from granucast.ensemble import (
     select_compromise,
 )
 from granucast.evaluation import LengthMismatch
+from granucast.learners import KINDS
 from granucast.sunflower import ArchiveEntry, OptimizerConfig, ParetoArchive, dominates
 
 
@@ -207,4 +207,5 @@ class TestForecast:
         assert set(bundle.intervals) == {0.9, 0.5}
 
     def test_learner_order_constant(self):
-        assert LEARNER_ORDER == ("bilstm", "cnn_gru", "lstm_xgb", "random_forest")
+        assert KINDS == ("bilstm", "cnn_gru", "lstm_xgb", "random_forest")
+        assert square_panel().learner_order == KINDS

@@ -2,13 +2,15 @@
 against hand-rolled references, analytic gradients against finite
 differences, the tree learners, and the fit/save/load lifecycle."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import gradient_rel_err
 from hypothesis import given
 from hypothesis import strategies as st
 
-from granucast.ensemble import LEARNER_ORDER
 from granucast.evaluation import point_scores
 from granucast.fuzzy_rough import PEAK_COLUMN
 from granucast.learners import (
@@ -21,6 +23,7 @@ from granucast.learners import (
     LearnerConfig,
     LstmBoostedRegressor,
     LstmRegressor,
+    ModelFileError,
     RandomForest,
     SequenceTooShort,
     SupervisedSet,
@@ -31,7 +34,9 @@ from granucast.learners import (
     make_supervised,
     save_model,
 )
+from granucast.learners.models import _MODEL_CLASSES
 from granucast.learners.nn import BiLSTMLayer, Conv1dLayer, GRULayer, LSTMLayer
+from granucast.learners.trees import build_boosted_tree, build_cart
 
 
 def toy_features(count: int) -> np.ndarray:
@@ -319,10 +324,8 @@ class TestRandomForest:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        forest = RandomForest.fit(
-            x, y, tree_count=1, seed=0, bootstrap=False, features_per_split=3
-        )
-        np.testing.assert_array_equal(forest.predict(x), y)
+        tree = build_cart(x, y, np.random.default_rng(0))
+        np.testing.assert_array_equal(tree.predict(x), y)
 
     def test_prediction_is_the_plain_tree_mean(self):
         rng = np.random.default_rng(6)
@@ -350,6 +353,94 @@ class TestRandomForest:
             float(((tree.predict(x[80:]) - y[80:]) ** 2).mean()) for tree in forest.trees
         ]
         assert forest_mse < np.median(tree_mses)
+
+
+def exact_optima(x: np.ndarray, score) -> list[tuple[int, float]]:
+    """Every (feature, midpoint) cut with the highest exact score, in
+    feature-then-threshold order; ``score`` maps a left-side mask to a
+    Fraction."""
+    best, where = None, []
+    for j in range(x.shape[1]):
+        values = np.unique(x[:, j])
+        for threshold in (values[:-1] + values[1:]) / 2.0:
+            value = score(x[:, j] <= threshold)
+            if best is None or value > best:
+                best, where = value, []
+            if value == best:
+                where.append((j, float(threshold)))
+    return where
+
+
+def negative_sse(y: np.ndarray):
+    def score(left):
+        total = Fraction(0)
+        for side in (y[left], y[~left]):
+            values = [Fraction(int(v)) for v in side]
+            mean = sum(values) / len(values)
+            total += sum((v - mean) ** 2 for v in values)
+        return -total
+
+    return score
+
+
+def split_gain(g: np.ndarray, lambda_reg: int):
+    """The second-order gain up to its constant parent term and factor 1/2."""
+
+    def score(left):
+        return sum(
+            Fraction(int(side.sum())) ** 2 / (len(side) + lambda_reg)
+            for side in (g[left], g[~left])
+        )
+
+    return score
+
+
+def tied_columns(seed: int) -> tuple[np.ndarray, np.random.Generator]:
+    """Integer features whose first two columns are equal."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 4, size=(20, 2)).astype(float)
+    return np.column_stack([base[:, 0], base[:, 0], base[:, 1]]), rng
+
+
+def root_split(tree) -> tuple[int, float]:
+    return tree.feature[0], tree.threshold[0]
+
+
+class TestSplitRule:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cart_root_is_the_least_sse_cut(self, seed):
+        x, rng = tied_columns(seed)
+        y = rng.integers(0, 3, size=len(x)).astype(float)
+        tree = build_cart(x, y, rng)
+        assert root_split(tree) == exact_optima(x, negative_sse(y))[0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_boosted_root_is_the_highest_gain_cut(self, seed):
+        x, rng = tied_columns(seed)
+        g = rng.integers(-2, 3, size=len(x)).astype(float)
+        tree = build_boosted_tree(x, g, lambda_reg=1.0, gamma_reg=0.0, max_depth=1)
+        assert root_split(tree) == exact_optima(x, split_gain(g, 1))[0]
+
+    @pytest.mark.parametrize(
+        "mirrored, pattern, optima",
+        [
+            # cuts at 0.5 and 2.5 tie exactly on both equal columns
+            (False, [0.0, 1.0, 1.0, 0.0], [(0, 0.5), (0, 2.5), (1, 0.5), (1, 2.5)]),
+            # the mirrored column 0 makes the same cut at a higher threshold
+            (True, [0.0, 1.0, 1.0, 1.0], [(0, 2.5), (1, 0.5)]),
+        ],
+        ids=["equal_columns", "mirrored_column"],
+    )
+    def test_ties_go_to_the_lowest_feature_then_threshold(self, mirrored, pattern, optima):
+        v = np.repeat(np.arange(4.0), 2)
+        x = np.column_stack([3.0 - v if mirrored else v, v])
+        y = np.repeat(pattern, 2)
+        g = 1.0 - 2.0 * y
+        assert exact_optima(x, negative_sse(y)) == optima
+        assert exact_optima(x, split_gain(g, 1)) == optima
+        assert root_split(build_cart(x, y, np.random.default_rng(0))) == optima[0]
+        boosted = build_boosted_tree(x, g, lambda_reg=1.0, gamma_reg=0.0, max_depth=1)
+        assert root_split(boosted) == optima[0]
 
 
 SMALL = LearnerConfig(
@@ -390,6 +481,28 @@ class TestModelLifecycle:
         with pytest.raises(ValueError):
             fit_learner("mlp", toy_supervised(), SMALL)
 
+    def test_registry_is_the_four_kinds(self):
+        assert tuple(_MODEL_CLASSES) == KINDS
+        # lstm_xgb's first stage is not a learner of its own
+        with pytest.raises(ValueError):
+            fit_learner("lstm", toy_supervised(), SMALL)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"kind": "mlp"}, {"kind": "lstm"}, {"format": 2}],
+        ids=["kind_mlp", "kind_lstm", "format_2"],
+    )
+    def test_load_rejects_unknown_files(self, change, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(fit_learner("lstm_xgb", toy_supervised(), SMALL), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = {**json.loads(str(arrays.pop("meta")[()])), **change}
+        with path.open("wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(ModelFileError):
+            load_model(path)
+
     def test_config_validation(self):
         for bad in (
             {"learning_rate": 0.0},
@@ -416,6 +529,6 @@ class TestModelLifecycle:
 
 
 def test_each_learner_tracks_held_out_data(forecast_run):
-    for k, kind in enumerate(LEARNER_ORDER):
+    for k, kind in enumerate(KINDS):
         scores = point_scores(forecast_run.test_set.targets, forecast_run.test_panel.matrix[k])
         assert scores.r2 > 0.8, f"{kind} r2 {scores.r2:.3f}"

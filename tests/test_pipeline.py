@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from conftest import cheap_pipeline_config
 
-from granucast.ensemble import LEARNER_ORDER, fit_intervals
+from granucast.ensemble import fit_intervals
 from granucast.evaluation import PointScores, point_scores
+from granucast.learners import KINDS
 from granucast.pipeline import (
     PipelineConfig,
     _contiguous_runs,
@@ -27,7 +28,7 @@ def indexed_features(count: int) -> np.ndarray:
 class TestDefaultLearnerConfigs:
     def test_full_scale_fields(self):
         configs = default_learner_configs(seed=7)
-        assert set(configs) == set(LEARNER_ORDER)
+        assert set(configs) == set(KINDS)
         assert configs["bilstm"].learning_rate == 0.001
         assert configs["bilstm"].batch_size == 100
         assert configs["bilstm"].hidden_sizes == (128, 64, 32)
@@ -40,7 +41,7 @@ class TestDefaultLearnerConfigs:
 
     def test_seed_offsets_differ_per_learner(self):
         configs = default_learner_configs(seed=10)
-        seeds = [configs[kind].rng_seed for kind in LEARNER_ORDER]
+        seeds = [configs[kind].rng_seed for kind in KINDS]
         assert seeds == [11, 12, 13, 14]
 
     def test_desk_scale_shrinks_only_size_and_epochs(self):
@@ -108,7 +109,7 @@ class TestSoloPath:
     def test_solo_uses_one_learner(self, synth_series):
         run = run_forecast(synth_series, cheap_pipeline_config(), solo="random_forest")
         assert run.weight_fit is None
-        k = LEARNER_ORDER.index("random_forest")
+        k = KINDS.index("random_forest")
         np.testing.assert_array_equal(run.bundle.point, run.test_panel.matrix[k])
         assert set(run.bundle.intervals) == {0.95, 0.85}
         own = fit_intervals(run.val_set.targets - run.val_panel.matrix[k], (0.95, 0.85))
