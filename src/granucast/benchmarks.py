@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GranucastError
-from .sunflower import Bounds, EmptyArchive, OptimizationProblem, ParetoArchive
+from .sunflower import Bounds, EmptyArchive, OptimizationProblem
 
 
 class OutOfDomain(GranucastError):
@@ -71,21 +71,17 @@ def zdt3_front(samples: int, resolution: int = 100_001) -> np.ndarray:
     return points[picks]
 
 
-def front_quality(archive, reference: np.ndarray) -> tuple[float, float]:
-    """(inverted generational distance, spacing) of an archive vs a reference.
+def front_quality(objectives, reference: np.ndarray) -> tuple[float, float]:
+    """(inverted generational distance, spacing) of a front vs a reference.
 
-    IGD averages, over reference points, the distance to the closest
-    archive objective vector; spacing is the standard deviation of
-    archive-internal nearest-neighbor distances (0 for a single member).
+    ``objectives`` holds one objective vector per row, such as
+    ``ParetoArchive.objectives``. IGD averages, over reference points, the
+    distance to the closest front row; spacing is the standard deviation of
+    front-internal nearest-neighbor distances (0 for a single row).
     """
-    if isinstance(archive, ParetoArchive):
-        if not archive.members:
-            raise EmptyArchive("cannot score an empty archive")
-        objectives = archive.objectives_array()
-    else:
-        objectives = np.atleast_2d(np.asarray(archive, dtype=np.float64))
-        if objectives.size == 0:
-            raise EmptyArchive("cannot score an empty archive")
+    objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
+    if objectives.size == 0:
+        raise EmptyArchive("cannot score an empty archive")
     reference = np.atleast_2d(np.asarray(reference, dtype=np.float64))
     cross = np.linalg.norm(reference[:, None, :] - objectives[None, :, :], axis=2)
     igd = float(cross.min(axis=1).mean())

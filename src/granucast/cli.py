@@ -99,6 +99,12 @@ def _load_clean_series(path: str) -> tuple[Series, int]:
     return interpolate_gaps(raw), int(raw.gap_mask.sum())
 
 
+def _write_archive(path: Path, archive, header: list[str]) -> None:
+    """One row per archive member: its objectives, then its position."""
+    rows = np.hstack([archive.objectives, archive.positions])
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
+
+
 def _level_label(level: float) -> str:
     return f"{round(level * 100):d}"
 
@@ -225,17 +231,8 @@ def cmd_forecast(args) -> int:
         lines.append(f"excluded from mape = {fit.excluded_from_mape}")
         lines.append(f"archive size = {len(fit.archive)}")
         (out / "weights.txt").write_text("\n".join(lines) + "\n")
-        _write_rows(
-            out / "archive.csv",
-            ["mape", "mse", *(f"weight_{kind}" for kind in KINDS)],
-            (
-                [
-                    _fmt(entry.objectives[0]),
-                    _fmt(entry.objectives[1]),
-                    *(_fmt(w) for w in entry.position),
-                ]
-                for entry in result.weight_fit.archive.members
-            ),
+        _write_archive(
+            out / "archive.csv", fit.archive, ["mape", "mse", *(f"weight_{k}" for k in KINDS)]
         )
         names += ["weights.txt", "archive.csv"]
         print(f"forecast rows: {len(rows)}")
@@ -345,24 +342,15 @@ def cmd_benchmark_opt(args) -> int:
         print("error: archive soundness check failed", file=sys.stderr)
         return 1
     reference = {1: zdt1_front, 2: zdt2_front, 3: zdt3_front}[which](500)
-    igd, spacing = front_quality(archive, reference)
-
-    entries = archive.members
-    _write_rows(
+    igd, spacing = front_quality(archive.objectives, reference)
+    _write_archive(
         out / "front.csv",
+        archive,
         ["objective_1", "objective_2", *(f"x_{d + 1}" for d in range(args.dim))],
-        (
-            [
-                _fmt(entry.objectives[0]),
-                _fmt(entry.objectives[1]),
-                *(_fmt(x) for x in entry.position),
-            ]
-            for entry in entries
-        ),
     )
     config_text = run.describe() + f"problem = {args.problem}\ndim = {args.dim}\n"
     _finish_run(out, config_text, ["front.csv"])
-    print(f"archive size: {len(entries)}")
+    print(f"archive size: {len(archive)}")
     print(f"igd = {_fmt(igd)}")
     print(f"spacing = {_fmt(spacing)}")
     return 0

@@ -160,6 +160,11 @@ def build_run_config(
             levels = value if isinstance(value, tuple) else (value,)
             in_range = all(isinstance(v, float) and 0.0 < v < 1.0 for v in levels)
             _checked(key, entries[key], in_range, "levels in (0, 1)")
+            # forecast.csv names interval columns by whole percent
+            percents = [round(v * 100) for v in levels]
+            whole = all(p / 100 == v for p, v in zip(percents, levels))
+            distinct = len(set(percents)) == len(percents)
+            _checked(key, entries[key], whole and distinct, "distinct whole percentages")
         elif key.startswith("split."):
             part = key.split(".", 1)[1]
             if part not in split_fracs:

@@ -98,7 +98,7 @@ def select_compromise(archive: ParetoArchive) -> int:
     ties (within 1e-12) break to the lower first objective, then the
     lower archive index.
     """
-    objectives = archive.objectives_array()
+    objectives = archive.objectives
     mins = objectives.min(axis=0)
     span = objectives.max(axis=0) - mins
     span[span == 0.0] = 1.0
@@ -137,11 +137,11 @@ def fit_weights(panel: PredictionPanel, config: OptimizerConfig = OptimizerConfi
     for candidate in baseline_candidates(k):
         archive.insert(candidate, np.array(ensemble_objectives(candidate, panel)))
     pick = select_compromise(archive)
-    member = archive.members[pick]
+    mape_value, mse_value = archive.objectives[pick]
     return WeightFit(
         archive=archive,
-        chosen=member.position.copy(),
-        chosen_objectives=(float(member.objectives[0]), float(member.objectives[1])),
+        chosen=archive.positions[pick].copy(),
+        chosen_objectives=(float(mape_value), float(mse_value)),
         excluded_from_mape=excluded,
     )
 

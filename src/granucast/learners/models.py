@@ -446,6 +446,8 @@ def fit_learner(kind: str, data: SupervisedSet, config: LearnerConfig):
 
 def save_model(model, path: str | Path):
     """Write a trained model to a single .npz file."""
+    if model.kind not in KINDS:
+        raise ModelFileError(f"cannot save model kind {model.kind!r}, expected one of {KINDS}")
     meta = {
         "format": _FORMAT,
         "kind": model.kind,

@@ -14,7 +14,6 @@ exploration early, fine refinement late.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,32 +106,27 @@ class TentChain:
         return out
 
 
-def tent_sequence(seed_value: float, apex: float, length: int) -> np.ndarray:
-    """The first ``length`` iterates of the tent chain after the seed."""
-    return TentChain(seed_value, apex).draw(length)
+def dominates(a, b):
+    """Pareto dominance for minimization: a no worse everywhere, better somewhere.
 
-
-def dominates(a, b) -> bool:
-    """Pareto dominance for minimization: a no worse everywhere, better somewhere."""
+    Compares along the last axis and broadcasts over the others, so a row
+    against a matrix (or a matrix against itself, via new axes) gives one
+    flag per pair.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NonFiniteObjective("objective vectors must be finite")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
-@dataclass
-class ArchiveEntry:
-    position: np.ndarray
-    objectives: np.ndarray
+    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
 
 
 class ParetoArchive:
     """Bounded non-dominated store with grid-based crowding control.
 
-    The grid re-partitions the current objective ranges into equal cells;
-    evictions remove a random member of the most crowded cell, and guide
-    selection favors the least crowded ones.
+    Members are the rows of ``positions`` (m, d) and ``objectives`` (m, k),
+    in insertion order. The grid re-partitions the current objective
+    ranges into equal cells; evictions remove a random member of the most
+    crowded cell, and guide selection favors the least crowded ones.
     """
 
     def __init__(
@@ -146,78 +140,70 @@ class ParetoArchive:
         self.capacity = capacity
         self.grid_divisions = grid_divisions
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.members: list[ArchiveEntry] = []
+        self.positions = np.empty((0, 0))
+        self.objectives = np.empty((0, 0))
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def objectives_array(self) -> np.ndarray:
-        return np.stack([m.objectives for m in self.members])
-
-    def positions_array(self) -> np.ndarray:
-        return np.stack([m.position for m in self.members])
+        return len(self.objectives)
 
     def insert(self, position, objectives) -> bool:
         """Offer a candidate; returns True when it enters the archive."""
-        obj = np.asarray(objectives, dtype=np.float64).copy()
+        obj = np.asarray(objectives, dtype=np.float64)
         if not np.isfinite(obj).all():
             raise NonFiniteObjective("candidate objectives must be finite")
-        pos = np.asarray(position, dtype=np.float64).copy()
-        if self.members:
-            mat = self.objectives_array()
-            beats_candidate = np.all(mat <= obj, axis=1) & np.any(mat < obj, axis=1)
-            if beats_candidate.any():
-                return False
-            equal_rows = np.nonzero(np.all(mat == obj, axis=1))[0]
-            for row in equal_rows:
-                if np.array_equal(self.members[row].position, pos):
-                    return False  # exact duplicate adds nothing
-            beaten = np.all(obj <= mat, axis=1) & np.any(obj < mat, axis=1)
-            if beaten.any():
-                self.members = [m for m, out in zip(self.members, beaten) if not out]
-        self.members.append(ArchiveEntry(position=pos, objectives=obj))
-        if len(self.members) > self.capacity:
+        pos = np.asarray(position, dtype=np.float64)
+        if not len(self):
+            self.positions, self.objectives = pos[None].copy(), obj[None].copy()
+            return True
+        if dominates(self.objectives, obj).any():
+            return False
+        same = np.all(self.objectives == obj, axis=1) & np.all(self.positions == pos, axis=1)
+        if same.any():
+            return False  # exact duplicate adds nothing
+        keep = ~dominates(obj, self.objectives)
+        self.positions = np.vstack([self.positions[keep], pos])
+        self.objectives = np.vstack([self.objectives[keep], obj])
+        if len(self) > self.capacity:
             self._evict()
         return True
 
-    def _cell_keys(self) -> list[tuple[int, ...]]:
-        mat = self.objectives_array()
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's cell number and each cell's occupancy; cells are
+        numbered in lexicographic order of their grid coordinates."""
+        mat = self.objectives
         mins = mat.min(axis=0)
         span = mat.max(axis=0) - mins
         span[span == 0.0] = 1.0
         idx = np.floor((mat - mins) / span * self.grid_divisions).astype(int)
         idx = np.clip(idx, 0, self.grid_divisions - 1)
-        return [tuple(row) for row in idx]
+        _, cell, counts = np.unique(idx, axis=0, return_inverse=True, return_counts=True)
+        return cell.ravel(), counts
+
+    def _pick_in_cell(self, cell: np.ndarray, winner: int) -> int:
+        pool = np.flatnonzero(cell == winner)
+        return int(pool[self.rng.integers(len(pool))])
 
     def _evict(self):
-        keys = self._cell_keys()
-        counts = Counter(keys)
-        peak = max(counts.values())
-        crowded = min(key for key, n in counts.items() if n == peak)
-        pool = [i for i, key in enumerate(keys) if key == crowded]
-        del self.members[pool[self.rng.integers(len(pool))]]
+        cell, counts = self._cells()
+        # argmax takes the first, i.e. lexicographically lowest, crowded cell
+        row = self._pick_in_cell(cell, int(np.argmax(counts)))
+        self.positions = np.delete(self.positions, row, axis=0)
+        self.objectives = np.delete(self.objectives, row, axis=0)
 
-    def select_guide(self) -> ArchiveEntry:
-        """Roulette over grid cells weighted by 1/occupancy, then a uniform
-        pick inside the winning cell."""
-        if not self.members:
+    def select_guide(self) -> int:
+        """Row of the guide: a roulette over grid cells weighted by
+        1/occupancy, then a uniform pick inside the winning cell."""
+        if not len(self):
             raise EmptyArchive("cannot select a guide from an empty archive")
-        keys = self._cell_keys()
-        counts = Counter(keys)
-        cells = sorted(counts)
-        weights = np.array([1.0 / counts[c] for c in cells])
+        cell, counts = self._cells()
+        weights = 1.0 / counts
         cumulative = np.cumsum(weights / weights.sum())
-        winner = cells[int(np.searchsorted(cumulative, self.rng.random(), side="right"))]
-        pool = [i for i, key in enumerate(keys) if key == winner]
-        return self.members[pool[self.rng.integers(len(pool))]]
+        winner = int(np.searchsorted(cumulative, self.rng.random(), side="right"))
+        return self._pick_in_cell(cell, winner)
 
     def is_sound(self) -> bool:
         """Exhaustive pairwise check that no member dominates another."""
-        for i, a in enumerate(self.members):
-            for j, b in enumerate(self.members):
-                if i != j and dominates(a.objectives, b.objectives):
-                    return False
-        return True
+        return not dominates(self.objectives[:, None], self.objectives[None, :]).any()
 
 
 @dataclass(frozen=True)
@@ -247,6 +233,9 @@ class OptimizerConfig:
             raise ValueError(f"tent_apex must lie in (0, 1), got {self.tent_apex}")
         if self.step_scale is not None and self.step_scale < 0:
             raise ValueError(f"step_scale must be >= 0, got {self.step_scale}")
+        for name in ("archive_capacity", "grid_divisions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -255,12 +244,6 @@ class OptimizationProblem:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     bounds: Bounds
-
-
-@dataclass
-class Individual:
-    position: np.ndarray
-    objectives: np.ndarray | None = None
 
 
 def tent_positions(chain: TentChain, count: int, bounds: Bounds) -> np.ndarray:
@@ -289,76 +272,76 @@ class SunflowerOptimizer:
         else:
             self.step_scale = 0.05 * problem.bounds.span_norm
 
-    def init_population(self) -> list[Individual]:
-        positions = tent_positions(self.tent, self.config.population, self.problem.bounds)
-        return [Individual(position=row) for row in positions]
-
-    def _evaluate(self, individual: Individual):
-        obj = np.asarray(self.problem.evaluate(individual.position), dtype=np.float64)
-        if not np.isfinite(obj).all():
-            raise NonFiniteObjective(
-                f"objective evaluation returned non-finite values at {individual.position}"
-            )
-        individual.objectives = obj
+    def _evaluate(self, positions: np.ndarray) -> np.ndarray:
+        """Objective rows for the position rows, one problem call per row."""
+        rows = []
+        for position in positions:
+            obj = np.asarray(self.problem.evaluate(position), dtype=np.float64)
+            if not np.isfinite(obj).all():
+                raise NonFiniteObjective(
+                    f"objective evaluation returned non-finite values at {position}"
+                )
+            rows.append(obj)
+        return np.stack(rows)
 
     def run(self) -> ParetoArchive:
-        population = self.init_population()
-        for individual in population:
-            self._evaluate(individual)
-            self.archive.insert(individual.position, individual.objectives)
+        positions = tent_positions(self.tent, self.config.population, self.problem.bounds)
+        objectives = self._evaluate(positions)
+        for row in zip(positions, objectives):
+            self.archive.insert(*row)
         for t in range(1, self.config.iterations + 1):
-            self.step(population, t)
+            positions, objectives = self.step(positions, objectives, t)
         return self.archive
 
-    def step(self, population: list[Individual], t: int):
-        """One synchronous sweep; t is the 1-based iteration index."""
+    def step(self, positions: np.ndarray, objectives: np.ndarray, t: int):
+        """One synchronous sweep; t is the 1-based iteration index. Returns
+        the moved positions and their objectives, both already offered to
+        the archive."""
         cfg = self.config
-        count = len(population)
+        count, dim = positions.shape
         bounds = self.problem.bounds
         guide = self.archive.select_guide()
 
+        # one 1-D norm per row: norm(axis=1) rounds some rows differently
         guide_distance = np.array(
-            [float(np.linalg.norm(ind.objectives - guide.objectives)) for ind in population]
+            [np.linalg.norm(row) for row in objectives - self.archive.objectives[guide]]
         )
         ranking = np.argsort(guide_distance, kind="stable")
-        pollinator_count = math.ceil(cfg.pollination_rate * count)
-        mortality_count = math.ceil(cfg.mortality_rate * count)
-        pollinators = {int(i) for i in ranking[:pollinator_count]}
-        mortal: set[int] = set()
-        for i in reversed(ranking):
-            if len(mortal) == mortality_count:
-                break
-            if int(i) not in pollinators:
-                mortal.add(int(i))
+        pollinator = np.zeros(count, dtype=bool)
+        pollinator[ranking[: math.ceil(cfg.pollination_rate * count)]] = True
+        farthest = ranking[::-1][~pollinator[ranking[::-1]]]
+        mortal = np.zeros(count, dtype=bool)
+        mortal[farthest[: math.ceil(cfg.mortality_rate * count)]] = True
 
-        positions = np.stack([ind.position for ind in population])
         neighbor_distance = np.linalg.norm(positions - np.roll(positions, 1, axis=0), axis=1)
         kernel = 1.0 / (4.0 * np.pi * np.maximum(neighbor_distance, _KERNEL_EPS) ** 2)
         kernel_norm = kernel / kernel.max()
         # perturbation scale shrinks as 1/sqrt(t) so late sweeps refine
         noise_scale = self.step_scale / math.sqrt(t)
 
-        new_positions = np.empty_like(positions)
-        for i in range(count):
-            if i in mortal:
-                new_positions[i] = tent_positions(self.tent, 1, bounds)[0]
-                continue
-            if i in pollinators:
-                partner = self.archive.members[self.rng.integers(len(self.archive.members))]
-                moved = (positions[i] + partner.position) / 2.0
-            else:
-                towards = guide.position - positions[i]
-                norm = float(np.linalg.norm(towards))
-                direction = towards / norm if norm > 0.0 else np.zeros_like(towards)
-                step = self.step_scale * kernel_norm[i] * neighbor_distance[i]
-                moved = bounds.clamp(positions[i] + step * direction)
-            noise = self.rng.standard_t(df=t, size=bounds.dim) * noise_scale
-            new_positions[i] = bounds.clamp(moved + noise)
+        # the draw order fixes the outputs: row by row, a partner before its noise
+        partner = np.zeros(count, dtype=int)
+        noise = np.zeros((count, dim))
+        for i in np.flatnonzero(~mortal):
+            if pollinator[i]:
+                partner[i] = self.rng.integers(len(self.archive))
+            noise[i] = self.rng.standard_t(df=t, size=dim)
 
-        for i, individual in enumerate(population):
-            individual.position = new_positions[i]
-            self._evaluate(individual)
-            self.archive.insert(individual.position, individual.objectives)
+        towards = self.archive.positions[guide] - positions
+        norm = np.array([np.linalg.norm(row) for row in towards])[:, None]
+        direction = np.divide(towards, norm, out=np.zeros_like(towards), where=norm > 0.0)
+        step = self.step_scale * kernel_norm * neighbor_distance
+        moved = bounds.clamp(positions + step[:, None] * direction)
+        moved[pollinator] = (
+            positions[pollinator] + self.archive.positions[partner[pollinator]]
+        ) / 2.0
+        new_positions = bounds.clamp(moved + noise * noise_scale)
+        new_positions[mortal] = tent_positions(self.tent, int(mortal.sum()), bounds)
+
+        new_objectives = self._evaluate(new_positions)
+        for row in zip(new_positions, new_objectives):
+            self.archive.insert(*row)
+        return new_positions, new_objectives
 
 
 def optimize(problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()) -> ParetoArchive:

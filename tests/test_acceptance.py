@@ -71,7 +71,7 @@ def zdt_runs():
             start = time.perf_counter()
             archive = optimize(problem, config)
             elapsed = time.perf_counter() - start
-            igd, _ = front_quality(archive, front)
+            igd, _ = front_quality(archive.objectives, front)
             runs.append(
                 {"which": which, "archive": archive, "igd": igd, "seconds": elapsed}
             )
@@ -103,7 +103,7 @@ def test_benchmark_convergence(zdt_runs):
 
 def test_archive_soundness(zdt_runs):
     sound = all(r["archive"].is_sound() for r in zdt_runs)
-    sized = all(len(r["archive"].members) <= 100 for r in zdt_runs)
+    sized = all(len(r["archive"]) <= 100 for r in zdt_runs)
     report(
         "archive soundness",
         sound and sized,

@@ -442,6 +442,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and "levels" in err
         assert not (out / "forecast.csv").exists()
 
+    def test_bad_archive_size_stops_before_training(self, cli_env, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("preset = desk\noptimizer.archive_capacity = 0\n")
+        out = tmp_path / "f"
+        code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "optimizer.archive_capacity" in err
+        assert not (out / "forecast.csv").exists()
+
     def test_single_fold_is_a_usage_error(self, cli_env, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cv", "--data", cli_env.data, "--out", str(tmp_path), "--folds", "1"])

@@ -177,6 +177,9 @@ class TestBuildRunConfig:
             ("levels = 1.5", "levels"),
             ("levels = 0.95, 0.0", "levels"),
             ("levels = 0.95, high", "levels"),
+            ("levels = 0.975, 0.85", "levels"),
+            ("levels = 0.951, 0.949", "levels"),
+            ("levels = 0.95, 0.95", "levels"),
         ],
     )
     def test_out_of_range_value_names_the_key(self, tmp_path, line, key):

@@ -21,7 +21,7 @@ from granucast.ensemble import (
 )
 from granucast.evaluation import LengthMismatch
 from granucast.learners import KINDS
-from granucast.sunflower import ArchiveEntry, OptimizerConfig, ParetoArchive, dominates
+from granucast.sunflower import OptimizerConfig, ParetoArchive, dominates
 
 
 def square_panel() -> PredictionPanel:
@@ -107,10 +107,8 @@ class TestSelectCompromise:
 
     def test_constant_objective_column(self):
         archive = ParetoArchive()
-        archive.members = [
-            ArchiveEntry(position=np.array([0.0]), objectives=np.array([2.0, 3.0])),
-            ArchiveEntry(position=np.array([1.0]), objectives=np.array([2.0, 1.0])),
-        ]
+        archive.positions = np.array([[0.0], [1.0]])
+        archive.objectives = np.array([[2.0, 3.0], [2.0, 1.0]])
         assert select_compromise(archive) == 1
 
 

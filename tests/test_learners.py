@@ -503,6 +503,15 @@ class TestModelLifecycle:
         with pytest.raises(ModelFileError):
             load_model(path)
 
+    def test_save_refuses_kinds_it_cannot_load(self, tmp_path):
+        data = toy_supervised()
+        stage1 = LstmRegressor(TINY, data.record_width, data.lag)
+        stage1.fit(data)
+        path = tmp_path / "lstm.npz"
+        with pytest.raises(ModelFileError, match="lstm"):
+            save_model(stage1, path)
+        assert not path.exists()
+
     def test_config_validation(self):
         for bad in (
             {"learning_rate": 0.0},

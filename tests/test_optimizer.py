@@ -2,6 +2,8 @@
 the optimization loop's determinism and bound handling, benchmark
 objective values and front-quality metrics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -27,17 +29,16 @@ from granucast.sunflower import (
     dominates,
     optimize,
     tent_positions,
-    tent_sequence,
 )
 
 
 class TestTentChain:
     def test_single_step_values(self):
-        assert tent_sequence(0.35, 0.7, 1)[0] == pytest.approx(0.5, abs=1e-15)
-        assert tent_sequence(0.84, 0.7, 1)[0] == pytest.approx(0.5333333333333333, abs=1e-12)
+        assert TentChain(0.35, 0.7).draw(1)[0] == pytest.approx(0.5, abs=1e-15)
+        assert TentChain(0.84, 0.7).draw(1)[0] == pytest.approx(0.5333333333333333, abs=1e-12)
 
     def test_chained_steps(self):
-        out = tent_sequence(0.35, 0.7, 2)
+        out = TentChain(0.35, 0.7).draw(2)
         assert out[0] == pytest.approx(0.5, abs=1e-15)
         assert out[1] == pytest.approx(0.5 / 0.7, abs=1e-12)
 
@@ -62,7 +63,7 @@ class TestTentChain:
         assert len(np.unique(out)) > 40
 
     def test_iterates_fill_the_interval_evenly(self):
-        draws = tent_sequence(1.0 / np.pi, 0.7, 10_000)
+        draws = TentChain(1.0 / np.pi, 0.7).draw(10_000)
         counts, _ = np.histogram(draws, bins=10, range=(0.0, 1.0))
         share = counts / len(draws)
         assert np.all(share >= 0.05) and np.all(share <= 0.2)
@@ -81,6 +82,15 @@ class TestDominance:
         assert not dominates((1.0, 1.0), (1.0, 1.0))
         assert not dominates((1.0, 2.0), (2.0, 1.0))
         assert not dominates((2.0, 2.0), (1.0, 1.0))
+
+    def test_broadcasts_over_rows(self):
+        rows = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 3.0]])
+        np.testing.assert_array_equal(dominates(rows, (1.5, 2.0)), [True, False, False])
+        np.testing.assert_array_equal(dominates((1.0, 2.0), rows), [False, True, True])
+        pairwise = dominates(rows[:, None], rows[None, :])
+        np.testing.assert_array_equal(
+            pairwise, [[False, True, True], [False, False, False], [False, False, False]]
+        )
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteObjective):
@@ -115,7 +125,7 @@ class TestParetoArchive:
         # a dominating candidate sweeps out everything it beats
         assert archive.insert([3.0], (0.5, 0.5))
         assert len(archive) == 1
-        np.testing.assert_array_equal(archive.members[0].objectives, [0.5, 0.5])
+        np.testing.assert_array_equal(archive.objectives, [[0.5, 0.5]])
 
     def test_duplicate_handling(self):
         archive = ParetoArchive()
@@ -139,7 +149,7 @@ class TestParetoArchive:
         archive.insert([2.0], (1.00, 0.00))
         archive.insert([3.0], (0.02, 0.98))
         assert len(archive) == 3
-        survivors = [tuple(m.objectives) for m in archive.members]
+        survivors = [tuple(row) for row in archive.objectives]
         assert (1.0, 0.0) in survivors
 
     def test_guide_from_empty_archive(self):
@@ -151,22 +161,100 @@ class TestParetoArchive:
         for v in np.linspace(0.0, 1.0, 7):
             archive.insert([v], (v, 1.0 - v))
         guide = archive.select_guide()
-        assert any(guide is m for m in archive.members)
+        assert isinstance(guide, int) and 0 <= guide < len(archive)
 
     def test_soundness_flags_planted_violation(self):
         archive = ParetoArchive()
         archive.insert([0.0], (1.0, 1.0))
         assert archive.is_sound()
-        from granucast.sunflower import ArchiveEntry
-
-        archive.members.append(
-            ArchiveEntry(position=np.array([1.0]), objectives=np.array([2.0, 2.0]))
-        )
+        archive.positions = np.vstack([archive.positions, [1.0]])
+        archive.objectives = np.vstack([archive.objectives, [2.0, 2.0]])
         assert not archive.is_sound()
 
     def test_non_finite_candidate_rejected(self):
         with pytest.raises(NonFiniteObjective):
             ParetoArchive().insert([0.0], (np.nan, 1.0))
+
+
+class ListArchive:
+    """Reference archive: members as a list of (position, objectives) pairs,
+    grid cells counted with tuple keys. ``select_guide`` returns the
+    member's list index."""
+
+    def __init__(self, capacity, grid_divisions, rng):
+        self.capacity = capacity
+        self.grid_divisions = grid_divisions
+        self.rng = rng
+        self.members = []
+
+    def insert(self, position, objectives):
+        obj = np.asarray(objectives, dtype=np.float64).copy()
+        pos = np.asarray(position, dtype=np.float64).copy()
+        if self.members:
+            mat = np.stack([m[1] for m in self.members])
+            if (np.all(mat <= obj, axis=1) & np.any(mat < obj, axis=1)).any():
+                return False
+            for row in np.nonzero(np.all(mat == obj, axis=1))[0]:
+                if np.array_equal(self.members[row][0], pos):
+                    return False
+            beaten = np.all(obj <= mat, axis=1) & np.any(obj < mat, axis=1)
+            self.members = [m for m, out in zip(self.members, beaten) if not out]
+        self.members.append((pos, obj))
+        if len(self.members) > self.capacity:
+            keys = self._cell_keys()
+            counts = Counter(keys)
+            peak = max(counts.values())
+            crowded = min(key for key, n in counts.items() if n == peak)
+            pool = [i for i, key in enumerate(keys) if key == crowded]
+            del self.members[pool[self.rng.integers(len(pool))]]
+        return True
+
+    def _cell_keys(self):
+        mat = np.stack([m[1] for m in self.members])
+        mins = mat.min(axis=0)
+        span = mat.max(axis=0) - mins
+        span[span == 0.0] = 1.0
+        idx = np.floor((mat - mins) / span * self.grid_divisions).astype(int)
+        idx = np.clip(idx, 0, self.grid_divisions - 1)
+        return [tuple(row) for row in idx]
+
+    def select_guide(self):
+        keys = self._cell_keys()
+        counts = Counter(keys)
+        cells = sorted(counts)
+        weights = np.array([1.0 / counts[c] for c in cells])
+        cumulative = np.cumsum(weights / weights.sum())
+        winner = cells[int(np.searchsorted(cumulative, self.rng.random(), side="right"))]
+        pool = [i for i, key in enumerate(keys) if key == winner]
+        return pool[self.rng.integers(len(pool))]
+
+
+class TestArchiveMatchesReference:
+    def test_random_insert_sequences(self):
+        """Lattice objectives on an anti-diagonal with small offsets give
+        duplicates, dominated candidates, tied cells and evictions."""
+        for seed in range(60):
+            draw = np.random.default_rng(seed)
+            capacity = int(draw.integers(3, 21))
+            grid = int(draw.integers(2, 5))
+            archive = ParetoArchive(capacity, grid, np.random.default_rng(seed))
+            reference = ListArchive(capacity, grid, np.random.default_rng(seed))
+            for _ in range(150):
+                k = int(draw.integers(0, 30))
+                objectives = (float(k), float(30 - k + draw.integers(0, 3)))
+                position = draw.integers(0, 3, size=2).astype(float)
+                assert archive.insert(position, objectives) == reference.insert(
+                    position, objectives
+                )
+                if draw.random() < 0.3:
+                    assert archive.select_guide() == reference.select_guide()
+                np.testing.assert_array_equal(
+                    archive.positions, np.stack([m[0] for m in reference.members])
+                )
+                np.testing.assert_array_equal(
+                    archive.objectives, np.stack([m[1] for m in reference.members])
+                )
+                assert archive.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 class TestOptimizerConfig:
@@ -179,6 +267,8 @@ class TestOptimizerConfig:
             {"pollination_rate": 0.6, "mortality_rate": 0.5},
             {"tent_apex": 0.0},
             {"step_scale": -1.0},
+            {"archive_capacity": 0},
+            {"grid_divisions": 0},
         ):
             with pytest.raises(ValueError):
                 OptimizerConfig(**bad)
@@ -189,8 +279,8 @@ class TestOptimizationLoop:
         config = OptimizerConfig(population=20, iterations=10, rng_seed=42)
         first = optimize(zdt_problem(1, dim=3), config)
         second = optimize(zdt_problem(1, dim=3), config)
-        np.testing.assert_array_equal(first.objectives_array(), second.objectives_array())
-        np.testing.assert_array_equal(first.positions_array(), second.positions_array())
+        np.testing.assert_array_equal(first.objectives, second.objectives)
+        np.testing.assert_array_equal(first.positions, second.positions)
 
     def test_zero_iterations_archives_the_seed_population(self):
         archive = optimize(
@@ -211,7 +301,7 @@ class TestOptimizationLoop:
         archive = optimize(
             zdt_problem(2, dim=4), OptimizerConfig(population=30, iterations=15, rng_seed=3)
         )
-        positions = archive.positions_array()
+        positions = archive.positions
         assert np.all(positions >= 0.0) and np.all(positions <= 1.0)
 
     def test_non_finite_objective_aborts(self):
@@ -232,7 +322,7 @@ class TestOptimizationLoop:
         archive = optimize(
             zdt_problem(1, dim=3), OptimizerConfig(population=40, iterations=40, rng_seed=7)
         )
-        igd, spacing = front_quality(archive, zdt1_front(200))
+        igd, spacing = front_quality(archive.objectives, zdt1_front(200))
         assert igd < 0.1
         assert spacing >= 0.0
 
@@ -306,10 +396,10 @@ class TestFrontQuality:
 
     def test_empty_archive_rejected(self):
         with pytest.raises(EmptyArchive):
-            front_quality(ParetoArchive(), zdt1_front(10))
+            front_quality(ParetoArchive().objectives, zdt1_front(10))
 
     def test_accepts_archive_objects(self):
         archive = ParetoArchive()
         archive.insert([0.0], (0.0, 1.0))
-        igd, spacing = front_quality(archive, np.array([[0.0, 1.0]]))
+        igd, spacing = front_quality(archive.objectives, np.array([[0.0, 1.0]]))
         assert igd == 0.0 and spacing == 0.0
