@@ -47,7 +47,7 @@ from .evaluation import (
     iri,
     point_scores,
 )
-from .pipeline import PipelineConfig, default_learner_configs, run_cv, run_forecast
+from .pipeline import run_cv, run_forecast
 from .config import RunConfig, build_run_config
 from .synth import SynthConfig, generate_series
 
@@ -96,8 +96,6 @@ __all__ = [
     "interval_scores",
     "iri",
     "point_scores",
-    "PipelineConfig",
-    "default_learner_configs",
     "run_cv",
     "run_forecast",
     "RunConfig",

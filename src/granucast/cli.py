@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import zdt1_front, zdt2_front, zdt3_front, zdt_problem, front_quality
-from .config import RunConfig, build_run_config
+from .config import PRESETS, RunConfig, build_run_config
 from .errors import GranucastError
 from .evaluation import PointScores, dm_test, interval_scores, point_scores
 from .fuzzy_rough import extract_features
@@ -179,14 +179,13 @@ def cmd_train(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    pipeline = run.pipeline()
     series, _ = _load_clean_series(args.data)
-    _, _, _, parts, _ = extract_and_split(series, pipeline)
-    train_set = make_supervised(parts[0], pipeline.lag)
+    _, _, _, parts, _ = extract_and_split(series, run)
+    train_set = make_supervised(parts[0], run.lag)
     kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
     names = []
     for kind in kinds:
-        model = fit_learner(kind, train_set, pipeline.learners[kind])
+        model = fit_learner(kind, train_set, run.learners[kind])
         name = f"model_{kind}.npz"
         save_model(model, out / name)
         names.append(name)
@@ -201,8 +200,8 @@ def cmd_forecast(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    solo = _MODEL_ALIASES[args.model] if args.solo else None
-    result = run_forecast(_load_clean_series(args.data)[0], run.pipeline(), solo=solo)
+    solo = _MODEL_ALIASES[args.model] if args.model else None
+    result = run_forecast(_load_clean_series(args.data)[0], run, solo=solo)
 
     levels = list(result.bundle.intervals)
     header = ["index", "actual", "point"]
@@ -318,7 +317,7 @@ def cmd_cv(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    report = run_cv(_load_clean_series(args.data)[0], run.pipeline(), k=args.folds)
+    report = run_cv(_load_clean_series(args.data)[0], run, k=args.folds)
     rows = [
         [fold.fold, *(_fmt(v) for v in fold.scores.as_row())] for fold in report.folds
     ]
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="flat key=value settings file")
     common.add_argument("--seed", type=int, metavar="N", help="base random seed")
     common.add_argument("--out", metavar="DIR", default="run", help="output directory")
-    common.add_argument("--preset", choices=("full", "desk"), help="parameter scale")
+    common.add_argument("--preset", choices=PRESETS, help="parameter scale")
 
     parser = argparse.ArgumentParser(
         prog="granucast",
@@ -389,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", parents=[common], help="full pipeline forecast")
     p.add_argument("--data", required=True, metavar="PATH")
-    p.add_argument("--model", choices=sorted(_MODEL_ALIASES), help="learner for --solo")
-    p.add_argument("--solo", action="store_true", help="bypass the ensemble")
+    p.add_argument(
+        "--model", choices=sorted(_MODEL_ALIASES), help="forecast with this learner alone"
+    )
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a forecast CSV")
@@ -414,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "forecast" and bool(args.solo) != (args.model is not None):
-        parser.error("--solo and --model must be used together")
     if args.command == "cv" and args.folds < 2:
         parser.error(f"--folds must be at least 2, got {args.folds}")
     if args.command == "synth" and args.samples < 2:

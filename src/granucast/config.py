@@ -17,7 +17,6 @@ from .ensemble import DEFAULT_LEVELS
 from .errors import GranucastError
 from .fuzzy_rough import ClusterConfig
 from .learners import KINDS, LearnerConfig
-from .pipeline import PipelineConfig, default_learner_configs
 from .sunflower import OptimizerConfig
 from .timeseries import SplitSpec
 
@@ -28,28 +27,66 @@ class ConfigError(GranucastError):
     pass
 
 
+def _preset_learners(seed: int, preset: str) -> dict[str, LearnerConfig]:
+    """Per-learner defaults; the desk preset shrinks hidden sizes and epochs only."""
+    configs = {
+        "bilstm": LearnerConfig(
+            learning_rate=0.001, batch_size=100, hidden_sizes=(128, 64, 32),
+            epochs=200, rng_seed=seed + 1,
+        ),
+        "cnn_gru": LearnerConfig(
+            learning_rate=0.001, batch_size=150, hidden_sizes=(128, 64, 32),
+            epochs=200, rng_seed=seed + 2,
+        ),
+        "lstm_xgb": LearnerConfig(
+            learning_rate=0.001, batch_size=100, hidden_sizes=(128, 64, 32),
+            epochs=750, max_depth=1, boosting_rounds=100, rng_seed=seed + 3,
+        ),
+        "random_forest": LearnerConfig(tree_count=100, rng_seed=seed + 4),
+    }
+    if preset == "desk":
+        configs = {
+            kind: dataclasses.replace(cfg, hidden_sizes=(16, 8), epochs=min(cfg.epochs, 60))
+            for kind, cfg in configs.items()
+        }
+    return configs
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run; ``build_run_config`` resolves one from a
+    preset, a seed and an optional config file."""
+
     preset: str
     seed: int
-    window_size: int
-    lag: int
-    split: SplitSpec
-    levels: tuple[float, ...]
-    cluster: ClusterConfig
     optimizer: OptimizerConfig
     learners: dict[str, LearnerConfig]
+    window_size: int = 36
+    lag: int = 4
+    split: SplitSpec = dataclasses.field(default_factory=SplitSpec)
+    levels: tuple[float, ...] = DEFAULT_LEVELS
+    cluster: ClusterConfig = dataclasses.field(default_factory=ClusterConfig)
 
-    def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(
-            window_size=self.window_size,
-            lag=self.lag,
-            split=self.split,
-            cluster=self.cluster,
-            learners=self.learners,
-            optimizer=self.optimizer,
-            levels=self.levels,
-        )
+    def __post_init__(self):
+        if type(self.window_size) is not int or self.window_size < 2:
+            raise ValueError(f"expected an integer >= 2, got {self.window_size!r}")
+        if type(self.lag) is not int or self.lag < 1:
+            raise ValueError(f"expected an integer >= 1, got {self.lag!r}")
+        if not all(isinstance(v, float) and 0.0 < v < 1.0 for v in self.levels):
+            raise ValueError(f"expected levels in (0, 1), got {self.levels!r}")
+        # forecast.csv names interval columns by whole percent
+        percents = [round(v * 100) for v in self.levels]
+        whole = all(p / 100 == v for p, v in zip(percents, self.levels))
+        if not whole or len(set(percents)) != len(percents):
+            raise ValueError(f"expected distinct whole percentages, got {self.levels!r}")
+        missing = [kind for kind in KINDS if kind not in self.learners]
+        if missing:
+            raise ValueError(f"learner configs missing for {missing}")
+
+    def pipeline(self) -> RunConfig:
+        # kept only because perfbench/run.py calls it; remove at the next
+        # change to the benchmark
+        return self
 
     def describe(self) -> str:
         """Stable, fully resolved key = value dump (hashable provenance)."""
@@ -106,20 +143,14 @@ def _parse_value(text: str):
         return text
 
 
-def _replace_field(obj, field_name: str, value, context: str):
+def _replace_field(obj, field_name: str, value, key: str):
+    """``obj`` with one field replaced; errors name the config ``key``."""
     if field_name not in {f.name for f in dataclasses.fields(obj)}:
-        raise ConfigError(f"unknown setting {context}.{field_name}")
+        raise ConfigError(f"unknown setting {key}")
     try:
         return dataclasses.replace(obj, **{field_name: value})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value for {context}.{field_name}: {exc}") from exc
-
-
-def _checked(key: str, value, ok: bool, expected: str):
-    """``value`` when ``ok``; otherwise a ConfigError naming the key."""
-    if not ok:
-        raise ConfigError(f"invalid value for {key}: expected {expected}, got {value!r}")
-    return value
+        raise ConfigError(f"invalid value for {key}: {exc}") from exc
 
 
 def build_run_config(
@@ -142,69 +173,41 @@ def build_run_config(
             raise ConfigError(f"seed must be an integer, got {raw_seed!r}")
         seed = parsed
 
-    window_size = 36
-    lag = 4
-    levels = DEFAULT_LEVELS
-    split_fracs = {"train": 0.6, "val": 0.2, "test": 0.2}
-    cluster = ClusterConfig()
-    optimizer = OptimizerConfig(rng_seed=seed + 10)
-    learners = default_learner_configs(seed, scale=preset)
-
+    run = RunConfig(
+        preset=preset,
+        seed=seed,
+        optimizer=OptimizerConfig(rng_seed=seed + 10),
+        learners=_preset_learners(seed, preset),
+    )
+    split_fracs = dataclasses.asdict(run.split)
     for key in sorted(entries):
         value = _parse_value(entries[key])
-        if key == "window_size":
-            window_size = _checked(key, value, type(value) is int and value >= 2, "an integer >= 2")
-        elif key == "lag":
-            lag = _checked(key, value, type(value) is int and value >= 1, "an integer >= 1")
+        section, _, rest = key.partition(".")
+        if key in ("window_size", "lag"):
+            run = _replace_field(run, key, value, key)
         elif key == "levels":
-            levels = value if isinstance(value, tuple) else (value,)
-            in_range = all(isinstance(v, float) and 0.0 < v < 1.0 for v in levels)
-            _checked(key, entries[key], in_range, "levels in (0, 1)")
-            # forecast.csv names interval columns by whole percent
-            percents = [round(v * 100) for v in levels]
-            whole = all(p / 100 == v for p, v in zip(percents, levels))
-            distinct = len(set(percents)) == len(percents)
-            _checked(key, entries[key], whole and distinct, "distinct whole percentages")
-        elif key.startswith("split."):
-            part = key.split(".", 1)[1]
-            if part not in split_fracs:
-                raise ConfigError(f"unknown setting {key}")
-            split_fracs[part] = value
-        elif key.startswith("cluster."):
-            cluster = _replace_field(cluster, key.split(".", 1)[1], value, "cluster")
-        elif key.startswith("optimizer."):
-            optimizer = _replace_field(optimizer, key.split(".", 1)[1], value, "optimizer")
-        elif key.startswith("learners."):
-            rest = key.split(".", 1)[1]
-            if "." in rest:
-                kind, field_name = rest.split(".", 1)
-                if kind not in KINDS:
-                    raise ConfigError(f"unknown learner {kind!r} in {key}")
-                learners[kind] = _replace_field(learners[kind], field_name, value, key)
-            else:
-                learners = {
-                    kind: _replace_field(cfg, rest, value, f"learners.{kind}")
-                    for kind, cfg in learners.items()
-                }
+            run = _replace_field(run, key, value if isinstance(value, tuple) else (value,), key)
+        elif section == "split" and f"{rest}_frac" in split_fracs:
+            split_fracs[f"{rest}_frac"] = value
+        elif section in ("cluster", "optimizer"):
+            part = _replace_field(getattr(run, section), rest, value, key)
+            run = dataclasses.replace(run, **{section: part})
+        elif section == "learners" and "." in rest:
+            kind, field_name = rest.split(".", 1)
+            if kind not in KINDS:
+                raise ConfigError(f"unknown learner {kind!r} in {key}")
+            learner = _replace_field(run.learners[kind], field_name, value, key)
+            run = dataclasses.replace(run, learners={**run.learners, kind: learner})
+        elif section == "learners":
+            learners = {
+                kind: _replace_field(cfg, rest, value, f"learners.{kind}.{rest}")
+                for kind, cfg in run.learners.items()
+            }
+            run = dataclasses.replace(run, learners=learners)
         else:
             raise ConfigError(f"unknown setting {key}")
 
     try:
-        split = SplitSpec(
-            train_frac=split_fracs["train"],
-            val_frac=split_fracs["val"],
-            test_frac=split_fracs["test"],
-        )
-    except ValueError as exc:
+        return dataclasses.replace(run, split=SplitSpec(**split_fracs))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid split fractions: {exc}") from exc
-    return RunConfig(
-        preset=preset,
-        seed=seed,
-        window_size=window_size,
-        lag=lag,
-        split=split,
-        levels=levels,
-        cluster=cluster,
-        optimizer=optimizer,
-        learners=learners,
-    )

@@ -45,15 +45,13 @@ class PredictionPanel:
 
     matrix: np.ndarray
     actuals: np.ndarray
-    learner_order: tuple[str, ...] = KINDS
 
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
         actuals = np.asarray(self.actuals, dtype=np.float64)
-        if matrix.shape[0] != len(self.learner_order):
+        if matrix.shape[0] != len(KINDS):
             raise LengthMismatch(
-                f"panel has {matrix.shape[0]} prediction rows for "
-                f"{len(self.learner_order)} learners"
+                f"panel has {matrix.shape[0]} prediction rows for {len(KINDS)} learners"
             )
         if matrix.shape[1] != len(actuals):
             raise LengthMismatch(

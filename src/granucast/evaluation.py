@@ -169,7 +169,6 @@ def interval_scores(
 class DmResult:
     statistic: float
     reject: bool
-    loss: str = "squared"
 
 
 def dm_test(errors_a, errors_b) -> DmResult:

@@ -111,11 +111,6 @@ def membership_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return u
 
 
-def membership_column(point: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Membership of a single point in every cluster."""
-    return membership_matrix(np.asarray(point, dtype=np.float64)[None, :], centers)[:, 0]
-
-
 def region_masks(distances: np.ndarray, config: ClusterConfig) -> RegionMasks:
     """Classify every (cluster, point) pair into inner shell / outer ring.
 

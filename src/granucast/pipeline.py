@@ -10,12 +10,12 @@ reported scores are test-split only.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .ensemble import (
-    DEFAULT_LEVELS,
     ForecastBundle,
     IntervalModel,
     PredictionPanel,
@@ -25,55 +25,11 @@ from .ensemble import (
     fit_weights,
     forecast,
 )
-from .evaluation import IntervalScores, PointScores, interval_scores, point_scores
-from .fuzzy_rough import ClusterConfig, ClusterResult, extract_features
+from .evaluation import PointScores, point_scores
+from .fuzzy_rough import ClusterResult, extract_features
 from .granulation import granulate_series
-from .learners import KINDS, LearnerConfig, SupervisedSet, fit_learner, make_supervised
-from .sunflower import OptimizerConfig
-from .timeseries import Series, SplitSpec, chrono_split, kfold_split
-
-
-def default_learner_configs(seed: int = 0, scale: str = "full") -> dict[str, LearnerConfig]:
-    """Per-learner defaults; the desk scale shrinks hidden sizes and epochs only."""
-    if scale not in ("full", "desk"):
-        raise ValueError(f"scale must be 'full' or 'desk', got {scale!r}")
-    configs = {
-        "bilstm": LearnerConfig(
-            learning_rate=0.001, batch_size=100, hidden_sizes=(128, 64, 32),
-            epochs=200, rng_seed=seed + 1,
-        ),
-        "cnn_gru": LearnerConfig(
-            learning_rate=0.001, batch_size=150, hidden_sizes=(128, 64, 32),
-            epochs=200, rng_seed=seed + 2,
-        ),
-        "lstm_xgb": LearnerConfig(
-            learning_rate=0.001, batch_size=100, hidden_sizes=(128, 64, 32),
-            epochs=750, max_depth=1, boosting_rounds=100, rng_seed=seed + 3,
-        ),
-        "random_forest": LearnerConfig(tree_count=100, rng_seed=seed + 4),
-    }
-    if scale == "desk":
-        configs = {
-            kind: dataclasses.replace(cfg, hidden_sizes=(16, 8), epochs=min(cfg.epochs, 60))
-            for kind, cfg in configs.items()
-        }
-    return configs
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    window_size: int = 36
-    lag: int = 4
-    split: SplitSpec = field(default_factory=SplitSpec)
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    learners: dict[str, LearnerConfig] = field(default_factory=default_learner_configs)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    levels: tuple[float, ...] = DEFAULT_LEVELS
-
-    def __post_init__(self):
-        missing = [kind for kind in KINDS if kind not in self.learners]
-        if missing:
-            raise ValueError(f"learner configs missing for {missing}")
+from .learners import KINDS, SupervisedSet, fit_learner, make_supervised
+from .timeseries import Series, chrono_split, kfold_split
 
 
 @dataclass
@@ -91,12 +47,7 @@ class ForecastRun:
     interval_model: IntervalModel
     bundle: ForecastBundle
     test_scores: PointScores
-    test_interval_scores: dict[float, IntervalScores]
     test_record_indices: np.ndarray
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.bundle.point
 
 
 def _panel(models: dict[str, object], data: SupervisedSet) -> PredictionPanel:
@@ -105,7 +56,7 @@ def _panel(models: dict[str, object], data: SupervisedSet) -> PredictionPanel:
 
 
 def extract_and_split(
-    series: Series, config: PipelineConfig
+    series: Series, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, ClusterResult, tuple, tuple[int, int]]:
     """Granules, feature rows, the clustering, the train/validation/test
     feature parts and the (train_end, val_end) row bounds."""
@@ -117,13 +68,11 @@ def extract_and_split(
     return granules, features, cluster_result, parts, (train_end, val_end)
 
 
-def train_models(train_set: SupervisedSet, config: PipelineConfig) -> dict[str, object]:
+def train_models(train_set: SupervisedSet, config: RunConfig) -> dict[str, object]:
     return {kind: fit_learner(kind, train_set, config.learners[kind]) for kind in KINDS}
 
 
-def run_forecast(
-    series: Series, config: PipelineConfig = PipelineConfig(), solo: str | None = None
-) -> ForecastRun:
+def run_forecast(series: Series, config: RunConfig, solo: str | None = None) -> ForecastRun:
     """Full pipeline on one series; ``solo`` names one learner whose
     predictions stand alone (a one-hot weight vector, no weight search),
     with intervals from its own validation residuals."""
@@ -144,11 +93,6 @@ def run_forecast(
     interval_model = fit_intervals(val_set.targets - combine(val_panel, weights), config.levels)
     bundle = forecast(test_panel, weights, interval_model)
 
-    scores = point_scores(test_set.targets, bundle.point)
-    iv_scores = {
-        level: interval_scores(test_set.targets, lo, up, level)
-        for level, (lo, up) in bundle.intervals.items()
-    }
     return ForecastRun(
         granules=granules,
         features=features,
@@ -162,8 +106,7 @@ def run_forecast(
         weight_fit=weight_fit,
         interval_model=interval_model,
         bundle=bundle,
-        test_scores=scores,
-        test_interval_scores=iv_scores,
+        test_scores=point_scores(test_set.targets, bundle.point),
         test_record_indices=bounds[1] + test_set.target_indices,
     )
 
@@ -216,7 +159,7 @@ def _supervised_from_runs(
     return make_supervised(features, lag).take(rows)
 
 
-def run_cv(series: Series, config: PipelineConfig = PipelineConfig(), k: int = 5) -> CvReport:
+def run_cv(series: Series, config: RunConfig, k: int = 5) -> CvReport:
     """Contiguous k-fold evaluation of the full train + weight-fit + combine
     path; each fold's scores use only its own held-out feature rows."""
     _, features, _, _, _ = extract_and_split(series, config)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from granucast.pipeline import PipelineConfig, default_learner_configs, run_cv, run_forecast
-from granucast.sunflower import OptimizerConfig
+from granucast.config import RunConfig, build_run_config
+from granucast.pipeline import run_cv, run_forecast
 from granucast.synth import SynthConfig, write_csv
 from granucast.timeseries import interpolate_gaps, load_series
 
@@ -28,41 +28,46 @@ settings.load_profile("granucast")
 SYNTH_SEED = 5
 
 
-def small_pipeline_config(seed: int = SYNTH_SEED) -> PipelineConfig:
+def _desk_config(seed: int, population: int, iterations: int, **learner_fields) -> RunConfig:
+    run = build_run_config(preset="desk", seed=seed)
+    return dataclasses.replace(
+        run,
+        learners={
+            kind: dataclasses.replace(cfg, **learner_fields) for kind, cfg in run.learners.items()
+        },
+        optimizer=dataclasses.replace(run.optimizer, population=population, iterations=iterations),
+    )
+
+
+def small_pipeline_config(seed: int = SYNTH_SEED) -> RunConfig:
     """Desk-scale settings sized so the whole pipeline runs in seconds.
 
     The learning rate and batch size are raised from the production
     defaults because the desk networks see only ~150 training samples;
     the defaults are tuned for far longer series.
     """
-    learners = {
-        kind: dataclasses.replace(
-            cfg,
-            epochs=150,
-            learning_rate=0.05,
-            batch_size=16,
-            boosting_rounds=50,
-            tree_count=50,
-        )
-        for kind, cfg in default_learner_configs(seed, scale="desk").items()
-    }
-    return PipelineConfig(
-        learners=learners,
-        optimizer=OptimizerConfig(population=60, iterations=60, rng_seed=seed + 10),
+    return _desk_config(
+        seed,
+        population=60,
+        iterations=60,
+        epochs=150,
+        learning_rate=0.05,
+        batch_size=16,
+        boosting_rounds=50,
+        tree_count=50,
     )
 
 
-def cheap_pipeline_config(seed: int = SYNTH_SEED) -> PipelineConfig:
+def cheap_pipeline_config(seed: int = SYNTH_SEED) -> RunConfig:
     """Settings for structure checks where accuracy is irrelevant."""
-    learners = {
-        kind: dataclasses.replace(
-            cfg, epochs=3, batch_size=32, boosting_rounds=10, tree_count=10
-        )
-        for kind, cfg in default_learner_configs(seed, scale="desk").items()
-    }
-    return PipelineConfig(
-        learners=learners,
-        optimizer=OptimizerConfig(population=16, iterations=10, rng_seed=seed + 10),
+    return _desk_config(
+        seed,
+        population=16,
+        iterations=10,
+        epochs=3,
+        batch_size=32,
+        boosting_rounds=10,
+        tree_count=10,
     )
 
 

@@ -73,7 +73,6 @@ def solo_dir(cli_env, tmp_path_factory):
             cli_env.conf,
             "--out",
             str(out),
-            "--solo",
             "--model",
             "rf",
         ]
@@ -261,7 +260,6 @@ class TestForecast:
                 cli_env.conf,
                 "--out",
                 str(out),
-                "--solo",
                 "--model",
                 "cnn-gru",
             ]
@@ -390,11 +388,6 @@ class TestExitCodes:
     def test_unknown_problem_choice(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark-opt", "--problem", "zdt9", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-
-    def test_solo_requires_model(self, cli_env, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["forecast", "--data", cli_env.data, "--out", str(tmp_path), "--solo"])
         assert exc.value.code == 2
 
     def test_runtime_error_returns_one(self, tmp_path, capsys):

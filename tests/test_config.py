@@ -2,6 +2,9 @@
 between flags and file entries, scoped overrides, and the stability of
 the resolved dump."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from granucast.config import (
@@ -12,7 +15,6 @@ from granucast.config import (
     build_run_config,
     parse_config_file,
 )
-from granucast.pipeline import PipelineConfig
 
 
 def write_config(tmp_path, text: str):
@@ -126,9 +128,10 @@ class TestBuildRunConfig:
         assert run.split.val_frac == 0.15
 
     def test_invalid_split_sum(self, tmp_path):
-        path = write_config(tmp_path, "split.train = 0.9\n")
-        with pytest.raises(ConfigError, match="split"):
-            build_run_config(config_path=path)
+        for line in ("split.train = 0.9", "split.train = most"):
+            path = write_config(tmp_path, line + "\n")
+            with pytest.raises(ConfigError, match="split"):
+                build_run_config(config_path=path)
 
     def test_nested_overrides(self, tmp_path):
         path = write_config(
@@ -190,14 +193,38 @@ class TestBuildRunConfig:
     def test_pipeline_wiring(self, tmp_path):
         path = write_config(tmp_path, "window_size = 48\noptimizer.population = 33\n")
         run = build_run_config(config_path=path)
-        pipeline = run.pipeline()
-        assert isinstance(pipeline, PipelineConfig)
-        assert pipeline.window_size == 48
-        assert pipeline.optimizer.population == 33
-        assert pipeline.learners is run.learners
+        assert run.pipeline() is run
+        assert run.window_size == 48
+        assert run.optimizer.population == 33
+
+
+class TestRunConfigChecks:
+    """A config built in code gets the same checks as one read from a file."""
+
+    @pytest.mark.parametrize(
+        "field, value", [("window_size", 1), ("lag", 0), ("levels", (1.5,))]
+    )
+    def test_replace_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(build_run_config(), **{field: value})
 
 
 class TestDescribe:
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            (
+                {"preset": "desk", "seed": 5},
+                "f576052f32624b13e690a27676b63b862ef2c77e67e52e5ccf1d0e5c4807b442",
+            ),
+            ({}, "8cb931f5269091a17db914f03904940b264a6978f0872d40ea2240f92c601c3a"),
+        ],
+    )
+    def test_golden_digest(self, kwargs, digest):
+        # config.txt and every manifest's config_sha256 hash this text
+        text = build_run_config(**kwargs).describe()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_resolved_values_present(self, tmp_path):
         path = write_config(tmp_path, "seed = 7\noptimizer.population = 40\n")
         text = build_run_config(config_path=path).describe()

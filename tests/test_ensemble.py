@@ -46,9 +46,7 @@ class TestPredictionPanel:
             PredictionPanel(matrix=np.zeros((4, 5)), actuals=np.zeros(4))
 
     def test_len_and_custom_order(self):
-        panel = PredictionPanel(
-            matrix=np.zeros((2, 7)), actuals=np.zeros(7), learner_order=("a", "b")
-        )
+        panel = PredictionPanel(matrix=np.zeros((len(KINDS), 7)), actuals=np.zeros(7))
         assert len(panel) == 7
 
 
@@ -206,4 +204,3 @@ class TestForecast:
 
     def test_learner_order_constant(self):
         assert KINDS == ("bilstm", "cnn_gru", "lstm_xgb", "random_forest")
-        assert square_panel().learner_order == KINDS

@@ -10,7 +10,6 @@ from granucast.fuzzy_rough import (
     TooFewGranules,
     extract_features,
     init_centers,
-    membership_column,
     membership_matrix,
     region_masks,
     update_centers,
@@ -51,22 +50,22 @@ class TestMembership:
         centers = np.array(
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
-        u = membership_column(np.zeros(3), centers)
+        u = membership_matrix(np.zeros(3)[None, :], centers)[:, 0]
         assert u == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
     def test_coincident_point_is_crisp(self):
         centers = np.array([[0.0, 0, 0], [1.0, 1, 1], [2.0, 2, 2]])
-        u = membership_column(np.array([1.0, 1, 1]), centers)
+        u = membership_matrix(np.array([1.0, 1, 1])[None, :], centers)[:, 0]
         assert u.tolist() == [0.0, 1.0, 0.0]
 
     def test_distances_one_two_two(self):
         centers = np.array([[1.0, 0, 0], [0.0, 2, 0], [0.0, 0, 2]])
-        u = membership_column(np.zeros(3), centers)
+        u = membership_matrix(np.zeros(3)[None, :], centers)[:, 0]
         assert u == pytest.approx([2 / 3, 1 / 6, 1 / 6])
 
     def test_coincident_tie_goes_to_first_center(self):
         centers = np.array([[1.0, 1, 1], [1.0, 1, 1], [0.0, 0, 0]])
-        u = membership_column(np.array([1.0, 1, 1]), centers)
+        u = membership_matrix(np.array([1.0, 1, 1])[None, :], centers)[:, 0]
         assert u.tolist() == [1.0, 0.0, 0.0]
 
     @given(data=st.data())

@@ -8,16 +8,11 @@ import numpy as np
 import pytest
 from conftest import cheap_pipeline_config
 
+from granucast.config import build_run_config
 from granucast.ensemble import fit_intervals
 from granucast.evaluation import PointScores, point_scores
 from granucast.learners import KINDS
-from granucast.pipeline import (
-    PipelineConfig,
-    _contiguous_runs,
-    _supervised_from_runs,
-    default_learner_configs,
-    run_forecast,
-)
+from granucast.pipeline import _contiguous_runs, _supervised_from_runs, run_forecast
 
 
 def indexed_features(count: int) -> np.ndarray:
@@ -27,7 +22,7 @@ def indexed_features(count: int) -> np.ndarray:
 
 class TestDefaultLearnerConfigs:
     def test_full_scale_fields(self):
-        configs = default_learner_configs(seed=7)
+        configs = build_run_config(seed=7).learners
         assert set(configs) == set(KINDS)
         assert configs["bilstm"].learning_rate == 0.001
         assert configs["bilstm"].batch_size == 100
@@ -40,32 +35,29 @@ class TestDefaultLearnerConfigs:
         assert configs["random_forest"].tree_count == 100
 
     def test_seed_offsets_differ_per_learner(self):
-        configs = default_learner_configs(seed=10)
+        configs = build_run_config(seed=10).learners
         seeds = [configs[kind].rng_seed for kind in KINDS]
         assert seeds == [11, 12, 13, 14]
 
     def test_desk_scale_shrinks_only_size_and_epochs(self):
-        desk = default_learner_configs(seed=0, scale="desk")
+        desk = build_run_config(preset="desk", seed=0).learners
         assert desk["bilstm"].hidden_sizes == (16, 8)
         assert desk["bilstm"].epochs == 60
         assert desk["lstm_xgb"].epochs == 60
         assert desk["bilstm"].learning_rate == 0.001
         assert desk["cnn_gru"].batch_size == 150
 
-    def test_unknown_scale(self):
-        with pytest.raises(ValueError):
-            default_learner_configs(scale="huge")
-
 
 class TestPipelineConfig:
     def test_missing_learner_rejected(self):
-        learners = default_learner_configs()
+        run = build_run_config()
+        learners = dict(run.learners)
         del learners["cnn_gru"]
         with pytest.raises(ValueError):
-            PipelineConfig(learners=learners)
+            dataclasses.replace(run, learners=learners)
 
     def test_defaults(self):
-        config = PipelineConfig()
+        config = build_run_config()
         assert config.window_size == 36
         assert config.lag == 4
         assert config.levels == (0.95, 0.85)
@@ -94,7 +86,6 @@ class TestForecastRunStructure:
     def test_bundle_layout(self, forecast_run):
         assert len(forecast_run.bundle.point) == 36
         assert set(forecast_run.bundle.intervals) == {0.95, 0.85}
-        np.testing.assert_array_equal(forecast_run.point, forecast_run.bundle.point)
 
     def test_scores_recomputable(self, forecast_run):
         fresh = point_scores(forecast_run.test_set.targets, forecast_run.bundle.point)
