@@ -14,7 +14,9 @@ from .granulation import Granule, granulate_series, granulate_window
 from .fuzzy_rough import ClusterConfig, ClusterResult, extract_features
 from .learners import (
     KINDS,
-    LearnerConfig,
+    ForestConfig,
+    NetConfig,
+    StackConfig,
     SupervisedSet,
     fit_learner,
     load_model,
@@ -69,7 +71,9 @@ __all__ = [
     "ClusterResult",
     "extract_features",
     "KINDS",
-    "LearnerConfig",
+    "ForestConfig",
+    "NetConfig",
+    "StackConfig",
     "SupervisedSet",
     "fit_learner",
     "load_model",

@@ -2,9 +2,9 @@
 
 Config files are plain ``key = value`` lines with ``#`` comments. Dotted
 keys scope nested settings (``optimizer.population``, ``cluster.tol``,
-``learners.bilstm.epochs``); a learner field without a kind applies to all
-four learners. Flag-level settings (preset, seed) are resolved first
-because derived per-component seeds depend on them.
+``learners.bilstm.epochs``); a learner field without a kind applies to
+every learner that reads it. The preset and seed set the defaults and the
+per-component seeds; the dump ``describe`` writes is itself a config file.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from .ensemble import DEFAULT_LEVELS
 from .errors import GranucastError
 from .fuzzy_rough import ClusterConfig
-from .learners import KINDS, LearnerConfig
+from .learners import CONFIG_TYPES, KINDS, ForestConfig, NetConfig, StackConfig
 from .sunflower import OptimizerConfig
 from .timeseries import SplitSpec
 
@@ -27,26 +27,19 @@ class ConfigError(GranucastError):
     pass
 
 
-def _preset_learners(seed: int, preset: str) -> dict[str, LearnerConfig]:
-    """Per-learner defaults; the desk preset shrinks hidden sizes and epochs only."""
+def _preset_learners(seed: int, preset: str) -> dict[str, NetConfig | ForestConfig]:
+    """Per-learner settings that differ from the config defaults; the desk
+    preset shrinks the nets' hidden sizes and epochs only."""
     configs = {
-        "bilstm": LearnerConfig(
-            learning_rate=0.001, batch_size=100, hidden_sizes=(128, 64, 32),
-            epochs=200, rng_seed=seed + 1,
-        ),
-        "cnn_gru": LearnerConfig(
-            learning_rate=0.001, batch_size=150, hidden_sizes=(128, 64, 32),
-            epochs=200, rng_seed=seed + 2,
-        ),
-        "lstm_xgb": LearnerConfig(
-            learning_rate=0.001, batch_size=100, hidden_sizes=(128, 64, 32),
-            epochs=750, max_depth=1, boosting_rounds=100, rng_seed=seed + 3,
-        ),
-        "random_forest": LearnerConfig(tree_count=100, rng_seed=seed + 4),
+        "bilstm": NetConfig(rng_seed=seed + 1),
+        "cnn_gru": NetConfig(batch_size=150, rng_seed=seed + 2),
+        "lstm_xgb": StackConfig(epochs=750, rng_seed=seed + 3),
+        "random_forest": ForestConfig(rng_seed=seed + 4),
     }
     if preset == "desk":
         configs = {
             kind: dataclasses.replace(cfg, hidden_sizes=(16, 8), epochs=min(cfg.epochs, 60))
+            if isinstance(cfg, NetConfig) else cfg
             for kind, cfg in configs.items()
         }
     return configs
@@ -57,10 +50,8 @@ class RunConfig:
     """Every setting of a run; ``build_run_config`` resolves one from a
     preset, a seed and an optional config file."""
 
-    preset: str
-    seed: int
     optimizer: OptimizerConfig
-    learners: dict[str, LearnerConfig]
+    learners: dict[str, NetConfig | ForestConfig]
     window_size: int = 36
     lag: int = 4
     split: SplitSpec = dataclasses.field(default_factory=SplitSpec)
@@ -79,9 +70,9 @@ class RunConfig:
         whole = all(p / 100 == v for p, v in zip(percents, self.levels))
         if not whole or len(set(percents)) != len(percents):
             raise ValueError(f"expected distinct whole percentages, got {self.levels!r}")
-        missing = [kind for kind in KINDS if kind not in self.learners]
-        if missing:
-            raise ValueError(f"learner configs missing for {missing}")
+        wrong = [k for k, cls in CONFIG_TYPES.items() if type(self.learners.get(k)) is not cls]
+        if wrong:
+            raise ValueError(f"learner configs missing or of the wrong type for {wrong}")
 
     def pipeline(self) -> RunConfig:
         # kept only because perfbench/run.py calls it; remove at the next
@@ -91,23 +82,24 @@ class RunConfig:
     def describe(self) -> str:
         """Stable, fully resolved key = value dump (hashable provenance)."""
         lines = [
-            f"preset = {self.preset}",
-            f"seed = {self.seed}",
             f"window_size = {self.window_size}",
             f"lag = {self.lag}",
-            f"levels = {', '.join(repr(v) for v in self.levels)}",
+            f"levels = {_format_value(self.levels)}",
             f"split.train = {self.split.train_frac!r}",
             f"split.val = {self.split.val_frac!r}",
             f"split.test = {self.split.test_frac!r}",
         ]
-        for name, obj in (("cluster", self.cluster), ("optimizer", self.optimizer)):
+        sections = [("cluster", self.cluster), ("optimizer", self.optimizer)]
+        sections += [(f"learners.{kind}", self.learners[kind]) for kind in sorted(self.learners)]
+        for name, obj in sections:
             for field in sorted(f.name for f in dataclasses.fields(obj)):
-                lines.append(f"{name}.{field} = {getattr(obj, field)!r}")
-        for kind in sorted(self.learners):
-            cfg = self.learners[kind]
-            for field in sorted(f.name for f in dataclasses.fields(cfg)):
-                lines.append(f"learners.{kind}.{field} = {getattr(cfg, field)!r}")
+                lines.append(f"{name}.{field} = {_format_value(getattr(obj, field))}")
         return "\n".join(lines) + "\n"
+
+
+def _format_value(value) -> str:
+    """Tuples are written comma-separated, as config files read them."""
+    return ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -147,6 +139,8 @@ def _replace_field(obj, field_name: str, value, key: str):
     """``obj`` with one field replaced; errors name the config ``key``."""
     if field_name not in {f.name for f in dataclasses.fields(obj)}:
         raise ConfigError(f"unknown setting {key}")
+    if isinstance(getattr(obj, field_name), tuple) and not isinstance(value, tuple):
+        value = (value,)
     try:
         return dataclasses.replace(obj, **{field_name: value})
     except (TypeError, ValueError) as exc:
@@ -174,8 +168,6 @@ def build_run_config(
         seed = parsed
 
     run = RunConfig(
-        preset=preset,
-        seed=seed,
         optimizer=OptimizerConfig(rng_seed=seed + 10),
         learners=_preset_learners(seed, preset),
     )
@@ -183,27 +175,25 @@ def build_run_config(
     for key in sorted(entries):
         value = _parse_value(entries[key])
         section, _, rest = key.partition(".")
-        if key in ("window_size", "lag"):
+        if key in ("window_size", "lag", "levels"):
             run = _replace_field(run, key, value, key)
-        elif key == "levels":
-            run = _replace_field(run, key, value if isinstance(value, tuple) else (value,), key)
         elif section == "split" and f"{rest}_frac" in split_fracs:
             split_fracs[f"{rest}_frac"] = value
         elif section in ("cluster", "optimizer"):
             part = _replace_field(getattr(run, section), rest, value, key)
             run = dataclasses.replace(run, **{section: part})
-        elif section == "learners" and "." in rest:
-            kind, field_name = rest.split(".", 1)
-            if kind not in KINDS:
-                raise ConfigError(f"unknown learner {kind!r} in {key}")
-            learner = _replace_field(run.learners[kind], field_name, value, key)
-            run = dataclasses.replace(run, learners={**run.learners, kind: learner})
         elif section == "learners":
+            kind, _, field = rest.rpartition(".")
+            if kind and kind not in KINDS:
+                raise ConfigError(f"unknown learner {kind!r} in {key}")
+            kinds = [kind] if kind else [k for k, c in run.learners.items() if hasattr(c, field)]
+            if not kinds:
+                raise ConfigError(f"unknown setting {key}")
             learners = {
-                kind: _replace_field(cfg, rest, value, f"learners.{kind}.{rest}")
-                for kind, cfg in run.learners.items()
+                k: _replace_field(run.learners[k], field, value, f"learners.{k}.{field}")
+                for k in kinds
             }
-            run = dataclasses.replace(run, learners=learners)
+            run = dataclasses.replace(run, learners={**run.learners, **learners})
         else:
             raise ConfigError(f"unknown setting {key}")
 

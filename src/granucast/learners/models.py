@@ -38,7 +38,7 @@ _STACK_SHRINKAGE = 0.3
 
 _GRAD_CLIP = 5.0
 
-_FORMAT = 1
+_FORMAT = 2
 
 
 class TooFewRecords(GranucastError):
@@ -54,33 +54,54 @@ class ModelFileError(GranucastError):
 
 
 @dataclass(frozen=True)
-class LearnerConfig:
+class NetConfig:
     learning_rate: float = 0.001
     batch_size: int = 100
     hidden_sizes: tuple[int, ...] = (128, 64, 32)
     epochs: int = 200
-    tree_count: int = 100
-    max_depth: int | None = None
-    boosting_rounds: int = 100
-    lambda_reg: float = 1.0
-    gamma_reg: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("batch_size", "epochs", "tree_count"):
+        for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(h < 1 for h in self.hidden_sizes) or not self.hidden_sizes:
             raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+
+
+@dataclass(frozen=True)
+class StackConfig(NetConfig):
+    """lstm_xgb: its LSTM stage's settings plus its boosted stage's."""
+
+    max_depth: int = 1
+    boosting_rounds: int = 100
+    lambda_reg: float = 1.0
+    gamma_reg: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if type(self.max_depth) is not int or self.max_depth < 1:
+            raise ValueError(f"max_depth must be an integer >= 1, got {self.max_depth}")
         if self.boosting_rounds < 0:
             raise ValueError(f"boosting_rounds must be >= 0, got {self.boosting_rounds}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.lambda_reg < 0 or self.gamma_reg < 0:
             raise ValueError("regularization strengths must be >= 0")
+
+
+@dataclass(frozen=True)
+class ForestConfig:
+    tree_count: int = 100
+    max_depth: int | None = None
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.tree_count < 1:
+            raise ValueError(f"tree_count must be >= 1, got {self.tree_count}")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +153,9 @@ class _SequenceRegressor:
     """Shared training loop and (de)standardization for the neural learners."""
 
     kind = ""
+    config_type = NetConfig
 
-    def __init__(self, config: LearnerConfig, record_width: int, lag: int):
+    def __init__(self, config: NetConfig, record_width: int, lag: int):
         self.config = config
         self.record_width = record_width
         self.lag = lag
@@ -176,11 +198,6 @@ class _SequenceRegressor:
             for p in layer.params.values():
                 p[...] = vec[offset : offset + p.size].reshape(p.shape)
                 offset += p.size
-
-    def gradient_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [g.ravel() for layer in self._all_layers for g in layer.grads.values()]
-        )
 
     # --- forward / backward -------------------------------------------------
 
@@ -262,7 +279,7 @@ class _SequenceRegressor:
         return {"record_width": self.record_width, "lag": self.lag}
 
     @classmethod
-    def _from_state(cls, config: LearnerConfig, meta: dict, arrays) -> "_SequenceRegressor":
+    def _from_state(cls, config: NetConfig, meta: dict, arrays) -> "_SequenceRegressor":
         model = cls(config, meta["record_width"], meta["lag"])
         model.set_parameter_vector(arrays["theta"])
         model.x_mean = arrays["x_mean"]
@@ -342,8 +359,9 @@ class LstmBoostedRegressor:
     """LSTM point forecast refined by boosted trees over (features, forecast)."""
 
     kind = "lstm_xgb"
+    config_type = StackConfig
 
-    def __init__(self, config: LearnerConfig, record_width: int, lag: int):
+    def __init__(self, config: StackConfig, record_width: int, lag: int):
         self.config = config
         self.stage1 = LstmRegressor(config, record_width, lag)
         self.stage2: BoostedTrees | None = None
@@ -356,7 +374,7 @@ class LstmBoostedRegressor:
             stacked,
             data.targets,
             rounds=self.config.boosting_rounds,
-            max_depth=self.config.max_depth or 1,
+            max_depth=self.config.max_depth,
             lambda_reg=self.config.lambda_reg,
             gamma_reg=self.config.gamma_reg,
             shrinkage=_STACK_SHRINKAGE,
@@ -377,7 +395,7 @@ class LstmBoostedRegressor:
         return {**self.stage1._state_meta(), "stage2": asdict(self.stage2)}
 
     @classmethod
-    def _from_state(cls, config: LearnerConfig, meta: dict, arrays) -> "LstmBoostedRegressor":
+    def _from_state(cls, config: StackConfig, meta: dict, arrays) -> "LstmBoostedRegressor":
         model = cls(config, meta["record_width"], meta["lag"])
         model.stage1 = LstmRegressor._from_state(config, meta, arrays)
         stage2 = meta["stage2"]
@@ -391,8 +409,9 @@ class ForestRegressor:
     """Random forest over the flat lagged feature rows."""
 
     kind = "random_forest"
+    config_type = ForestConfig
 
-    def __init__(self, config: LearnerConfig, record_width: int, lag: int):
+    def __init__(self, config: ForestConfig, record_width: int, lag: int):
         self.config = config
         self.record_width = record_width
         self.lag = lag
@@ -424,7 +443,7 @@ class ForestRegressor:
         }
 
     @classmethod
-    def _from_state(cls, config: LearnerConfig, meta: dict, arrays) -> "ForestRegressor":
+    def _from_state(cls, config: ForestConfig, meta: dict, arrays) -> "ForestRegressor":
         model = cls(config, meta["record_width"], meta["lag"])
         model.forest = RandomForest(trees=[Tree(**t) for t in meta["trees"]])
         return model
@@ -435,8 +454,10 @@ _MODEL_CLASSES = {
     for cls in (BiLstmRegressor, CnnGruRegressor, LstmBoostedRegressor, ForestRegressor)
 }
 
+CONFIG_TYPES = {kind: cls.config_type for kind, cls in _MODEL_CLASSES.items()}
 
-def fit_learner(kind: str, data: SupervisedSet, config: LearnerConfig):
+
+def fit_learner(kind: str, data: SupervisedSet, config: NetConfig | ForestConfig):
     """Train one learner kind on a supervised set; deterministic per seed."""
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"unknown learner kind {kind!r}, expected one of {KINDS}")
@@ -468,7 +489,5 @@ def load_model(path: str | Path):
         raise ModelFileError(f"{path}: model format {meta.get('format')!r}, expected {_FORMAT}")
     if meta.get("kind") not in KINDS:
         raise ModelFileError(f"{path}: model kind {meta.get('kind')!r}, expected one of {KINDS}")
-    raw_config = dict(meta["config"])
-    raw_config["hidden_sizes"] = tuple(raw_config["hidden_sizes"])
-    config = LearnerConfig(**raw_config)
+    config = CONFIG_TYPES[meta["kind"]](**meta["config"])
     return _MODEL_CLASSES[meta["kind"]]._from_state(config, meta["extra"], arrays)

@@ -29,11 +29,15 @@ SYNTH_SEED = 5
 
 
 def _desk_config(seed: int, population: int, iterations: int, **learner_fields) -> RunConfig:
+    """Desk settings with each learner field set on every kind that reads it."""
     run = build_run_config(preset="desk", seed=seed)
     return dataclasses.replace(
         run,
         learners={
-            kind: dataclasses.replace(cfg, **learner_fields) for kind, cfg in run.learners.items()
+            kind: dataclasses.replace(
+                cfg, **{k: v for k, v in learner_fields.items() if hasattr(cfg, k)}
+            )
+            for kind, cfg in run.learners.items()
         },
         optimizer=dataclasses.replace(run.optimizer, population=population, iterations=iterations),
     )
@@ -94,6 +98,13 @@ def numeric_gradient(model, x_seq, y, step: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def gradient_vector(model) -> np.ndarray:
+    """The gradients ``loss_and_grads`` left in the layers, in parameter order."""
+    return np.concatenate(
+        [g.ravel() for layer in model._all_layers for g in layer.grads.values()]
+    )
+
+
 def gradient_rel_err(model_cls, config, rng, record_width: int = 2, lag: int = 4, batch: int = 3) -> float:
     """Relative L2 gap between analytic and numeric gradients on one instance."""
     model = model_cls(config, record_width, lag)
@@ -101,7 +112,7 @@ def gradient_rel_err(model_cls, config, rng, record_width: int = 2, lag: int = 4
     x_seq = rng.normal(size=(batch, lag, record_width))
     y = rng.normal(size=batch)
     model.loss_and_grads(x_seq, y)
-    analytic = model.gradient_vector()
+    analytic = gradient_vector(model)
     numeric = numeric_gradient(model, x_seq, y)
     scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
     return float(np.linalg.norm(analytic - numeric)) / scale

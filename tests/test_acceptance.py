@@ -24,8 +24,8 @@ from granucast.fuzzy_rough import ClusterConfig, FuzzyRoughCMeans
 from granucast.learners.models import (
     BiLstmRegressor,
     CnnGruRegressor,
-    LearnerConfig,
     LstmRegressor,
+    NetConfig,
 )
 from granucast.learners.trees import BoostedTrees
 from granucast.sunflower import (
@@ -150,7 +150,7 @@ def test_cluster_center_recovery():
 
 
 def test_gradient_checks():
-    config = LearnerConfig(hidden_sizes=(3,), epochs=1, batch_size=4, learning_rate=0.01)
+    config = NetConfig(hidden_sizes=(3,), epochs=1, batch_size=4, learning_rate=0.01)
     worst = {}
     for cls in (BiLstmRegressor, CnnGruRegressor, LstmRegressor):
         rng = np.random.default_rng(101)

@@ -243,6 +243,13 @@ class TestForecast:
         expected = build_run_config(config_path=cli_env.conf).describe()
         assert (forecast_dir / "config.txt").read_text() == expected
 
+    def test_config_txt_reproduces_its_run(self, cli_env, forecast_dir, tmp_path):
+        out = tmp_path / "again"
+        config = str(forecast_dir / "config.txt")
+        code = main(["forecast", "--data", cli_env.data, "--config", config, "--out", str(out)])
+        assert code == 0
+        assert (out / "manifest.txt").read_bytes() == (forecast_dir / "manifest.txt").read_bytes()
+
     def test_solo_skips_weight_artifacts(self, cli_env, solo_dir):
         names = sorted(p.name for p in solo_dir.iterdir())
         assert names == ["config.txt", "forecast.csv", "manifest.txt"]

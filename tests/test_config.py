@@ -4,6 +4,7 @@ the resolved dump."""
 
 import dataclasses
 import hashlib
+import re
 
 import pytest
 
@@ -73,22 +74,23 @@ class TestParseValue:
 class TestBuildRunConfig:
     def test_defaults(self):
         run = build_run_config()
-        assert run.preset == "full"
-        assert run.seed == 0
         assert run.window_size == 36
         assert run.lag == 4
         assert run.levels == (0.95, 0.85)
         assert run.optimizer.rng_seed == 10
         assert run.learners["bilstm"].rng_seed == 1
         assert run.learners["bilstm"].hidden_sizes == (128, 64, 32)
+        assert not hasattr(run, "preset") and not hasattr(run, "seed")
 
     def test_presets_constant(self):
         assert PRESETS == ("full", "desk")
 
     def test_preset_flag_beats_file(self, tmp_path):
         path = write_config(tmp_path, "preset = desk\n")
-        assert build_run_config(config_path=path).preset == "desk"
-        assert build_run_config(preset="full", config_path=path).preset == "full"
+        desk = build_run_config(config_path=path).learners["bilstm"]
+        assert desk.hidden_sizes == (16, 8)
+        full = build_run_config(preset="full", config_path=path).learners["bilstm"]
+        assert full.hidden_sizes == (128, 64, 32)
 
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -100,12 +102,11 @@ class TestBuildRunConfig:
     def test_seed_drives_derived_seeds(self, tmp_path):
         path = write_config(tmp_path, "seed = 7\n")
         run = build_run_config(config_path=path)
-        assert run.seed == 7
         assert run.optimizer.rng_seed == 17
         assert [run.learners[k].rng_seed for k in sorted(run.learners)] == [8, 9, 10, 11]
         flagged = build_run_config(seed=3, config_path=path)
-        assert flagged.seed == 3
         assert flagged.optimizer.rng_seed == 13
+        assert [flagged.learners[k].rng_seed for k in sorted(run.learners)] == [4, 5, 6, 7]
 
     def test_non_integer_seed_rejected(self, tmp_path):
         path = write_config(tmp_path, "seed = soon\n")
@@ -113,11 +114,15 @@ class TestBuildRunConfig:
             build_run_config(config_path=path)
 
     def test_scalar_overrides(self, tmp_path):
-        path = write_config(tmp_path, "window_size = 24\nlag = 6\nlevels = 0.9\n")
+        path = write_config(
+            tmp_path,
+            "window_size = 24\nlag = 6\nlevels = 0.9\nlearners.bilstm.hidden_sizes = 32\n",
+        )
         run = build_run_config(config_path=path)
         assert run.window_size == 24
         assert run.lag == 6
         assert run.levels == (0.9,)
+        assert run.learners["bilstm"].hidden_sizes == (32,)
 
     def test_split_overrides(self, tmp_path):
         path = write_config(
@@ -149,9 +154,16 @@ class TestBuildRunConfig:
         assert run.learners["cnn_gru"].epochs == 200
 
     def test_learner_overrides_every_kind(self, tmp_path):
+        # a bare learner field sets every kind that reads it, and only those
         path = write_config(tmp_path, "learners.epochs = 9\n")
         run = build_run_config(config_path=path)
-        assert all(cfg.epochs == 9 for cfg in run.learners.values())
+        assert [run.learners[k].epochs for k in ("bilstm", "cnn_gru", "lstm_xgb")] == [9, 9, 9]
+        assert not hasattr(run.learners["random_forest"], "epochs")
+        path = write_config(tmp_path, "learners.tree_count = 9\n")
+        run = build_run_config(config_path=path)
+        defaults = build_run_config().learners
+        assert run.learners["random_forest"].tree_count == 9
+        assert all(run.learners[k] == defaults[k] for k in ("bilstm", "cnn_gru", "lstm_xgb"))
 
     def test_unknown_keys_rejected(self, tmp_path):
         for line in (
@@ -161,9 +173,14 @@ class TestBuildRunConfig:
             "optimizer.momentum = 0.9",
             "learners.mlp.epochs = 5",
             "learners.bilstm.width = 5",
+            # settings that exist, but not for this kind, or for no kind
+            "learners.random_forest.epochs = 5",
+            "learners.bilstm.tree_count = 3",
+            "learners.lstm_xgb.tree_count = 3",
+            "learners.dropout = 0.1",
         ):
             path = write_config(tmp_path, line + "\n")
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match=re.escape(line.split(" =")[0])):
                 build_run_config(config_path=path)
 
     def test_invalid_nested_value_rejected(self, tmp_path):
@@ -183,6 +200,7 @@ class TestBuildRunConfig:
             ("levels = 0.975, 0.85", "levels"),
             ("levels = 0.951, 0.949", "levels"),
             ("levels = 0.95, 0.95", "levels"),
+            ("learners.lstm_xgb.max_depth = None", "learners.lstm_xgb.max_depth"),
         ],
     )
     def test_out_of_range_value_names_the_key(self, tmp_path, line, key):
@@ -208,6 +226,12 @@ class TestRunConfigChecks:
         with pytest.raises(ValueError):
             dataclasses.replace(build_run_config(), **{field: value})
 
+    def test_each_kind_needs_its_config_type(self):
+        run = build_run_config()
+        swapped = {**run.learners, "bilstm": run.learners["lstm_xgb"]}
+        with pytest.raises(ValueError, match="bilstm"):
+            dataclasses.replace(run, learners=swapped)
+
 
 class TestDescribe:
     @pytest.mark.parametrize(
@@ -215,10 +239,11 @@ class TestDescribe:
         [
             (
                 {"preset": "desk", "seed": 5},
-                "f576052f32624b13e690a27676b63b862ef2c77e67e52e5ccf1d0e5c4807b442",
+                "0d0f7be4bf8679636ea1dadcd2e1fd6d5599f1bdf7b36dfd528949ec480a0257",
             ),
-            ({}, "8cb931f5269091a17db914f03904940b264a6978f0872d40ea2240f92c601c3a"),
+            ({}, "7e45494f479e46987940541b44baaae02a7e888084a0062cf7062e2ddd551c05"),
         ],
+        ids=["desk_seed_5", "defaults"],
     )
     def test_golden_digest(self, kwargs, digest):
         # config.txt and every manifest's config_sha256 hash this text
@@ -228,10 +253,13 @@ class TestDescribe:
     def test_resolved_values_present(self, tmp_path):
         path = write_config(tmp_path, "seed = 7\noptimizer.population = 40\n")
         text = build_run_config(config_path=path).describe()
-        assert "seed = 7\n" in text
+        assert "seed" not in text.replace("rng_seed", "")
         assert "optimizer.population = 40\n" in text
         assert "optimizer.rng_seed = 17\n" in text
+        assert "learners.bilstm.rng_seed = 8\n" in text
+        assert "learners.random_forest.rng_seed = 11\n" in text
         assert "learners.bilstm.epochs = 200\n" in text
+        assert "learners.bilstm.hidden_sizes = 128, 64, 32\n" in text
         assert text.endswith("\n")
 
     def test_stable_under_entry_order(self, tmp_path):

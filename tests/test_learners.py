@@ -2,6 +2,7 @@
 against hand-rolled references, analytic gradients against finite
 differences, the tree learners, and the fit/save/load lifecycle."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -19,13 +20,15 @@ from granucast.learners import (
     BoostedTrees,
     CnnGruRegressor,
     DimensionMismatch,
+    ForestConfig,
     ForestRegressor,
-    LearnerConfig,
     LstmBoostedRegressor,
     LstmRegressor,
     ModelFileError,
+    NetConfig,
     RandomForest,
     SequenceTooShort,
+    StackConfig,
     SupervisedSet,
     TooFewRecords,
     UntrainedModel,
@@ -256,7 +259,7 @@ class TestConv1dLayer:
             Conv1dLayer(2, 4, kernel=3).forward(np.zeros((1, 5, 3)))
 
 
-TINY = LearnerConfig(hidden_sizes=(3,), epochs=1, batch_size=4, learning_rate=0.01)
+TINY = NetConfig(hidden_sizes=(3,), epochs=1, batch_size=4, learning_rate=0.01)
 
 
 @pytest.mark.parametrize("model_cls", [BiLstmRegressor, CnnGruRegressor, LstmRegressor])
@@ -443,29 +446,48 @@ class TestSplitRule:
         assert root_split(boosted) == optima[0]
 
 
-SMALL = LearnerConfig(
-    hidden_sizes=(6,),
-    epochs=8,
-    batch_size=8,
-    learning_rate=0.05,
-    tree_count=10,
-    boosting_rounds=10,
-    rng_seed=3,
-)
+SMALL_NET = NetConfig(hidden_sizes=(6,), epochs=8, batch_size=8, learning_rate=0.05, rng_seed=3)
+# 30 rounds so the boosted stage splits on the LSTM's forecast; with 10 it
+# ignores that column and the LSTM settings never reach the predictions
+SMALL = {
+    "bilstm": SMALL_NET,
+    "cnn_gru": SMALL_NET,
+    "lstm_xgb": StackConfig(**dataclasses.asdict(SMALL_NET), boosting_rounds=30),
+    "random_forest": ForestConfig(tree_count=10, rng_seed=3),
+}
+
+# per config type, a value for each field that must change a fit's predictions
+CHANGED = {
+    NetConfig: {
+        "learning_rate": 0.2,
+        "batch_size": 3,
+        "hidden_sizes": (4,),
+        "epochs": 2,
+        "rng_seed": 4,
+    },
+    ForestConfig: {"tree_count": 3, "max_depth": 1, "rng_seed": 4},
+}
+CHANGED[StackConfig] = {
+    **CHANGED[NetConfig],
+    "max_depth": 3,
+    "boosting_rounds": 0,
+    "lambda_reg": 1e6,
+    "gamma_reg": 1e6,
+}
 
 
 class TestModelLifecycle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_fit_is_deterministic(self, kind):
         data = toy_supervised()
-        first = fit_learner(kind, data, SMALL).predict(data.inputs)
-        second = fit_learner(kind, data, SMALL).predict(data.inputs)
+        first = fit_learner(kind, data, SMALL[kind]).predict(data.inputs)
+        second = fit_learner(kind, data, SMALL[kind]).predict(data.inputs)
         np.testing.assert_array_equal(first, second)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_save_load_round_trip_is_bit_exact(self, kind, tmp_path):
         data = toy_supervised()
-        model = fit_learner(kind, data, SMALL)
+        model = fit_learner(kind, data, SMALL[kind])
         before = model.predict(data.inputs)
         path = tmp_path / f"{kind}.npz"
         save_model(model, path)
@@ -475,26 +497,26 @@ class TestModelLifecycle:
     def test_predict_before_fit_raises(self):
         for cls in (BiLstmRegressor, CnnGruRegressor, LstmBoostedRegressor, ForestRegressor):
             with pytest.raises(UntrainedModel):
-                cls(SMALL, 5, 2).predict(np.zeros((1, 10)))
+                cls(SMALL[cls.kind], 5, 2).predict(np.zeros((1, 10)))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            fit_learner("mlp", toy_supervised(), SMALL)
+            fit_learner("mlp", toy_supervised(), SMALL_NET)
 
     def test_registry_is_the_four_kinds(self):
         assert tuple(_MODEL_CLASSES) == KINDS
         # lstm_xgb's first stage is not a learner of its own
         with pytest.raises(ValueError):
-            fit_learner("lstm", toy_supervised(), SMALL)
+            fit_learner("lstm", toy_supervised(), SMALL_NET)
 
     @pytest.mark.parametrize(
         "change",
-        [{"kind": "mlp"}, {"kind": "lstm"}, {"format": 2}],
-        ids=["kind_mlp", "kind_lstm", "format_2"],
+        [{"kind": "mlp"}, {"kind": "lstm"}, {"format": 1}],
+        ids=["kind_mlp", "kind_lstm", "format_1"],
     )
     def test_load_rejects_unknown_files(self, change, tmp_path):
         path = tmp_path / "model.npz"
-        save_model(fit_learner("lstm_xgb", toy_supervised(), SMALL), path)
+        save_model(fit_learner("lstm_xgb", toy_supervised(), SMALL["lstm_xgb"]), path)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         meta = {**json.loads(str(arrays.pop("meta")[()])), **change}
@@ -513,24 +535,38 @@ class TestModelLifecycle:
         assert not path.exists()
 
     def test_config_validation(self):
-        for bad in (
-            {"learning_rate": 0.0},
-            {"batch_size": 0},
-            {"epochs": 0},
-            {"tree_count": 0},
-            {"hidden_sizes": ()},
-            {"hidden_sizes": (0,)},
-            {"boosting_rounds": -1},
-            {"max_depth": 0},
-            {"lambda_reg": -1.0},
-            {"gamma_reg": -0.5},
+        for config_type, bad in (
+            (NetConfig, {"learning_rate": 0.0}),
+            (NetConfig, {"batch_size": 0}),
+            (NetConfig, {"epochs": 0}),
+            (ForestConfig, {"tree_count": 0}),
+            (NetConfig, {"hidden_sizes": ()}),
+            (NetConfig, {"hidden_sizes": (0,)}),
+            (StackConfig, {"epochs": 0}),
+            (StackConfig, {"boosting_rounds": -1}),
+            (StackConfig, {"max_depth": 0}),
+            (StackConfig, {"max_depth": None}),
+            (ForestConfig, {"max_depth": 0}),
+            (StackConfig, {"lambda_reg": -1.0}),
+            (StackConfig, {"gamma_reg": -0.5}),
         ):
             with pytest.raises(ValueError):
-                LearnerConfig(**bad)
+                config_type(**bad)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [(kind, f.name) for kind in KINDS for f in dataclasses.fields(SMALL[kind])],
+    )
+    def test_every_setting_changes_the_fit(self, kind, field):
+        data = toy_supervised()
+        config = SMALL[kind]
+        changed = dataclasses.replace(config, **{field: CHANGED[type(config)][field]})
+        default = fit_learner(kind, data, config).predict(data.inputs)
+        assert not np.array_equal(fit_learner(kind, data, changed).predict(data.inputs), default)
 
     def test_stacked_stage_improves_on_the_mean(self):
         data = toy_supervised(n=60)
-        model = fit_learner("lstm_xgb", data, SMALL)
+        model = fit_learner("lstm_xgb", data, SMALL["lstm_xgb"])
         mse = float(((model.predict(data.inputs) - data.targets) ** 2).mean())
         baseline = float(data.targets.var())
         assert mse < baseline
