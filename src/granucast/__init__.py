@@ -10,7 +10,7 @@ from .timeseries import (
     kfold_split,
     load_series,
 )
-from .granulation import Granule, granulate_series, granulate_window
+from .granulation import granulate_series
 from .fuzzy_rough import ClusterConfig, ClusterResult, extract_features
 from .learners import (
     KINDS,
@@ -23,14 +23,8 @@ from .learners import (
     make_supervised,
     save_model,
 )
-from .sunflower import (
-    Bounds,
-    OptimizationProblem,
-    OptimizerConfig,
-    ParetoArchive,
-    optimize,
-)
-from .benchmarks import front_quality, zdt_problem
+from .sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
+from .benchmarks import front_quality, zdt_evaluate
 from .ensemble import (
     ForecastBundle,
     IntervalModel,
@@ -51,7 +45,7 @@ from .evaluation import (
 )
 from .pipeline import run_cv, run_forecast
 from .config import RunConfig, build_run_config
-from .synth import SynthConfig, generate_series
+from .synth import SynthConfig
 
 __version__ = "0.1.0"
 
@@ -64,9 +58,7 @@ __all__ = [
     "interpolate_gaps",
     "kfold_split",
     "load_series",
-    "Granule",
     "granulate_series",
-    "granulate_window",
     "ClusterConfig",
     "ClusterResult",
     "extract_features",
@@ -79,13 +71,11 @@ __all__ = [
     "load_model",
     "make_supervised",
     "save_model",
-    "Bounds",
-    "OptimizationProblem",
     "OptimizerConfig",
     "ParetoArchive",
-    "optimize",
+    "SunflowerOptimizer",
     "front_quality",
-    "zdt_problem",
+    "zdt_evaluate",
     "ForecastBundle",
     "IntervalModel",
     "PredictionPanel",
@@ -105,6 +95,5 @@ __all__ = [
     "RunConfig",
     "build_run_config",
     "SynthConfig",
-    "generate_series",
     "__version__",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GranucastError
-from .sunflower import Bounds, EmptyArchive, OptimizationProblem
+from .sunflower import EmptyArchive
 
 
 class OutOfDomain(GranucastError):
@@ -35,13 +35,6 @@ def zdt_evaluate(which: int, v: np.ndarray) -> tuple[float, float]:
     else:
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
     return p1, float(g * h)
-
-
-def zdt_problem(which: int, dim: int = 4) -> OptimizationProblem:
-    return OptimizationProblem(
-        evaluate=lambda v: np.array(zdt_evaluate(which, v)),
-        bounds=Bounds.cube(0.0, 1.0, dim),
-    )
 
 
 def zdt1_front(samples: int) -> np.ndarray:

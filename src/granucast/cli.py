@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import zdt1_front, zdt2_front, zdt3_front, zdt_problem, front_quality
+from .benchmarks import front_quality, zdt1_front, zdt2_front, zdt3_front, zdt_evaluate
 from .config import PRESETS, RunConfig, build_run_config
 from .errors import GranucastError
 from .evaluation import PointScores, dm_test, interval_scores, point_scores
@@ -34,7 +34,7 @@ from .fuzzy_rough import extract_features
 from .granulation import granulate_series
 from .learners import KINDS, fit_learner, make_supervised, save_model
 from .pipeline import extract_and_split, run_cv, run_forecast
-from .sunflower import optimize
+from .sunflower import SunflowerOptimizer
 from .synth import SynthConfig, write_csv as write_synth_csv
 from .timeseries import Series, interpolate_gaps, load_series
 
@@ -94,9 +94,8 @@ def _run_config(args) -> RunConfig:
     return build_run_config(preset=args.preset, seed=args.seed, config_path=args.config)
 
 
-def _load_clean_series(path: str) -> tuple[Series, int]:
-    raw = load_series(path)
-    return interpolate_gaps(raw), int(raw.gap_mask.sum())
+def _load_clean_series(path: str) -> Series:
+    return interpolate_gaps(load_series(path))
 
 
 def _write_archive(path: Path, archive, header: list[str]) -> None:
@@ -136,7 +135,7 @@ def cmd_granulate(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    series, _ = _load_clean_series(args.data)
+    series = _load_clean_series(args.data)
     granules = granulate_series(series, run.window_size)
     features, cluster_result = extract_features(granules, run.cluster, record_trace=args.trace)
     nearest = np.argmax(cluster_result.memberships, axis=0)
@@ -179,7 +178,7 @@ def cmd_train(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    series, _ = _load_clean_series(args.data)
+    series = _load_clean_series(args.data)
     _, _, _, parts, _ = extract_and_split(series, run)
     train_set = make_supervised(parts[0], run.lag)
     kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
@@ -201,7 +200,7 @@ def cmd_forecast(args) -> int:
     out = _out_dir(args)
     run = _run_config(args)
     solo = _MODEL_ALIASES[args.model] if args.model else None
-    result = run_forecast(_load_clean_series(args.data)[0], run, solo=solo)
+    result = run_forecast(_load_clean_series(args.data), run, solo=solo)
 
     levels = list(result.bundle.intervals)
     header = ["index", "actual", "point"]
@@ -317,7 +316,7 @@ def cmd_cv(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    report = run_cv(_load_clean_series(args.data)[0], run, k=args.folds)
+    report = run_cv(_load_clean_series(args.data), run, k=args.folds)
     rows = [
         [fold.fold, *(_fmt(v) for v in fold.scores.as_row())] for fold in report.folds
     ]
@@ -334,8 +333,9 @@ def cmd_benchmark_opt(args) -> int:
     out = _out_dir(args)
     run = _run_config(args)
     which = int(args.problem[-1])
-    problem = zdt_problem(which, dim=args.dim)
-    archive = optimize(problem, run.optimizer)
+    archive = SunflowerOptimizer(
+        lambda v: np.array(zdt_evaluate(which, v)), args.dim, 0.0, 1.0, run.optimizer
+    ).run()
 
     if not archive.is_sound():
         print("error: archive soundness check failed", file=sys.stderr)
@@ -347,7 +347,8 @@ def cmd_benchmark_opt(args) -> int:
         archive,
         ["objective_1", "objective_2", *(f"x_{d + 1}" for d in range(args.dim))],
     )
-    config_text = run.describe() + f"problem = {args.problem}\ndim = {args.dim}\n"
+    # comments, so that config.txt stays a valid --config
+    config_text = run.describe() + f"# problem = {args.problem}\n# dim = {args.dim}\n"
     _finish_run(out, config_text, ["front.csv"])
     print(f"archive size: {len(archive)}")
     print(f"igd = {_fmt(igd)}")
@@ -359,10 +360,12 @@ def cmd_benchmark_opt(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="DIR", default="run", help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, metavar="N", help="base random seed")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--config", metavar="PATH", help="flat key=value settings file")
-    common.add_argument("--seed", type=int, metavar="N", help="base random seed")
-    common.add_argument("--out", metavar="DIR", default="run", help="output directory")
     common.add_argument("--preset", choices=PRESETS, help="parameter scale")
 
     parser = argparse.ArgumentParser(
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic series")
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic series")
     p.add_argument("--samples", type=int, default=7200)
     p.add_argument("--gap-fraction", type=float, default=0.01)
     p.set_defaults(func=cmd_synth)
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a forecast CSV")
+    p = sub.add_parser("evaluate", parents=[out], help="score a forecast CSV")
     p.add_argument("--forecast", required=True, metavar="PATH")
     p.add_argument("--baseline", metavar="PATH", help="second forecast CSV for a DM test")
     p.set_defaults(func=cmd_evaluate)

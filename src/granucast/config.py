@@ -172,7 +172,8 @@ def build_run_config(
         learners=_preset_learners(seed, preset),
     )
     split_fracs = dataclasses.asdict(run.split)
-    for key in sorted(entries):
+    # fewer dots first, so learners.<kind>.<field> beats learners.<field>
+    for key in sorted(entries, key=lambda k: (k.count("."), k)):
         value = _parse_value(entries[key])
         section, _, rest = key.partition(".")
         if key in ("window_size", "lag", "levels"):

@@ -19,13 +19,7 @@ import numpy as np
 from .errors import GranucastError
 from .evaluation import LengthMismatch, mape_excluding_small, mse
 from .learners import KINDS
-from .sunflower import (
-    Bounds,
-    OptimizationProblem,
-    OptimizerConfig,
-    ParetoArchive,
-    SunflowerOptimizer,
-)
+from .sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
 
 WEIGHT_LOW = -2.0
 WEIGHT_HIGH = 2.0
@@ -127,11 +121,9 @@ def fit_weights(panel: PredictionPanel, config: OptimizerConfig = OptimizerConfi
     """
     _, excluded = mape_excluding_small(panel.actuals, panel.actuals)
     k = panel.matrix.shape[0]
-    problem = OptimizationProblem(
-        evaluate=lambda w: np.array(ensemble_objectives(w, panel)),
-        bounds=Bounds.cube(WEIGHT_LOW, WEIGHT_HIGH, k),
-    )
-    archive = SunflowerOptimizer(problem, config).run()
+    archive = SunflowerOptimizer(
+        lambda w: np.array(ensemble_objectives(w, panel)), k, WEIGHT_LOW, WEIGHT_HIGH, config
+    ).run()
     for candidate in baseline_candidates(k):
         archive.insert(candidate, np.array(ensemble_objectives(candidate, panel)))
     pick = select_compromise(archive)

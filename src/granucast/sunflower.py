@@ -38,39 +38,6 @@ class EmptyArchive(GranucastError):
     pass
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Per-dimension box constraints."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=np.float64))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
-        if lower.shape != upper.shape:
-            raise ValueError("lower and upper must have the same shape")
-        if not np.all(lower < upper):
-            raise ValueError("every lower bound must be strictly below its upper bound")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @classmethod
-    def cube(cls, lower: float, upper: float, dim: int) -> "Bounds":
-        return cls(np.full(dim, lower), np.full(dim, upper))
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
-    @property
-    def span_norm(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
-    def clamp(self, position: np.ndarray) -> np.ndarray:
-        return np.clip(position, self.lower, self.upper)
-
-
 class TentChain:
     """Skewed tent map iterator over (0, 1) with fixed-point escape.
 
@@ -213,7 +180,6 @@ class OptimizerConfig:
     pollination_rate: float = 0.1
     mortality_rate: float = 0.1
     tent_apex: float = 0.7
-    step_scale: float | None = None
     archive_capacity: int = 100
     grid_divisions: int = 30
     rng_seed: int = 0
@@ -231,33 +197,34 @@ class OptimizerConfig:
             raise ValueError("pollination_rate + mortality_rate must stay below 1")
         if not 0.0 < self.tent_apex < 1.0:
             raise ValueError(f"tent_apex must lie in (0, 1), got {self.tent_apex}")
-        if self.step_scale is not None and self.step_scale < 0:
-            raise ValueError(f"step_scale must be >= 0, got {self.step_scale}")
         for name in ("archive_capacity", "grid_divisions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class OptimizationProblem:
-    """Vector objective over a box, for minimization."""
-
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    bounds: Bounds
-
-
-def tent_positions(chain: TentChain, count: int, bounds: Bounds) -> np.ndarray:
-    """Map ``count * dim`` chained tent iterates onto the box, row-major."""
-    flat = chain.draw(count * bounds.dim)
-    unit = flat.reshape(count, bounds.dim)
-    return bounds.lower + unit * (bounds.upper - bounds.lower)
+def tent_positions(chain: TentChain, count: int, dim: int, low: float, high: float) -> np.ndarray:
+    """Map ``count * dim`` chained tent iterates onto [low, high]^dim, row-major."""
+    unit = chain.draw(count * dim).reshape(count, dim)
+    return low + unit * (high - low)
 
 
 class SunflowerOptimizer:
-    """Runs the full optimization loop; deterministic for a given seed."""
+    """Minimizes the vector objective ``evaluate`` over the box
+    [low, high]^dim; ``run`` returns the archive and is deterministic for a
+    given seed."""
 
-    def __init__(self, problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()):
-        self.problem = problem
+    def __init__(
+        self,
+        evaluate: Callable[[np.ndarray], np.ndarray],
+        dim: int,
+        low: float,
+        high: float,
+        config: OptimizerConfig = OptimizerConfig(),
+    ):
+        if not low < high:
+            raise ValueError(f"need low < high, got [{low}, {high}]")
+        self.evaluate = evaluate
+        self.dim, self.low, self.high = dim, low, high
         self.config = config
         self.rng = np.random.default_rng(config.rng_seed)
         seed_value = float(self.rng.uniform(1e-9, 1.0 - 1e-9))
@@ -267,16 +234,13 @@ class SunflowerOptimizer:
             grid_divisions=config.grid_divisions,
             rng=self.rng,
         )
-        if config.step_scale is not None:
-            self.step_scale = config.step_scale
-        else:
-            self.step_scale = 0.05 * problem.bounds.span_norm
+        self.step_scale = 0.05 * float(np.linalg.norm(np.full(dim, high - low)))
 
     def _evaluate(self, positions: np.ndarray) -> np.ndarray:
-        """Objective rows for the position rows, one problem call per row."""
+        """Objective rows for the position rows, one objective call per row."""
         rows = []
         for position in positions:
-            obj = np.asarray(self.problem.evaluate(position), dtype=np.float64)
+            obj = np.asarray(self.evaluate(position), dtype=np.float64)
             if not np.isfinite(obj).all():
                 raise NonFiniteObjective(
                     f"objective evaluation returned non-finite values at {position}"
@@ -285,11 +249,12 @@ class SunflowerOptimizer:
         return np.stack(rows)
 
     def run(self) -> ParetoArchive:
-        positions = tent_positions(self.tent, self.config.population, self.problem.bounds)
+        cfg = self.config
+        positions = tent_positions(self.tent, cfg.population, self.dim, self.low, self.high)
         objectives = self._evaluate(positions)
         for row in zip(positions, objectives):
             self.archive.insert(*row)
-        for t in range(1, self.config.iterations + 1):
+        for t in range(1, cfg.iterations + 1):
             positions, objectives = self.step(positions, objectives, t)
         return self.archive
 
@@ -299,7 +264,6 @@ class SunflowerOptimizer:
         the archive."""
         cfg = self.config
         count, dim = positions.shape
-        bounds = self.problem.bounds
         guide = self.archive.select_guide()
 
         # one 1-D norm per row: norm(axis=1) rounds some rows differently
@@ -331,18 +295,17 @@ class SunflowerOptimizer:
         norm = np.array([np.linalg.norm(row) for row in towards])[:, None]
         direction = np.divide(towards, norm, out=np.zeros_like(towards), where=norm > 0.0)
         step = self.step_scale * kernel_norm * neighbor_distance
-        moved = bounds.clamp(positions + step[:, None] * direction)
+        moved = np.clip(positions + step[:, None] * direction, self.low, self.high)
         moved[pollinator] = (
             positions[pollinator] + self.archive.positions[partner[pollinator]]
         ) / 2.0
-        new_positions = bounds.clamp(moved + noise * noise_scale)
-        new_positions[mortal] = tent_positions(self.tent, int(mortal.sum()), bounds)
+        new_positions = np.clip(moved + noise * noise_scale, self.low, self.high)
+        new_positions[mortal] = tent_positions(
+            self.tent, int(mortal.sum()), dim, self.low, self.high
+        )
 
         new_objectives = self._evaluate(new_positions)
         for row in zip(new_positions, new_objectives):
             self.archive.insert(*row)
         return new_positions, new_objectives
 
-
-def optimize(problem: OptimizationProblem, config: OptimizerConfig = OptimizerConfig()) -> ParetoArchive:
-    return SunflowerOptimizer(problem, config).run()

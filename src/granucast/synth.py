@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeseries import Series
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -56,15 +54,6 @@ def generate_values(config: SynthConfig = SynthConfig()) -> np.ndarray:
         state = config.ar_coefficient * state + shock
         noise[i] = state
     return np.maximum(config.floor, config.base_level + daily + secondary + noise)
-
-
-def generate_series(config: SynthConfig = SynthConfig()) -> Series:
-    """Gap-free series, convenient for in-process tests."""
-    return Series(
-        values=generate_values(config),
-        origin=config.start_epoch,
-        step=config.cadence_seconds,
-    )
 
 
 def gap_indices(config: SynthConfig) -> np.ndarray:

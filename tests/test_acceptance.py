@@ -28,13 +28,7 @@ from granucast.learners.models import (
     NetConfig,
 )
 from granucast.learners.trees import BoostedTrees
-from granucast.sunflower import (
-    Bounds,
-    OptimizationProblem,
-    OptimizerConfig,
-    TentChain,
-    optimize,
-)
+from granucast.sunflower import OptimizerConfig, SunflowerOptimizer, TentChain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -62,14 +56,12 @@ def zdt_runs():
     fronts = {1: zdt1_front(500), 2: zdt2_front(500), 3: zdt3_front(500)}
     runs = []
     for which, front in fronts.items():
-        problem = OptimizationProblem(
-            evaluate=lambda v, w=which: np.array(zdt_evaluate(w, v)),
-            bounds=Bounds.cube(0.0, 1.0, 4),
-        )
         for seed in ZDT_SEEDS:
             config = OptimizerConfig(population=100, iterations=100, rng_seed=seed)
             start = time.perf_counter()
-            archive = optimize(problem, config)
+            archive = SunflowerOptimizer(
+                lambda v: np.array(zdt_evaluate(which, v)), 4, 0.0, 1.0, config
+            ).run()
             elapsed = time.perf_counter() - start
             igd, _ = front_quality(archive.objectives, front)
             runs.append(

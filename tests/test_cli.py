@@ -367,6 +367,14 @@ class TestBenchmarkOpt:
         assert len(rows) >= 2
         assert "problem = zdt1" in (out / "config.txt").read_text()
 
+    def test_config_txt_reproduces_its_run(self, cli_env, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["benchmark-opt", "--problem", "zdt1", "--out"]
+        assert main([*argv, str(first), "--config", cli_env.conf]) == 0
+        assert main([*argv, str(second), "--config", str(first / "config.txt")]) == 0
+        manifest = (first / "manifest.txt").read_bytes()
+        assert (second / "manifest.txt").read_bytes() == manifest
+
 
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path, capsys):
@@ -451,6 +459,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "optimizer.archive_capacity" in err
         assert not (out / "forecast.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--forecast", "forecast.csv", "--config", "/nonexistent.conf"],
+            ["synth", "--preset", "desk", "--config", "/nonexistent.conf"],
+        ],
+        ids=["evaluate_config", "synth_preset_config"],
+    )
+    def test_unread_flag_is_a_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
 
     def test_single_fold_is_a_usage_error(self, cli_env, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

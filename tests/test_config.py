@@ -165,6 +165,19 @@ class TestBuildRunConfig:
         assert run.learners["random_forest"].tree_count == 9
         assert all(run.learners[k] == defaults[k] for k in ("bilstm", "cnn_gru", "lstm_xgb"))
 
+    def test_kind_key_beats_bare_key(self, tmp_path):
+        # whatever the alphabetical order of the kind and the field
+        path = write_config(
+            tmp_path,
+            "learners.batch_size = 7\nlearners.cnn_gru.batch_size = 50\n"
+            "learners.epochs = 9\nlearners.bilstm.epochs = 77\n",
+        )
+        run = build_run_config(config_path=path)
+        assert run.learners["cnn_gru"].batch_size == 50
+        assert run.learners["bilstm"].epochs == 77
+        assert run.learners["bilstm"].batch_size == 7
+        assert run.learners["cnn_gru"].epochs == 9
+
     def test_unknown_keys_rejected(self, tmp_path):
         for line in (
             "speed = 9",
@@ -239,9 +252,9 @@ class TestDescribe:
         [
             (
                 {"preset": "desk", "seed": 5},
-                "0d0f7be4bf8679636ea1dadcd2e1fd6d5599f1bdf7b36dfd528949ec480a0257",
+                "240507c11186e9cad5a9913b1d2d7d1f651b592a3a7e43d46fdce92b431da516",
             ),
-            ({}, "7e45494f479e46987940541b44baaae02a7e888084a0062cf7062e2ddd551c05"),
+            ({}, "eb9511b8937411db7427571f3580900e2de7afd3b894ebce3bd339371c4eafbd"),
         ],
         ids=["desk_seed_5", "defaults"],
     )

@@ -3,108 +3,71 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from granucast.granulation import (
-    Granule,
-    InvalidGranule,
-    granulate_series,
-    granulate_window,
-)
-from granucast.timeseries import Series
+from granucast.granulation import InvalidGranule, granulate_series
+from granucast.timeseries import Series, SeriesTooShort
 
 
 def series_of(values):
     return Series(values=np.asarray(values, dtype=np.float64), origin=0, step=600)
 
 
+def granulate_window(values):
+    """Reference granule of one window from scalar Python floats: (min,
+    mean, max) with the mean clamped into [min, max] by ``min``/``max``."""
+    values = np.asarray(values, dtype=np.float64)
+    low, up = float(values.min()), float(values.max())
+    return np.array([low, min(max(float(values.mean()), low), up), up])
+
+
+def one_window(values):
+    """The single granule of a series that is exactly one window long."""
+    (row,) = granulate_series(series_of(values), len(values))
+    return row.tolist()
+
+
 class TestGranulateWindow:
     def test_min_mean_max(self):
-        assert granulate_window(np.array([2.0, 4.0, 6.0])) == Granule(2.0, 4.0, 6.0)
+        assert one_window([2.0, 4.0, 6.0]) == [2.0, 4.0, 6.0]
 
     def test_constant_window_degenerates(self):
-        assert granulate_window(np.array([5.0, 5.0, 5.0])) == Granule(5.0, 5.0, 5.0)
+        assert one_window([5.0, 5.0, 5.0]) == [5.0, 5.0, 5.0]
 
     @pytest.mark.parametrize("values", [np.full(36, 0.1), np.array([1.9, 1.9, 1.9])])
     def test_constant_window_whose_float_mean_rounds_outside(self, values):
         # Both float means land one ulp off the constant value.
         assert float(values.mean()) != values[0]
         v = float(values[0])
-        assert granulate_window(values) == Granule(v, v, v)
+        assert one_window(values) == [v, v, v]
 
     def test_sampled_sinusoid(self):
         i = np.arange(36)
-        window = np.sin(2 * np.pi * i / 36) + 5.0
-        g = granulate_window(window)
-        assert g.low == pytest.approx(4.0)
-        assert g.peak == pytest.approx(5.0)
-        assert g.up == pytest.approx(6.0)
+        low, peak, up = one_window(np.sin(2 * np.pi * i / 36) + 5.0)
+        assert low == pytest.approx(4.0)
+        assert peak == pytest.approx(5.0)
+        assert up == pytest.approx(6.0)
 
     def test_empty_window_rejected(self):
-        with pytest.raises(InvalidGranule):
-            granulate_window(np.array([]))
+        # an empty series holds no window
+        with pytest.raises(SeriesTooShort):
+            granulate_series(series_of([]), 2)
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidGranule):
-            granulate_window(np.array([1.0, np.nan]))
+            one_window([1.0, np.nan])
 
     @given(
-        values=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50),
+        values=st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=50),
         shift=st.floats(-10, 10, allow_nan=False),
     )
     def test_translation_shifts_all_three_parameters(self, values, shift):
-        base = granulate_window(np.array(values))
-        moved = granulate_window(np.array(values) + shift)
-        assert moved.low == pytest.approx(base.low + shift, abs=1e-9)
-        assert moved.peak == pytest.approx(base.peak + shift, abs=1e-9)
-        assert moved.up == pytest.approx(base.up + shift, abs=1e-9)
+        base = one_window(np.array(values))
+        moved = one_window(np.array(values) + shift)
+        assert moved == pytest.approx([b + shift for b in base], abs=1e-9)
 
-    @given(values=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50))
+    @given(values=st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=50))
     def test_parameters_ordered(self, values):
-        g = granulate_window(np.array(values))
-        assert g.low <= g.peak <= g.up
-
-
-class TestMembership:
-    def test_apex(self):
-        assert Granule(2, 4, 6).membership(4.0) == 1.0
-
-    def test_rising_edge_midpoint(self):
-        assert Granule(2, 4, 6).membership(3.0) == 0.5
-
-    def test_outside_support(self):
-        assert Granule(2, 4, 6).membership(7.0) == 0.0
-        assert Granule(2, 4, 6).membership(1.0) == 0.0
-
-    def test_degenerate_point_granule(self):
-        g = Granule(5, 5, 5)
-        assert g.membership(5.0) == 1.0
-        assert g.membership(5.1) == 0.0
-
-    def test_collapsed_left_segment(self):
-        g = Granule(3, 3, 6)
-        assert g.membership(3.0) == 1.0
-        assert g.membership(4.5) == 0.5
-
-    def test_order_violation_rejected(self):
-        with pytest.raises(InvalidGranule):
-            Granule(4, 2, 6)
-
-    @given(
-        low=st.floats(-50, 50),
-        spread_a=st.floats(0.1, 20),
-        spread_b=st.floats(0.1, 20),
-        data=st.data(),
-    )
-    def test_piecewise_linear_on_each_edge(self, low, spread_a, spread_b, data):
-        g = Granule(low, low + spread_a, low + spread_a + spread_b)
-        t1 = data.draw(st.floats(g.low, g.peak))
-        t2 = data.draw(st.floats(g.low, g.peak))
-        mid = (t1 + t2) / 2
-        expected = (g.membership(t1) + g.membership(t2)) / 2
-        assert g.membership(mid) == pytest.approx(expected, abs=1e-9)
-        t3 = data.draw(st.floats(g.peak, g.up))
-        t4 = data.draw(st.floats(g.peak, g.up))
-        expected = (g.membership(t3) + g.membership(t4)) / 2
-        assert g.membership((t3 + t4) / 2) == pytest.approx(expected, abs=1e-9)
+        low, peak, up = one_window(np.array(values))
+        assert low <= peak <= up
 
 
 class TestGranulateSeries:
@@ -132,7 +95,7 @@ class TestGranulateSeries:
         values = np.array([-0.0, -0.0, -0.0, 0.0, -0.0, 0.0])
         rows = granulate_series(series_of(values), 3)
         for i, row in enumerate(rows):
-            assert row.tobytes() == granulate_window(values[3 * i : 3 * i + 3]).as_array().tobytes()
+            assert row.tobytes() == granulate_window(values[3 * i : 3 * i + 3]).tobytes()
 
     @given(
         window_size=st.integers(2, 40),
@@ -153,7 +116,7 @@ class TestGranulateSeries:
         assert rows.shape == (count, 3)
         for i, row in enumerate(rows):
             window_values = values[i * window_size : (i + 1) * window_size]
-            assert row.tobytes() == granulate_window(window_values).as_array().tobytes()
+            assert row.tobytes() == granulate_window(window_values).tobytes()
 
     @given(
         window_size=st.integers(2, 12),

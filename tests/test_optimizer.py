@@ -14,22 +14,25 @@ from granucast.benchmarks import (
     zdt2_front,
     zdt3_front,
     zdt_evaluate,
-    zdt_problem,
 )
 from granucast.sunflower import (
-    Bounds,
     EmptyArchive,
     InvalidSeed,
     NonFiniteObjective,
-    OptimizationProblem,
     OptimizerConfig,
     ParetoArchive,
     SunflowerOptimizer,
     TentChain,
     dominates,
-    optimize,
     tent_positions,
 )
+
+
+def run_zdt(which, dim, config):
+    """Optimize one ZDT problem over its box [0, 1]^dim."""
+    return SunflowerOptimizer(
+        lambda v: np.array(zdt_evaluate(which, v)), dim, 0.0, 1.0, config
+    ).run()
 
 
 class TestTentChain:
@@ -101,18 +104,10 @@ class TestDominance:
 
 class TestBounds:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Bounds(np.array([0.0, 0.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            Bounds(np.array([0.0, 2.0]), np.array([1.0, 2.0]))
-
-    def test_cube_and_clamp(self):
-        box = Bounds.cube(-2.0, 2.0, 4)
-        assert box.dim == 4
-        assert box.span_norm == pytest.approx(8.0)
-        np.testing.assert_array_equal(
-            box.clamp(np.array([-5.0, 0.5, 3.0, 2.0])), [-2.0, 0.5, 2.0, 2.0]
-        )
+        # an empty box (low >= high) is rejected
+        for low, high in ((1.0, 1.0), (2.0, -2.0)):
+            with pytest.raises(ValueError):
+                SunflowerOptimizer(lambda v: v, 4, low, high)
 
 
 class TestParetoArchive:
@@ -266,7 +261,6 @@ class TestOptimizerConfig:
             {"mortality_rate": 1.0},
             {"pollination_rate": 0.6, "mortality_rate": 0.5},
             {"tent_apex": 0.0},
-            {"step_scale": -1.0},
             {"archive_capacity": 0},
             {"grid_divisions": 0},
         ):
@@ -277,61 +271,47 @@ class TestOptimizerConfig:
 class TestOptimizationLoop:
     def test_deterministic_for_a_seed(self):
         config = OptimizerConfig(population=20, iterations=10, rng_seed=42)
-        first = optimize(zdt_problem(1, dim=3), config)
-        second = optimize(zdt_problem(1, dim=3), config)
+        first = run_zdt(1, 3, config)
+        second = run_zdt(1, 3, config)
         np.testing.assert_array_equal(first.objectives, second.objectives)
         np.testing.assert_array_equal(first.positions, second.positions)
 
     def test_zero_iterations_archives_the_seed_population(self):
-        archive = optimize(
-            zdt_problem(1, dim=3), OptimizerConfig(population=15, iterations=0, rng_seed=0)
-        )
+        archive = run_zdt(1, 3, OptimizerConfig(population=15, iterations=0, rng_seed=0))
         assert 1 <= len(archive) <= 15
         assert archive.is_sound()
 
     def test_population_of_one(self):
-        archive = optimize(
-            zdt_problem(1, dim=2), OptimizerConfig(population=1, iterations=5, rng_seed=0)
-        )
+        archive = run_zdt(1, 2, OptimizerConfig(population=1, iterations=5, rng_seed=0))
         assert len(archive) >= 1
 
     def test_positions_respect_bounds(self):
         # zdt raises OutOfDomain on any out-of-box evaluation, so merely
         # finishing proves the clamp; check the archive contents anyway
-        archive = optimize(
-            zdt_problem(2, dim=4), OptimizerConfig(population=30, iterations=15, rng_seed=3)
-        )
+        archive = run_zdt(2, 4, OptimizerConfig(population=30, iterations=15, rng_seed=3))
         positions = archive.positions
         assert np.all(positions >= 0.0) and np.all(positions <= 1.0)
 
     def test_non_finite_objective_aborts(self):
-        problem = OptimizationProblem(
-            evaluate=lambda v: np.array([np.nan, 0.0]),
-            bounds=Bounds.cube(0.0, 1.0, 2),
-        )
+        config = OptimizerConfig(population=5, iterations=1)
+        optimizer = SunflowerOptimizer(lambda v: np.array([np.nan, 0.0]), 2, 0.0, 1.0, config)
         with pytest.raises(NonFiniteObjective):
-            optimize(problem, OptimizerConfig(population=5, iterations=1))
+            optimizer.run()
 
     def test_tent_positions_alignment(self):
-        box = Bounds.cube(-2.0, 2.0, 2)
         flat = TentChain(0.3).draw(6)
-        positions = tent_positions(TentChain(0.3), 3, box)
+        positions = tent_positions(TentChain(0.3), 3, 2, -2.0, 2.0)
         np.testing.assert_allclose(positions, -2.0 + flat.reshape(3, 2) * 4.0, atol=1e-15)
 
     def test_converges_toward_the_known_front(self):
-        archive = optimize(
-            zdt_problem(1, dim=3), OptimizerConfig(population=40, iterations=40, rng_seed=7)
-        )
+        archive = run_zdt(1, 3, OptimizerConfig(population=40, iterations=40, rng_seed=7))
         igd, spacing = front_quality(archive.objectives, zdt1_front(200))
         assert igd < 0.1
         assert spacing >= 0.0
 
-    def test_explicit_step_scale_honored(self):
-        problem = zdt_problem(1, dim=2)
-        opt = SunflowerOptimizer(problem, OptimizerConfig(step_scale=0.25))
-        assert opt.step_scale == 0.25
-        default = SunflowerOptimizer(problem, OptimizerConfig())
-        assert default.step_scale == pytest.approx(0.05 * problem.bounds.span_norm)
+    def test_default_step_scale(self):
+        # 5% of the box diagonal: norm((4, 4, 4, 4)) = 8 for [-2, 2]^4
+        assert SunflowerOptimizer(lambda w: w, 4, -2.0, 2.0).step_scale == pytest.approx(0.4)
 
 
 class TestBenchmarkObjectives:
