@@ -271,6 +271,8 @@ def _parse_forecast_csv(path: str):
         raise GranucastError(f"{path}: unparseable number: {exc}") from None
     if data.size == 0:
         raise GranucastError(f"{path}: no forecast rows")
+    if not np.isfinite(data).all():
+        raise GranucastError(f"{path}: NaN or infinite value")
     actual, point = data[:, 0], data[:, 1]
     bounds = {
         level: (data[:, 2 + 2 * k], data[:, 3 + 2 * k]) for k, level in enumerate(levels)

@@ -13,6 +13,8 @@ structure as repr-exact JSON floats.
 from __future__ import annotations
 
 import json
+import logging
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -28,7 +30,9 @@ from .nn import (
     LSTMLayer,
     clip_gradients,
 )
-from .trees import BoostedTrees, RandomForest, Tree
+from .trees import BoostedTrees, Tree, build_cart
+
+logger = logging.getLogger(__name__)
 
 KINDS = ("bilstm", "cnn_gru", "lstm_xgb", "random_forest")
 
@@ -171,11 +175,9 @@ class _SequenceRegressor:
     def _build(self):
         raise NotImplementedError
 
-    def _head_features(self, out_seq: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _spread_head_grad(self, d_feat: np.ndarray, out_shape) -> np.ndarray:
-        raise NotImplementedError
+    def _head_steps(self, width: int) -> np.ndarray:
+        """The time step the head reads for each of the last layer's channels."""
+        return np.full(width, -1)
 
     # --- parameter plumbing -------------------------------------------------
 
@@ -208,20 +210,23 @@ class _SequenceRegressor:
         for layer in self.layers:
             out, cache = layer.forward(out)
             caches.append(cache)
-        feat = self._head_features(out)
+        head_index = (slice(None), self._head_steps(out.shape[2]), np.arange(out.shape[2]))
+        # the gather comes back column-major, which sends the head's matmul
+        # down another BLAS path and moves its last bits
+        feat = np.ascontiguousarray(out[head_index])
         preds, head_cache = self.head.forward(feat)
-        return preds, (caches, head_cache, out.shape)
+        return preds, (caches, head_cache, out.shape, head_index)
 
     def loss_and_grads(self, x_seq: np.ndarray, y: np.ndarray) -> float:
         """Mean squared error over the batch; gradients land in the layers."""
         for layer in self._all_layers:
             layer.zero_grads()
-        preds, (caches, head_cache, out_shape) = self.forward_sequences(x_seq)
+        preds, (caches, head_cache, out_shape, head_index) = self.forward_sequences(x_seq)
         diff = preds - y
         loss = float((diff**2).mean())
         d_pred = 2.0 * diff / len(y)
-        d_feat = self.head.backward(d_pred, head_cache)
-        d_out = self._spread_head_grad(d_feat, out_shape)
+        d_out = np.zeros(out_shape)
+        d_out[head_index] = self.head.backward(d_pred, head_cache)
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             d_out = layer.backward(d_out, cache)
         return loss
@@ -267,26 +272,20 @@ class _SequenceRegressor:
 
     # --- serialization ------------------------------------------------------
 
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {
+    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {}, {
             "theta": self.parameter_vector(),
             "x_mean": self.x_mean,
             "x_std": self.x_std,
             "y_stats": np.array([self.y_mean, self.y_std]),
         }
 
-    def _state_meta(self) -> dict:
-        return {"record_width": self.record_width, "lag": self.lag}
-
-    @classmethod
-    def _from_state(cls, config: NetConfig, meta: dict, arrays) -> "_SequenceRegressor":
-        model = cls(config, meta["record_width"], meta["lag"])
-        model.set_parameter_vector(arrays["theta"])
-        model.x_mean = arrays["x_mean"]
-        model.x_std = arrays["x_std"]
-        model.y_mean, model.y_std = (float(v) for v in arrays["y_stats"])
-        model.trained = True
-        return model
+    def _load_state(self, extra: dict, arrays):
+        self.set_parameter_vector(arrays["theta"])
+        self.x_mean = arrays["x_mean"]
+        self.x_std = arrays["x_std"]
+        self.y_mean, self.y_std = (float(v) for v in arrays["y_stats"])
+        self.trained = True
 
 
 class BiLstmRegressor(_SequenceRegressor):
@@ -301,31 +300,12 @@ class BiLstmRegressor(_SequenceRegressor):
             width = 2 * hidden
         self.head = DenseHead(width)
 
-    def _head_features(self, out_seq: np.ndarray) -> np.ndarray:
-        half = out_seq.shape[2] // 2
-        return np.concatenate([out_seq[:, -1, :half], out_seq[:, 0, half:]], axis=1)
-
-    def _spread_head_grad(self, d_feat: np.ndarray, out_shape) -> np.ndarray:
-        d_out = np.zeros(out_shape)
-        half = out_shape[2] // 2
-        d_out[:, -1, :half] = d_feat[:, :half]
-        d_out[:, 0, half:] = d_feat[:, half:]
-        return d_out
+    def _head_steps(self, width: int) -> np.ndarray:
+        # forward channels end at the last step, backward ones at the first
+        return np.repeat([-1, 0], width // 2)
 
 
-class _FinalStateRegressor(_SequenceRegressor):
-    """Head reads the last layer's state at the final step."""
-
-    def _head_features(self, out_seq: np.ndarray) -> np.ndarray:
-        return out_seq[:, -1, :]
-
-    def _spread_head_grad(self, d_feat: np.ndarray, out_shape) -> np.ndarray:
-        d_out = np.zeros(out_shape)
-        d_out[:, -1, :] = d_feat
-        return d_out
-
-
-class CnnGruRegressor(_FinalStateRegressor):
+class CnnGruRegressor(_SequenceRegressor):
     """1-D convolution front end feeding a stacked GRU."""
 
     kind = "cnn_gru"
@@ -342,7 +322,7 @@ class CnnGruRegressor(_FinalStateRegressor):
         self.head = DenseHead(width)
 
 
-class LstmRegressor(_FinalStateRegressor):
+class LstmRegressor(_SequenceRegressor):
     """Single-direction stacked LSTM (also the first stacking stage)."""
 
     kind = "lstm"
@@ -363,6 +343,8 @@ class LstmBoostedRegressor:
 
     def __init__(self, config: StackConfig, record_width: int, lag: int):
         self.config = config
+        self.record_width = record_width
+        self.lag = lag
         self.stage1 = LstmRegressor(config, record_width, lag)
         self.stage2: BoostedTrees | None = None
 
@@ -388,25 +370,21 @@ class LstmBoostedRegressor:
         stage1_pred = self.stage1.predict(inputs)
         return self.stage2.predict(np.column_stack([inputs, stage1_pred]))
 
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return self.stage1._state_arrays()
+    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"stage2": asdict(self.stage2)}, self.stage1._state()[1]
 
-    def _state_meta(self) -> dict:
-        return {**self.stage1._state_meta(), "stage2": asdict(self.stage2)}
-
-    @classmethod
-    def _from_state(cls, config: StackConfig, meta: dict, arrays) -> "LstmBoostedRegressor":
-        model = cls(config, meta["record_width"], meta["lag"])
-        model.stage1 = LstmRegressor._from_state(config, meta, arrays)
-        stage2 = meta["stage2"]
-        model.stage2 = BoostedTrees(
-            **{**stage2, "trees": [Tree(**t) for t in stage2["trees"]]}
-        )
-        return model
+    def _load_state(self, extra: dict, arrays):
+        self.stage1._load_state(extra, arrays)
+        stage2 = extra["stage2"]
+        self.stage2 = BoostedTrees(**{**stage2, "trees": [Tree(**t) for t in stage2["trees"]]})
 
 
 class ForestRegressor:
-    """Random forest over the flat lagged feature rows."""
+    """Random forest over the flat lagged feature rows.
+
+    Bootstrap-aggregated CART trees, each drawing ceil(sqrt(features))
+    candidate features per split; prediction is the plain tree mean.
+    """
 
     kind = "random_forest"
     config_type = ForestConfig
@@ -415,38 +393,36 @@ class ForestRegressor:
         self.config = config
         self.record_width = record_width
         self.lag = lag
-        self.forest: RandomForest | None = None
+        self.trees: list[Tree] | None = None
 
     def fit(self, data: SupervisedSet):
-        self.forest = RandomForest.fit(
-            data.inputs,
-            data.targets,
-            tree_count=self.config.tree_count,
-            seed=self.config.rng_seed,
-            max_depth=self.config.max_depth,
-        )
+        x = np.asarray(data.inputs, dtype=np.float64)
+        y = np.asarray(data.targets, dtype=np.float64)
+        if np.all(y == y[0]):
+            logger.warning("all targets identical; forest degenerates to a constant")
+        n, f = x.shape
+        features_per_split = math.ceil(math.sqrt(f))
+        self.trees = []
+        for index in range(self.config.tree_count):
+            # derived per-tree seed keeps parallel and serial builds identical
+            rng = np.random.default_rng(self.config.rng_seed + index)
+            rows = rng.integers(0, n, size=n)
+            self.trees.append(
+                build_cart(x[rows], y[rows], rng, self.config.max_depth, features_per_split)
+            )
         return self
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        if self.forest is None:
+        if self.trees is None:
             raise UntrainedModel("random_forest model has not been fit")
-        return self.forest.predict(np.atleast_2d(np.asarray(inputs, dtype=np.float64)))
+        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        return np.stack([tree.predict(x) for tree in self.trees]).mean(axis=0)
 
-    def _state_arrays(self) -> dict[str, np.ndarray]:
-        return {}
+    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"trees": [asdict(tree) for tree in self.trees]}, {}
 
-    def _state_meta(self) -> dict:
-        return {
-            "record_width": self.record_width,
-            "lag": self.lag,
-            "trees": [asdict(tree) for tree in self.forest.trees],
-        }
-
-    @classmethod
-    def _from_state(cls, config: ForestConfig, meta: dict, arrays) -> "ForestRegressor":
-        model = cls(config, meta["record_width"], meta["lag"])
-        model.forest = RandomForest(trees=[Tree(**t) for t in meta["trees"]])
-        return model
+    def _load_state(self, extra: dict, arrays):
+        self.trees = [Tree(**t) for t in extra["trees"]]
 
 
 _MODEL_CLASSES = {
@@ -469,13 +445,13 @@ def save_model(model, path: str | Path):
     """Write a trained model to a single .npz file."""
     if model.kind not in KINDS:
         raise ModelFileError(f"cannot save model kind {model.kind!r}, expected one of {KINDS}")
+    extra, arrays = model._state()
     meta = {
         "format": _FORMAT,
         "kind": model.kind,
         "config": asdict(model.config),
-        "extra": model._state_meta(),
+        "extra": {"record_width": model.record_width, "lag": model.lag, **extra},
     }
-    arrays = model._state_arrays()
     with Path(path).open("wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
@@ -489,5 +465,8 @@ def load_model(path: str | Path):
         raise ModelFileError(f"{path}: model format {meta.get('format')!r}, expected {_FORMAT}")
     if meta.get("kind") not in KINDS:
         raise ModelFileError(f"{path}: model kind {meta.get('kind')!r}, expected one of {KINDS}")
-    config = CONFIG_TYPES[meta["kind"]](**meta["config"])
-    return _MODEL_CLASSES[meta["kind"]]._from_state(config, meta["extra"], arrays)
+    cls = _MODEL_CLASSES[meta["kind"]]
+    extra = meta["extra"]
+    model = cls(cls.config_type(**meta["config"]), extra.pop("record_width"), extra.pop("lag"))
+    model._load_state(extra, arrays)
+    return model

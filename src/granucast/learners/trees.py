@@ -1,17 +1,18 @@
-"""Regression trees: bagged CART forest and second-order gradient boosting.
+"""Regression trees: least-squares CART and second-order gradient boosting.
 
-Both learners grow their trees with one preorder grower and one split scan
-over a flat array-of-nodes tree representation that serializes to plain
-lists. They differ only in the leaf value, the cut score and one extra
-stop rule. Split search is exact over sorted feature values with prefix
-sums; ties break to the lowest feature index, then the lowest threshold,
-so rebuilds are reproducible across platforms.
+``build_cart`` grows the random forest's trees (the bagging lives in
+``models.ForestRegressor``); ``BoostedTrees`` is lstm_xgb's second stage.
+Both grow their trees with one preorder grower and one split scan over a
+flat array-of-nodes tree representation that serializes to plain lists.
+They differ only in the leaf value, the cut score and one extra stop rule.
+Split search is exact over sorted feature values with prefix sums; ties
+break to the lowest feature index, then the lowest threshold, so rebuilds
+are reproducible across platforms.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,42 +148,6 @@ def build_cart(
         return np.sort(rng.choice(n_features, size=features_per_split, replace=False))
 
     return _grow(x, y, max_depth, lambda t: float(t.mean()), _negative_sse, candidates, -np.inf)
-
-
-@dataclass
-class RandomForest:
-    """Bootstrap-aggregated CART trees; prediction is the plain tree mean.
-
-    Each tree draws ceil(sqrt(features)) candidate features per split.
-    """
-
-    trees: list[Tree]
-
-    @classmethod
-    def fit(
-        cls,
-        x: np.ndarray,
-        y: np.ndarray,
-        tree_count: int,
-        seed: int,
-        max_depth: int | None = None,
-    ) -> "RandomForest":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if np.all(y == y[0]):
-            logger.warning("all targets identical; forest degenerates to a constant")
-        n, f = x.shape
-        features_per_split = math.ceil(math.sqrt(f))
-        trees = []
-        for index in range(tree_count):
-            # derived per-tree seed keeps parallel and serial builds identical
-            rng = np.random.default_rng(seed + index)
-            rows = rng.integers(0, n, size=n)
-            trees.append(build_cart(x[rows], y[rows], rng, max_depth, features_per_split))
-        return cls(trees=trees)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([tree.predict(x) for tree in self.trees]).mean(axis=0)
 
 
 def build_boosted_tree(

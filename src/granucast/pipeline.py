@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .ensemble import (
@@ -28,7 +29,7 @@ from .ensemble import (
 from .evaluation import PointScores, point_scores
 from .fuzzy_rough import ClusterResult, extract_features
 from .granulation import granulate_series
-from .learners import KINDS, SupervisedSet, fit_learner, make_supervised
+from .learners import KINDS, SupervisedSet, TooFewRecords, fit_learner, make_supervised
 from .timeseries import Series, chrono_split, kfold_split
 
 
@@ -130,43 +131,25 @@ class CvReport:
         return PointScores.COLUMNS
 
 
-def _contiguous_runs(indices: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = int(indices[0])
-    previous = start
-    for idx in indices[1:]:
-        idx = int(idx)
-        if idx != previous + 1:
-            runs.append((start, previous + 1))
-            start = idx
-        previous = idx
-    runs.append((start, previous + 1))
-    return runs
-
-
-def _supervised_from_runs(
-    features: np.ndarray, runs: list[tuple[int, int]], lag: int
-) -> SupervisedSet:
-    """The lagged samples whose input and target rows all lie inside one
-    contiguous run of feature rows, in row order.
-
-    Samples never straddle a run boundary, so no input window mixes rows
-    from both sides of a held-out fold.
-    """
-    rows = np.concatenate([np.arange(start, stop - lag) for start, stop in runs])
-    if not rows.size:
-        raise ValueError("no contiguous run long enough for the configured lag")
-    return make_supervised(features, lag).take(rows)
+def _samples_inside(data: SupervisedSet, mask: np.ndarray) -> SupervisedSet:
+    """The samples of ``data`` whose input and target rows all lie where the
+    feature-row ``mask`` is True, so none straddles a held-out fold."""
+    keep = np.flatnonzero(sliding_window_view(mask, data.lag + 1).all(axis=1))
+    if not keep.size:
+        raise TooFewRecords(f"a fold leaves no {data.lag + 1} consecutive records; use fewer folds")
+    return data.take(keep)
 
 
 def run_cv(series: Series, config: RunConfig, k: int = 5) -> CvReport:
     """Contiguous k-fold evaluation of the full train + weight-fit + combine
     path; each fold's scores use only its own held-out feature rows."""
     _, features, _, _, _ = extract_and_split(series, config)
+    data = make_supervised(features, config.lag)
     folds = []
-    for fold_index, (train_idx, test_idx) in enumerate(kfold_split(features, k)):
-        train_set = _supervised_from_runs(features, _contiguous_runs(train_idx), config.lag)
-        test_set = _supervised_from_runs(features, _contiguous_runs(test_idx), config.lag)
+    for fold_index, (_, test_idx) in enumerate(kfold_split(features, k)):
+        test_mask = np.isin(np.arange(len(features)), test_idx)
+        train_set = _samples_inside(data, ~test_mask)
+        test_set = _samples_inside(data, test_mask)
         cut = int(0.75 * len(train_set))
         inner_train, inner_val = train_set.take(slice(cut)), train_set.take(slice(cut, None))
         fold_salt = 1000 * (fold_index + 1)

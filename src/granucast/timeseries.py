@@ -1,8 +1,10 @@
 """Wind-speed series ingestion, gap imputation and splitting.
 
 Input format is a two-column CSV with header ``timestamp,wind_speed``.
-Timestamps are ISO-8601 strings or integer epoch seconds (auto-detected per
-file) and must be strictly increasing; an empty wind_speed field marks a gap.
+Timestamps are ISO-8601 strings or integer epoch seconds (detected per
+value; an ISO string without an offset is UTC) and must be strictly
+increasing. An empty wind_speed field marks a gap; NaN and infinite readings
+are rejected.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +108,12 @@ def _parse_timestamp(text: str, row: int) -> int:
     except ValueError:
         pass
     try:
-        return int(datetime.fromisoformat(text).timestamp())
+        stamp = datetime.fromisoformat(text)
     except ValueError:
         raise MalformedRow(f"row {row}: unparseable timestamp {text!r}") from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return int(stamp.timestamp())
 
 
 def load_series(path: str | Path) -> RawSeries:
@@ -147,8 +152,8 @@ def load_series(path: str | Path) -> RawSeries:
                     raise MalformedRow(
                         f"{path}: row {row_number}: unparseable wind_speed {raw_value!r}"
                     ) from None
-                if math.isnan(value):
-                    raise MalformedRow(f"{path}: row {row_number}: literal NaN not allowed")
+                if not math.isfinite(value):
+                    raise MalformedRow(f"{path}: row {row_number}: NaN or infinity not allowed")
                 values.append(value)
                 mask.append(False)
     if not timestamps:

@@ -475,6 +475,12 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "manifest.txt").exists()
 
+    def test_folds_too_small_for_lag_return_one(self, cli_env, tmp_path, capsys):
+        # 200 feature rows in 50 folds leave 4 rows per test fold; lag 4 needs 5
+        argv = ["cv", "--data", cli_env.data, "--preset", "desk", "--folds", "50"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_single_fold_is_a_usage_error(self, cli_env, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cv", "--data", cli_env.data, "--out", str(tmp_path), "--folds", "1"])
@@ -504,8 +510,17 @@ class TestExitCodes:
             "index,actual,point,lo95\n0,5.0,5.1,4.0\n",
             "index,actual,point\n0,5.0,fast\n",
             "index,actual,point,lo95,hi95\n0,5.0,5.1,4.0,6.0\n1,5.0,5.1\n",
+            "index,actual,point\n0,5.0,nan\n1,6.0,6.1\n",
+            "index,actual,point,lo95,hi95\n0,5.0,5.1,4.0,inf\n1,6.0,6.1,5.0,7.0\n",
         ],
-        ids=["empty", "unpaired_interval_column", "unparseable_number", "ragged_rows"],
+        ids=[
+            "empty",
+            "unpaired_interval_column",
+            "unparseable_number",
+            "ragged_rows",
+            "nan_cell",
+            "inf_cell",
+        ],
     )
     def test_malformed_forecast_csv_returns_one(self, tmp_path, capsys, text):
         path = tmp_path / "forecast.csv"

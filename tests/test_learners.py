@@ -26,7 +26,6 @@ from granucast.learners import (
     LstmRegressor,
     ModelFileError,
     NetConfig,
-    RandomForest,
     SequenceTooShort,
     StackConfig,
     SupervisedSet,
@@ -322,6 +321,14 @@ class TestBoostedTrees:
         assert len(model.objective_history) == 1
 
 
+def fit_forest(x: np.ndarray, y: np.ndarray, tree_count: int, seed: int) -> ForestRegressor:
+    """The random_forest learner on raw (x, y) rows."""
+    data = SupervisedSet(
+        inputs=x, targets=y, lag=1, record_width=x.shape[1], target_indices=np.arange(len(y))
+    )
+    return fit_learner("random_forest", data, ForestConfig(tree_count=tree_count, rng_seed=seed))
+
+
 class TestRandomForest:
     def test_single_unbagged_tree_memorizes(self):
         rng = np.random.default_rng(5)
@@ -334,7 +341,7 @@ class TestRandomForest:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
-        forest = RandomForest.fit(x, y, tree_count=10, seed=0)
+        forest = fit_forest(x, y, tree_count=10, seed=0)
         manual = np.stack([tree.predict(x) for tree in forest.trees]).mean(axis=0)
         np.testing.assert_array_equal(forest.predict(x), manual)
 
@@ -342,15 +349,15 @@ class TestRandomForest:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
-        a = RandomForest.fit(x, y, tree_count=5, seed=9).predict(x)
-        b = RandomForest.fit(x, y, tree_count=5, seed=9).predict(x)
+        a = fit_forest(x, y, tree_count=5, seed=9).predict(x)
+        b = fit_forest(x, y, tree_count=5, seed=9).predict(x)
         np.testing.assert_array_equal(a, b)
 
     def test_bagging_beats_the_median_tree_out_of_sample(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(120, 4))
         y = x[:, 0] - 0.5 * x[:, 1] ** 2 + 0.3 * rng.normal(size=120)
-        forest = RandomForest.fit(x[:80], y[:80], tree_count=30, seed=0)
+        forest = fit_forest(x[:80], y[:80], tree_count=30, seed=0)
         forest_mse = float(((forest.predict(x[80:]) - y[80:]) ** 2).mean())
         tree_mses = [
             float(((tree.predict(x[80:]) - y[80:]) ** 2).mean()) for tree in forest.trees
@@ -491,8 +498,12 @@ class TestModelLifecycle:
         before = model.predict(data.inputs)
         path = tmp_path / f"{kind}.npz"
         save_model(model, path)
-        after = load_model(path).predict(data.inputs)
-        np.testing.assert_array_equal(before, after)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(before, loaded.predict(data.inputs))
+        # the format is symmetric: a reloaded model saves to the same bytes
+        again = tmp_path / f"{kind}_again.npz"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_predict_before_fit_raises(self):
         for cls in (BiLstmRegressor, CnnGruRegressor, LstmBoostedRegressor, ForestRegressor):

@@ -1,10 +1,22 @@
-"""The benchmark tracer patches granucast functions and methods by name;
-installing it here makes a rename of one of them fail in the suite rather
-than only when the benchmark runs."""
+"""The benchmark patches granucast functions and methods by name and reloads
+saved models through the library; exercising both here makes a rename or a
+reload break fail in the suite rather than only when the benchmark runs."""
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from granucast.learners import (
+    KINDS,
+    ForestConfig,
+    NetConfig,
+    StackConfig,
+    SupervisedSet,
+    fit_learner,
+    save_model,
+)
 from granucast.sunflower import SunflowerOptimizer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -21,3 +33,32 @@ def test_tracer_installs_and_restores(monkeypatch):
     finally:
         recorder.restore()
     assert SunflowerOptimizer.__dict__["step"] is original
+
+
+TINY_NET = NetConfig(hidden_sizes=(3,), epochs=2, batch_size=4)
+TINY = {
+    "bilstm": TINY_NET,
+    "cnn_gru": TINY_NET,
+    "lstm_xgb": StackConfig(hidden_sizes=(3,), epochs=2, batch_size=4, boosting_rounds=3),
+    "random_forest": ForestConfig(tree_count=3),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_benchmark_reloads_saved_models(kind, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    rng = np.random.default_rng(0)
+    data = SupervisedSet(
+        inputs=rng.normal(size=(12, 9)),
+        targets=rng.normal(size=12),
+        lag=3,
+        record_width=3,
+        target_indices=np.arange(3, 15),
+    )
+    model = fit_learner(kind, data, TINY[kind])
+    path = tmp_path / f"model_{kind}.npz"
+    save_model(model, path)
+    problems, predictions = checks.check_model(path, data.inputs)
+    assert problems == []
+    np.testing.assert_array_equal(predictions, model.predict(data.inputs))

@@ -11,8 +11,8 @@ from conftest import cheap_pipeline_config
 from granucast.config import build_run_config
 from granucast.ensemble import fit_intervals
 from granucast.evaluation import PointScores, point_scores
-from granucast.learners import KINDS
-from granucast.pipeline import _contiguous_runs, _supervised_from_runs, run_forecast
+from granucast.learners import KINDS, TooFewRecords, make_supervised
+from granucast.pipeline import _samples_inside, run_forecast
 
 
 def indexed_features(count: int) -> np.ndarray:
@@ -111,36 +111,31 @@ class TestSoloPath:
             run_forecast(synth_series, cheap_pipeline_config(), solo="mlp")
 
 
-class TestContiguousRuns:
-    def test_splits_on_gaps(self):
-        runs = _contiguous_runs(np.array([0, 1, 2, 5, 6, 9]))
-        assert runs == [(0, 3), (5, 7), (9, 10)]
-
-    def test_single_index(self):
-        assert _contiguous_runs(np.array([4])) == [(4, 5)]
-
-    def test_unbroken_range(self):
-        assert _contiguous_runs(np.arange(7)) == [(0, 7)]
+def samples_inside(count: int, rows, lag: int = 2):
+    """``_samples_inside`` on ``count`` indexed feature rows, masked to ``rows``."""
+    mask = np.zeros(count, dtype=bool)
+    mask[rows] = True
+    return _samples_inside(make_supervised(indexed_features(count), lag), mask)
 
 
 class TestSupervisedFromRuns:
     def test_samples_never_straddle_runs(self):
-        data = _supervised_from_runs(indexed_features(10), [(0, 5), (5, 10)], lag=2)
+        data = samples_inside(11, [0, 1, 2, 3, 4, 6, 7, 8, 9, 10])
         assert len(data) == 6
-        np.testing.assert_array_equal(data.target_indices, [2, 3, 4, 7, 8, 9])
-        # the first sample of the second run starts at row 5, so its
-        # inputs contain only values >= 5
+        np.testing.assert_array_equal(data.target_indices, [2, 3, 4, 8, 9, 10])
+        # the first sample of the second run starts at row 6, so its
+        # inputs contain only values >= 6
         row = data.inputs[3]
-        assert row.min() == 5.0 and row.max() == 6.0
+        assert row.min() == 6.0 and row.max() == 7.0
 
     def test_offsets_preserved(self):
-        data = _supervised_from_runs(indexed_features(10), [(3, 8)], lag=2)
+        data = samples_inside(10, range(3, 8))
         np.testing.assert_array_equal(data.target_indices, [5, 6, 7])
         np.testing.assert_array_equal(data.targets, [5.0, 6.0, 7.0])
 
     def test_all_runs_too_short(self):
-        with pytest.raises(ValueError):
-            _supervised_from_runs(indexed_features(10), [(0, 2), (4, 6)], lag=2)
+        with pytest.raises(TooFewRecords):
+            samples_inside(10, [0, 1, 4, 5])
 
 
 class TestCrossValidation:

@@ -1,3 +1,6 @@
+import time
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -65,8 +68,24 @@ class TestLoadSeries:
         with pytest.raises(MalformedRow, match="row 3"):
             load_series(path)
 
-    def test_literal_nan_rejected(self, tmp_path):
-        path = write(tmp_path, "timestamp,wind_speed\n0,5.0\n600,nan\n")
+    def test_naive_iso_is_utc_whatever_the_host_zone(self, tmp_path, monkeypatch):
+        # 10-minute readings across 2023-03-12 02:00, the hour New York skips
+        start = datetime(2023, 3, 12)
+        rows = [f"{(start + timedelta(minutes=10 * i)).isoformat()},5.0" for i in range(24)]
+        path = write(tmp_path, "timestamp,wind_speed\n" + "\n".join(rows) + "\n")
+        monkeypatch.setenv("TZ", "America/New_York")
+        time.tzset()
+        try:
+            raw = load_series(path)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert raw.timestamps[0] == int(start.replace(tzinfo=timezone.utc).timestamp())
+        assert np.all(np.diff(raw.timestamps) == 600)
+
+    @pytest.mark.parametrize("reading", ["nan", "inf", "-inf"])
+    def test_literal_nan_rejected(self, tmp_path, reading):
+        path = write(tmp_path, f"timestamp,wind_speed\n0,5.0\n600,{reading}\n")
         with pytest.raises(MalformedRow, match="NaN"):
             load_series(path)
 
