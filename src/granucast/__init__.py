@@ -3,7 +3,6 @@
 from .errors import GranucastError
 from .timeseries import (
     RawSeries,
-    Series,
     SplitSpec,
     chrono_split,
     interpolate_gaps,
@@ -25,15 +24,7 @@ from .learners import (
 )
 from .sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
 from .benchmarks import front_quality, zdt_evaluate
-from .ensemble import (
-    ForecastBundle,
-    IntervalModel,
-    PredictionPanel,
-    combine,
-    fit_intervals,
-    fit_weights,
-    forecast,
-)
+from .ensemble import PredictionPanel, combine, fit_intervals, fit_weights, forecast
 from .evaluation import (
     DmResult,
     IntervalScores,
@@ -52,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GranucastError",
     "RawSeries",
-    "Series",
     "SplitSpec",
     "chrono_split",
     "interpolate_gaps",
@@ -76,8 +66,6 @@ __all__ = [
     "SunflowerOptimizer",
     "front_quality",
     "zdt_evaluate",
-    "ForecastBundle",
-    "IntervalModel",
     "PredictionPanel",
     "combine",
     "fit_intervals",

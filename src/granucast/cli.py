@@ -36,7 +36,7 @@ from .learners import KINDS, fit_learner, make_supervised, save_model
 from .pipeline import extract_and_split, run_cv, run_forecast
 from .sunflower import SunflowerOptimizer
 from .synth import SynthConfig, write_csv as write_synth_csv
-from .timeseries import Series, interpolate_gaps, load_series
+from .timeseries import interpolate_gaps, load_series
 
 _MODEL_ALIASES = {
     **{kind: kind for kind in KINDS},
@@ -94,7 +94,7 @@ def _run_config(args) -> RunConfig:
     return build_run_config(preset=args.preset, seed=args.seed, config_path=args.config)
 
 
-def _load_clean_series(path: str) -> Series:
+def _load_clean_series(path: str) -> np.ndarray:
     return interpolate_gaps(load_series(path))
 
 
@@ -135,8 +135,7 @@ def cmd_granulate(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    series = _load_clean_series(args.data)
-    granules = granulate_series(series, run.window_size)
+    granules = granulate_series(_load_clean_series(args.data), run.window_size)
     features, cluster_result = extract_features(granules, run.cluster, record_trace=args.trace)
     nearest = np.argmax(cluster_result.memberships, axis=0)
 
@@ -178,8 +177,7 @@ def cmd_train(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    series = _load_clean_series(args.data)
-    _, _, _, parts, _ = extract_and_split(series, run)
+    _, _, _, parts, _ = extract_and_split(_load_clean_series(args.data), run)
     train_set = make_supervised(parts[0], run.lag)
     kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
     names = []
@@ -202,20 +200,20 @@ def cmd_forecast(args) -> int:
     solo = _MODEL_ALIASES[args.model] if args.model else None
     result = run_forecast(_load_clean_series(args.data), run, solo=solo)
 
-    levels = list(result.bundle.intervals)
+    levels = list(result.intervals)
     header = ["index", "actual", "point"]
     for level in levels:
         label = _level_label(level)
         header += [f"lo{label}", f"hi{label}"]
     rows = []
-    for i in range(len(result.bundle.point)):
+    for i in range(len(result.point)):
         row = [
             int(result.test_record_indices[i]),
             _fmt(result.test_set.targets[i]),
-            _fmt(result.bundle.point[i]),
+            _fmt(result.point[i]),
         ]
         for level in levels:
-            lo, up = result.bundle.intervals[level]
+            lo, up = result.intervals[level]
             row += [_fmt(lo[i]), _fmt(up[i])]
         rows.append(row)
     _write_rows(out / "forecast.csv", header, rows)
@@ -259,6 +257,8 @@ def _parse_forecast_csv(path: str):
         match = re.fullmatch(r"lo(\d+)", header[j])
         if not match or header[j + 1 : j + 2] != [f"hi{match.group(1)}"]:
             raise GranucastError(f"{path}: malformed interval columns at {header[j]!r}")
+        if not 1 <= int(match.group(1)) <= 99:
+            raise GranucastError(f"{path}: interval column {header[j]!r} lies outside 1-99%")
         levels.append(int(match.group(1)) / 100.0)
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -318,15 +318,13 @@ def cmd_cv(args) -> int:
         return missing
     out = _out_dir(args)
     run = _run_config(args)
-    report = run_cv(_load_clean_series(args.data), run, k=args.folds)
-    rows = [
-        [fold.fold, *(_fmt(v) for v in fold.scores.as_row())] for fold in report.folds
-    ]
-    means = np.mean([fold.scores.as_row() for fold in report.folds], axis=0)
+    folds = run_cv(_load_clean_series(args.data), run, k=args.folds)
+    rows = [[fold.fold, *(_fmt(v) for v in fold.scores.as_row())] for fold in folds]
+    means = np.mean([fold.scores.as_row() for fold in folds], axis=0)
     rows.append(["mean", *(_fmt(v) for v in means)])
-    _write_rows(out / "cv_scores.csv", ["fold", *report.columns], rows)
+    _write_rows(out / "cv_scores.csv", ["fold", *PointScores.COLUMNS], rows)
     _finish_run(out, run.describe(), ["cv_scores.csv"])
-    for name, value in zip(report.columns, means):
+    for name, value in zip(PointScores.COLUMNS, means):
         print(f"mean {name} = {_fmt(value)}")
     return 0
 

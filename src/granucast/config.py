@@ -10,6 +10,7 @@ per-component seeds; the dump ``describe`` writes is itself a config file.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,10 @@ from .sunflower import OptimizerConfig
 from .timeseries import SplitSpec
 
 PRESETS = ("full", "desk")
+
+# the value types a config file may give an integer setting, by the field's
+# annotation (a string, as every config dataclass postpones annotations)
+_INTEGER_SETTINGS = {"int": (int,), "int | None": (int, type(None)), "tuple[int, ...]": (int,)}
 
 
 class ConfigError(GranucastError):
@@ -135,12 +140,20 @@ def _parse_value(text: str):
         return text
 
 
+def _items(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
 def _replace_field(obj, field_name: str, value, key: str):
     """``obj`` with one field replaced; errors name the config ``key``."""
-    if field_name not in {f.name for f in dataclasses.fields(obj)}:
+    fields = {f.name: f for f in dataclasses.fields(obj)}
+    if field_name not in fields:
         raise ConfigError(f"unknown setting {key}")
     if isinstance(getattr(obj, field_name), tuple) and not isinstance(value, tuple):
         value = (value,)
+    allowed = _INTEGER_SETTINGS.get(fields[field_name].type)
+    if allowed and not all(type(v) in allowed for v in _items(value)):
+        raise ConfigError(f"invalid value for {key}: expected an integer, got {value!r}")
     try:
         return dataclasses.replace(obj, **{field_name: value})
     except (TypeError, ValueError) as exc:
@@ -175,6 +188,8 @@ def build_run_config(
     # fewer dots first, so learners.<kind>.<field> beats learners.<field>
     for key in sorted(entries, key=lambda k: (k.count("."), k)):
         value = _parse_value(entries[key])
+        if any(isinstance(v, float) and math.isnan(v) for v in _items(value)):
+            raise ConfigError(f"invalid value for {key}: NaN")
         section, _, rest = key.partition(".")
         if key in ("window_size", "lag", "levels"):
             run = _replace_field(run, key, value, key)

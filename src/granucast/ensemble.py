@@ -12,7 +12,7 @@ additively to the point forecast (split-conformal style).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,46 +136,29 @@ def fit_weights(panel: PredictionPanel, config: OptimizerConfig = OptimizerConfi
     )
 
 
-@dataclass(frozen=True)
-class IntervalModel:
-    """Residual-quantile offsets per confidence level."""
-
-    offsets: dict[float, tuple[float, float]]
-
-    def __post_init__(self):
-        for level, (lo, up) in self.offsets.items():
-            if not 0.0 < level < 1.0:
-                raise ValueError(f"level must lie in (0, 1), got {level}")
-            if lo > up:
-                raise ValueError(f"lower offset {lo} above upper offset {up} at level {level}")
-
-
-def fit_intervals(residuals, levels: tuple[float, ...] = DEFAULT_LEVELS) -> IntervalModel:
-    """Empirical residual quantiles (linear interpolation between order
-    statistics) at alpha/2 and 1 - alpha/2 per level."""
+def fit_intervals(
+    residuals, levels: tuple[float, ...] = DEFAULT_LEVELS
+) -> dict[float, tuple[float, float]]:
+    """Additive offsets ``{level: (lo, up)}``: the empirical residual
+    quantiles (linear interpolation between order statistics) at alpha/2
+    and 1 - alpha/2 per level."""
     residuals = np.asarray(residuals, dtype=np.float64)
     if len(residuals) < 20:
         raise TooFewResiduals(f"need at least 20 residuals, got {len(residuals)}")
     offsets = {}
     for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {level}")
         alpha = 1.0 - level
         lo = float(np.quantile(residuals, alpha / 2.0))
         up = float(np.quantile(residuals, 1.0 - alpha / 2.0))
         offsets[level] = (lo, up)
-    return IntervalModel(offsets=offsets)
+    return offsets
 
 
-@dataclass(frozen=True)
-class ForecastBundle:
-    point: np.ndarray
-    intervals: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-
-def forecast(panel: PredictionPanel, weights, interval_model: IntervalModel) -> ForecastBundle:
-    """Combined point forecast with residual-offset intervals per level."""
+def forecast(
+    panel: PredictionPanel, weights, offsets: dict[float, tuple[float, float]]
+) -> tuple[np.ndarray, dict[float, tuple[np.ndarray, np.ndarray]]]:
+    """Combined point forecast and its ``{level: (lower, upper)}`` bounds."""
     point = combine(panel, weights)
-    intervals = {
-        level: (point + lo, point + up)
-        for level, (lo, up) in interval_model.offsets.items()
-    }
-    return ForecastBundle(point=point, intervals=intervals)
+    return point, {level: (point + lo, point + up) for level, (lo, up) in offsets.items()}

@@ -11,7 +11,7 @@ keeps tight members dominant while letting fringe members pull a little.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,21 +51,12 @@ class ClusterConfig:
 
 
 @dataclass(frozen=True)
-class RegionMasks:
-    """Per-(cluster, point) region flags; inner and outer never overlap."""
-
-    inner: np.ndarray
-    outer: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClusterResult:
     centers: np.ndarray
     memberships: np.ndarray
     iterations: int
     converged: bool
     center_trace: tuple[np.ndarray, ...] = ()
-    membership_trace: tuple[np.ndarray, ...] = ()
 
 
 def init_centers(points: np.ndarray, cluster_count: int) -> np.ndarray:
@@ -111,8 +102,11 @@ def membership_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return u
 
 
-def region_masks(distances: np.ndarray, config: ClusterConfig) -> RegionMasks:
+def region_masks(distances: np.ndarray, config: ClusterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Classify every (cluster, point) pair into inner shell / outer ring.
+
+    Returns the ``(inner, outer)`` boolean masks, shaped like ``distances``;
+    they never overlap.
 
     Thresholds scale with the point's nearest-center distance delta:
     inner iff distance <= (1 + inner_margin) * delta, outer iff it falls
@@ -130,11 +124,15 @@ def region_masks(distances: np.ndarray, config: ClusterConfig) -> RegionMasks:
         inner[:, cols] = False
         outer[:, cols] = False
         inner[np.argmin(distances[:, cols], axis=0), cols] = True
-    return RegionMasks(inner=inner, outer=outer)
+    return inner, outer
 
 
 def update_centers(
-    points: np.ndarray, masks: RegionMasks, previous: np.ndarray, outer_weight: float
+    points: np.ndarray,
+    inner: np.ndarray,
+    outer: np.ndarray,
+    previous: np.ndarray,
+    outer_weight: float,
 ) -> np.ndarray:
     """Blend inner-shell and outer-ring member means into new centers.
 
@@ -144,8 +142,8 @@ def update_centers(
     w = outer_weight
     updated = previous.copy()
     for j in range(len(previous)):
-        inner_pts = points[masks.inner[j]]
-        outer_pts = points[masks.outer[j]]
+        inner_pts = points[inner[j]]
+        outer_pts = points[outer[j]]
         if len(inner_pts) and len(outer_pts):
             updated[j] = (1.0 - w) * inner_pts.mean(axis=0) + w * outer_pts.mean(axis=0)
         elif len(inner_pts):
@@ -155,48 +153,6 @@ def update_centers(
     return updated
 
 
-@dataclass
-class FuzzyRoughCMeans:
-    """Iterates membership / region / center-update sweeps to a fixed point."""
-
-    config: ClusterConfig = field(default_factory=ClusterConfig)
-
-    def fit(self, points: np.ndarray, record_trace: bool = False) -> ClusterResult:
-        points = np.asarray(points, dtype=np.float64)
-        cfg = self.config
-        centers = init_centers(points, cfg.cluster_count)
-        center_trace: list[np.ndarray] = []
-        membership_trace: list[np.ndarray] = []
-        converged = False
-        iterations = 0
-        for iterations in range(1, cfg.max_iters + 1):
-            if record_trace:
-                membership_trace.append(membership_matrix(points, centers))
-            masks = region_masks(_distances(points, centers), cfg)
-            new_centers = update_centers(points, masks, centers, cfg.outer_weight)
-            displacement = np.abs(new_centers - centers).max()
-            centers = new_centers
-            if record_trace:
-                center_trace.append(centers.copy())
-            if displacement < cfg.tol:
-                converged = True
-                break
-        if not converged:
-            logger.warning(
-                "clustering did not converge in %d iterations (last displacement above %g)",
-                cfg.max_iters,
-                cfg.tol,
-            )
-        return ClusterResult(
-            centers=centers,
-            memberships=membership_matrix(points, centers),
-            iterations=iterations,
-            converged=converged,
-            center_trace=tuple(center_trace),
-            membership_trace=tuple(membership_trace),
-        )
-
-
 def extract_features(
     granules: np.ndarray,
     config: ClusterConfig = ClusterConfig(),
@@ -204,9 +160,35 @@ def extract_features(
 ) -> tuple[np.ndarray, ClusterResult]:
     """Cluster the ``(n, 3)`` granule rows and return one feature row per window.
 
+    Region / center-update sweeps run until the largest center move falls
+    below ``config.tol``, or ``config.max_iters`` times; ``record_trace``
+    keeps the centers after every sweep.
+
     The feature matrix has shape ``(n, k + 3)`` for k clusters: row i holds
     window i's k converged memberships, then its granule's low, peak and up
     (so the peak is column ``PEAK_COLUMN``).
     """
-    result = FuzzyRoughCMeans(config).fit(granules, record_trace=record_trace)
-    return np.column_stack([result.memberships.T, granules]), result
+    points = np.asarray(granules, dtype=np.float64)
+    centers = init_centers(points, config.cluster_count)
+    center_trace: list[np.ndarray] = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iters + 1):
+        inner, outer = region_masks(_distances(points, centers), config)
+        new_centers = update_centers(points, inner, outer, centers, config.outer_weight)
+        displacement = np.abs(new_centers - centers).max()
+        centers = new_centers
+        if record_trace:
+            center_trace.append(centers.copy())
+        if displacement < config.tol:
+            converged = True
+            break
+    if not converged:
+        logger.warning(
+            "clustering did not converge in %d iterations (last displacement above %g)",
+            config.max_iters,
+            config.tol,
+        )
+    memberships = membership_matrix(points, centers)
+    result = ClusterResult(centers, memberships, iterations, converged, tuple(center_trace))
+    return np.column_stack([memberships.T, points]), result

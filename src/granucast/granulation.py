@@ -9,15 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GranucastError
-from .timeseries import Series, SeriesTooShort
+from .timeseries import SeriesTooShort
 
 
 class InvalidGranule(GranucastError):
     pass
 
 
-def granulate_series(series: Series, window_size: int) -> np.ndarray:
-    """Granulate ``floor(n / window_size)`` non-overlapping windows of the series.
+def granulate_series(values: np.ndarray, window_size: int) -> np.ndarray:
+    """Granulate ``floor(n / window_size)`` non-overlapping windows of ``values``.
 
     The trailing remainder shorter than one window is dropped. Returns an
     ``(windows, 3)`` array whose row i is (min, mean, max) of window i, as
@@ -28,11 +28,11 @@ def granulate_series(series: Series, window_size: int) -> np.ndarray:
     """
     if window_size < 2:
         raise ValueError(f"window_size must be >= 2, got {window_size}")
-    n = len(series)
+    n = len(values)
     if n < window_size:
         raise SeriesTooShort(f"series length {n} < window size {window_size}")
     count = n // window_size
-    windows = np.asarray(series.values[: count * window_size], dtype=np.float64).reshape(
+    windows = np.asarray(values[: count * window_size], dtype=np.float64).reshape(
         count, window_size
     )
     nan_rows = np.isnan(windows).any(axis=1)

@@ -67,8 +67,8 @@ class NetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -348,6 +348,10 @@ class LstmBoostedRegressor:
         self.stage1 = LstmRegressor(config, record_width, lag)
         self.stage2: BoostedTrees | None = None
 
+    @property
+    def trained(self) -> bool:
+        return self.stage2 is not None
+
     def fit(self, data: SupervisedSet):
         self.stage1.fit(data)
         stage1_pred = self.stage1.predict(data.inputs)
@@ -364,7 +368,7 @@ class LstmBoostedRegressor:
         return self
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        if self.stage2 is None:
+        if not self.trained:
             raise UntrainedModel("lstm_xgb model has not been fit")
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         stage1_pred = self.stage1.predict(inputs)
@@ -395,6 +399,10 @@ class ForestRegressor:
         self.lag = lag
         self.trees: list[Tree] | None = None
 
+    @property
+    def trained(self) -> bool:
+        return self.trees is not None
+
     def fit(self, data: SupervisedSet):
         x = np.asarray(data.inputs, dtype=np.float64)
         y = np.asarray(data.targets, dtype=np.float64)
@@ -413,7 +421,7 @@ class ForestRegressor:
         return self
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        if self.trees is None:
+        if not self.trained:
             raise UntrainedModel("random_forest model has not been fit")
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         return np.stack([tree.predict(x) for tree in self.trees]).mean(axis=0)
@@ -445,6 +453,8 @@ def save_model(model, path: str | Path):
     """Write a trained model to a single .npz file."""
     if model.kind not in KINDS:
         raise ModelFileError(f"cannot save model kind {model.kind!r}, expected one of {KINDS}")
+    if not model.trained:
+        raise UntrainedModel(f"{model.kind} model has not been fit")
     extra, arrays = model._state()
     meta = {
         "format": _FORMAT,

@@ -16,21 +16,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
-from .ensemble import (
-    ForecastBundle,
-    IntervalModel,
-    PredictionPanel,
-    WeightFit,
-    combine,
-    fit_intervals,
-    fit_weights,
-    forecast,
-)
+from .ensemble import PredictionPanel, WeightFit, combine, fit_intervals, fit_weights, forecast
 from .evaluation import PointScores, point_scores
 from .fuzzy_rough import ClusterResult, extract_features
 from .granulation import granulate_series
 from .learners import KINDS, SupervisedSet, TooFewRecords, fit_learner, make_supervised
-from .timeseries import Series, chrono_split, kfold_split
+from .timeseries import chrono_split, kfold_split
 
 
 @dataclass
@@ -45,8 +36,9 @@ class ForecastRun:
     val_panel: PredictionPanel
     test_panel: PredictionPanel
     weight_fit: WeightFit | None
-    interval_model: IntervalModel
-    bundle: ForecastBundle
+    offsets: dict[float, tuple[float, float]]
+    point: np.ndarray
+    intervals: dict[float, tuple[np.ndarray, np.ndarray]]
     test_scores: PointScores
     test_record_indices: np.ndarray
 
@@ -57,11 +49,12 @@ def _panel(models: dict[str, object], data: SupervisedSet) -> PredictionPanel:
 
 
 def extract_and_split(
-    series: Series, config: RunConfig
+    values: np.ndarray, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, ClusterResult, tuple, tuple[int, int]]:
-    """Granules, feature rows, the clustering, the train/validation/test
-    feature parts and the (train_end, val_end) row bounds."""
-    granules = granulate_series(series, config.window_size)
+    """Granules of the gap-free ``values``, feature rows, the clustering,
+    the train/validation/test feature parts and the (train_end, val_end)
+    row bounds."""
+    granules = granulate_series(values, config.window_size)
     features, cluster_result = extract_features(granules, config.cluster)
     parts = chrono_split(features, config.split)
     train_end = len(parts[0])
@@ -73,11 +66,11 @@ def train_models(train_set: SupervisedSet, config: RunConfig) -> dict[str, objec
     return {kind: fit_learner(kind, train_set, config.learners[kind]) for kind in KINDS}
 
 
-def run_forecast(series: Series, config: RunConfig, solo: str | None = None) -> ForecastRun:
+def run_forecast(values: np.ndarray, config: RunConfig, solo: str | None = None) -> ForecastRun:
     """Full pipeline on one series; ``solo`` names one learner whose
     predictions stand alone (a one-hot weight vector, no weight search),
     with intervals from its own validation residuals."""
-    granules, features, cluster_result, parts, bounds = extract_and_split(series, config)
+    granules, features, cluster_result, parts, bounds = extract_and_split(values, config)
     train_set, val_set, test_set = (make_supervised(part, config.lag) for part in parts)
     models = train_models(train_set, config)
     val_panel = _panel(models, val_set)
@@ -91,8 +84,8 @@ def run_forecast(series: Series, config: RunConfig, solo: str | None = None) -> 
             raise ValueError(f"unknown learner {solo!r}, expected one of {KINDS}")
         weight_fit = None
         weights = np.eye(len(KINDS))[KINDS.index(solo)]
-    interval_model = fit_intervals(val_set.targets - combine(val_panel, weights), config.levels)
-    bundle = forecast(test_panel, weights, interval_model)
+    offsets = fit_intervals(val_set.targets - combine(val_panel, weights), config.levels)
+    point, intervals = forecast(test_panel, weights, offsets)
 
     return ForecastRun(
         granules=granules,
@@ -105,9 +98,10 @@ def run_forecast(series: Series, config: RunConfig, solo: str | None = None) -> 
         val_panel=val_panel,
         test_panel=test_panel,
         weight_fit=weight_fit,
-        interval_model=interval_model,
-        bundle=bundle,
-        test_scores=point_scores(test_set.targets, bundle.point),
+        offsets=offsets,
+        point=point,
+        intervals=intervals,
+        test_scores=point_scores(test_set.targets, point),
         test_record_indices=bounds[1] + test_set.target_indices,
     )
 
@@ -122,15 +116,6 @@ class FoldScore:
     scores: PointScores
 
 
-@dataclass(frozen=True)
-class CvReport:
-    folds: list[FoldScore]
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return PointScores.COLUMNS
-
-
 def _samples_inside(data: SupervisedSet, mask: np.ndarray) -> SupervisedSet:
     """The samples of ``data`` whose input and target rows all lie where the
     feature-row ``mask`` is True, so none straddles a held-out fold."""
@@ -140,13 +125,13 @@ def _samples_inside(data: SupervisedSet, mask: np.ndarray) -> SupervisedSet:
     return data.take(keep)
 
 
-def run_cv(series: Series, config: RunConfig, k: int = 5) -> CvReport:
+def run_cv(values: np.ndarray, config: RunConfig, k: int = 5) -> list[FoldScore]:
     """Contiguous k-fold evaluation of the full train + weight-fit + combine
     path; each fold's scores use only its own held-out feature rows."""
-    _, features, _, _, _ = extract_and_split(series, config)
+    _, features, _, _, _ = extract_and_split(values, config)
     data = make_supervised(features, config.lag)
     folds = []
-    for fold_index, (_, test_idx) in enumerate(kfold_split(features, k)):
+    for fold_index, test_idx in enumerate(kfold_split(features, k)):
         test_mask = np.isin(np.arange(len(features)), test_idx)
         train_set = _samples_inside(data, ~test_mask)
         test_set = _samples_inside(data, test_mask)
@@ -174,4 +159,4 @@ def run_cv(series: Series, config: RunConfig, k: int = 5) -> CvReport:
                 scores=point_scores(test_set.targets, combined),
             )
         )
-    return CvReport(folds=folds)
+    return folds

@@ -73,18 +73,6 @@ class RawSeries:
 
 
 @dataclass(frozen=True)
-class Series:
-    """Gap-free series with a nominal uniform cadence."""
-
-    values: np.ndarray
-    origin: int
-    step: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     """Chronological train/validation/test fractions."""
 
@@ -165,8 +153,9 @@ def load_series(path: str | Path) -> RawSeries:
     )
 
 
-def interpolate_gaps(raw: RawSeries) -> Series:
-    """Fill gaps by straight lines between the nearest observed neighbours.
+def interpolate_gaps(raw: RawSeries) -> np.ndarray:
+    """The float64 values with gaps filled by straight lines between the
+    nearest observed neighbours.
 
     Interpolation weights use index distance (the cadence is nominally
     uniform). Leading or trailing gaps are rejected rather than extrapolated.
@@ -179,8 +168,7 @@ def interpolate_gaps(raw: RawSeries) -> Series:
     indices = np.arange(len(raw))
     filled = np.interp(indices, indices[observed], raw.values[observed])
     filled[observed] = raw.values[observed]
-    step = int(raw.timestamps[1] - raw.timestamps[0]) if len(raw) > 1 else 600
-    return Series(values=filled, origin=int(raw.timestamps[0]), step=step)
+    return filled
 
 
 def chrono_split(items, spec: SplitSpec = SplitSpec()):
@@ -197,8 +185,9 @@ def chrono_split(items, spec: SplitSpec = SplitSpec()):
     return items[:train_end], items[train_end:val_end], items[val_end:]
 
 
-def kfold_split(items, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Contiguous k-fold splits: fold i is test, everything else is train.
+def kfold_split(items, k: int) -> list[np.ndarray]:
+    """The index arrays of k contiguous test folds; each fold's train part
+    is everything else.
 
     Fold sizes differ by at most one; the remainder goes to the earliest
     folds. Folds are contiguous in time (no shuffling) to avoid leakage.
@@ -208,10 +197,4 @@ def kfold_split(items, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     n = len(items)
     if n < k:
         raise TooFewItems(f"need at least {k} items for {k} folds, got {n}")
-    all_indices = np.arange(n)
-    folds = np.array_split(all_indices, k)
-    splits = []
-    for fold in folds:
-        train = np.setdiff1d(all_indices, fold, assume_unique=True)
-        splits.append((train, fold))
-    return splits
+    return np.array_split(np.arange(n), k)

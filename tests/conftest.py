@@ -141,5 +141,5 @@ def forecast_run(synth_series, pipeline_config):
 
 
 @pytest.fixture(scope="session")
-def cv_report(synth_series):
+def cv_folds(synth_series):
     return run_cv(synth_series, cheap_pipeline_config(), k=5)

@@ -19,8 +19,8 @@ from granucast.benchmarks import (
 )
 from granucast.cli import main as cli_main
 from granucast.ensemble import ensemble_objectives
-from granucast.evaluation import dm_test, iri, point_scores
-from granucast.fuzzy_rough import ClusterConfig, FuzzyRoughCMeans
+from granucast.evaluation import PointScores, dm_test, iri, point_scores
+from granucast.fuzzy_rough import ClusterConfig, extract_features, membership_matrix
 from granucast.learners.models import (
     BiLstmRegressor,
     CnnGruRegressor,
@@ -125,12 +125,13 @@ def test_cluster_center_recovery():
         [np.sort(rng.normal(center, sigma, size=(60, 3)), axis=1) for center in true]
     )
     rng.shuffle(points)
-    result = FuzzyRoughCMeans(ClusterConfig(cluster_count=3)).fit(points, record_trace=True)
+    result = extract_features(points, ClusterConfig(cluster_count=3), record_trace=True)[1]
     worst_center = max(
         np.linalg.norm(result.centers - t, axis=1).min() for t in true
     )
     worst_sum = max(
-        float(np.abs(m.sum(axis=0) - 1.0).max()) for m in result.membership_trace
+        float(np.abs(membership_matrix(points, c).sum(axis=0) - 1.0).max())
+        for c in result.center_trace
     )
     ok = result.converged and worst_center < 0.05 * separation and worst_sum <= 1e-9
     report(
@@ -216,8 +217,8 @@ def test_weight_vector_non_domination(forecast_run):
 
 def test_interval_coverage_and_nesting(forecast_run):
     actual = forecast_run.test_set.targets
-    lo95, hi95 = forecast_run.bundle.intervals[0.95]
-    lo85, hi85 = forecast_run.bundle.intervals[0.85]
+    lo95, hi95 = forecast_run.intervals[0.95]
+    lo85, hi85 = forecast_run.intervals[0.85]
     picp = float(np.mean((actual >= lo95) & (actual <= hi95)))
     nested = bool(np.all((lo95 <= lo85) & (hi85 <= hi95)))
     ok = 0.88 <= picp <= 1.0 and nested
@@ -286,15 +287,15 @@ def test_cli_determinism(tmp_path_factory):
     )
 
 
-def test_cross_validation_folds(cv_report):
+def test_cross_validation_folds(cv_folds):
     gathered = np.sort(
-        np.concatenate([fold.test_record_indices for fold in cv_report.folds])
+        np.concatenate([fold.test_record_indices for fold in cv_folds])
     )
     partitioned = np.array_equal(gathered, np.arange(200))
-    columns = set(cv_report.columns) == {
+    columns = set(PointScores.COLUMNS) == {
         "MAPE", "MSE", "MAE", "RMSE", "NMSE", "U1", "IA", "R2",
-    }
-    ok = len(cv_report.folds) == 5 and partitioned and columns
+    } and all(isinstance(fold.scores, PointScores) for fold in cv_folds)
+    ok = len(cv_folds) == 5 and partitioned and columns
     report(
         "cross-validation folds",
         ok,

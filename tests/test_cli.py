@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import granucast
+from granucast import pipeline
 from granucast.cli import main
 from granucast.config import build_run_config
 from granucast.evaluation import PointScores, point_scores
@@ -450,6 +451,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and "levels" in err
         assert not (out / "forecast.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line", ["learners.bilstm.learning_rate = nan", "learners.bilstm.epochs = 2.5"]
+    )
+    def test_bad_learner_value_stops_before_training(
+        self, cli_env, tmp_path, capsys, monkeypatch, line
+    ):
+        fitted = []
+        monkeypatch.setattr(pipeline, "fit_learner", lambda kind, *_: fitted.append(kind))
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"preset = desk\n{line}\n")
+        out = tmp_path / "f"
+        argv = ["forecast", "--data", cli_env.data, "--config", str(conf), "--model", "bilstm"]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid value for {line.split(' =')[0]}")
+        assert fitted == [] and not (out / "forecast.csv").exists()
+
     def test_bad_archive_size_stops_before_training(self, cli_env, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("preset = desk\noptimizer.archive_capacity = 0\n")
@@ -512,6 +530,8 @@ class TestExitCodes:
             "index,actual,point,lo95,hi95\n0,5.0,5.1,4.0,6.0\n1,5.0,5.1\n",
             "index,actual,point\n0,5.0,nan\n1,6.0,6.1\n",
             "index,actual,point,lo95,hi95\n0,5.0,5.1,4.0,inf\n1,6.0,6.1,5.0,7.0\n",
+            "index,actual,point,lo0,hi0\n0,5.0,5.1,5.1,5.1\n1,6.0,6.1,6.1,6.1\n",
+            "index,actual,point,lo100,hi100\n0,5.0,5.1,4.0,6.0\n1,6.0,6.1,5.0,7.0\n",
         ],
         ids=[
             "empty",
@@ -520,6 +540,8 @@ class TestExitCodes:
             "ragged_rows",
             "nan_cell",
             "inf_cell",
+            "level_0",
+            "level_100",
         ],
     )
     def test_malformed_forecast_csv_returns_one(self, tmp_path, capsys, text):

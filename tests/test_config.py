@@ -214,6 +214,18 @@ class TestBuildRunConfig:
             ("levels = 0.951, 0.949", "levels"),
             ("levels = 0.95, 0.95", "levels"),
             ("learners.lstm_xgb.max_depth = None", "learners.lstm_xgb.max_depth"),
+            ("learners.bilstm.learning_rate = nan", "learners.bilstm.learning_rate"),
+            ("learners.bilstm.learning_rate = inf", "learners.bilstm.learning_rate"),
+            ("cluster.tol = nan", "cluster.tol"),
+            ("split.train = nan", "split.train"),
+            ("cluster.max_iters = 2.5", "cluster.max_iters"),
+            ("cluster.cluster_count = 2.5", "cluster.cluster_count"),
+            ("learners.bilstm.epochs = 2.5", "learners.bilstm.epochs"),
+            ("learners.bilstm.epochs = true", "learners.bilstm.epochs"),
+            ("learners.random_forest.tree_count = 3.5", "learners.random_forest.tree_count"),
+            ("learners.random_forest.max_depth = 2.5", "learners.random_forest.max_depth"),
+            ("learners.bilstm.hidden_sizes = 2.5, 3", "learners.bilstm.hidden_sizes"),
+            ("optimizer.population = 2.5", "optimizer.population"),
         ],
     )
     def test_out_of_range_value_names_the_key(self, tmp_path, line, key):

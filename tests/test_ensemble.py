@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from granucast.ensemble import (
-    ForecastBundle,
-    IntervalModel,
     PredictionPanel,
     TooFewResiduals,
     WeightFit,
@@ -167,15 +165,15 @@ class TestFitWeights:
 class TestFitIntervals:
     def test_exact_quantiles_on_a_grid(self):
         residuals = np.arange(21.0) - 10.0
-        model = fit_intervals(residuals, levels=(0.9, 0.95))
-        assert model.offsets[0.9] == (-9.0, 9.0)
-        assert model.offsets[0.95] == (-9.5, 9.5)
+        offsets = fit_intervals(residuals, levels=(0.9, 0.95))
+        assert offsets[0.9] == (-9.0, 9.0)
+        assert offsets[0.95] == (-9.5, 9.5)
 
     def test_wider_level_nests_the_narrower(self):
         rng = np.random.default_rng(2)
-        model = fit_intervals(rng.normal(size=400), levels=(0.95, 0.85))
-        lo95, up95 = model.offsets[0.95]
-        lo85, up85 = model.offsets[0.85]
+        offsets = fit_intervals(rng.normal(size=400), levels=(0.95, 0.85))
+        lo95, up95 = offsets[0.95]
+        lo85, up85 = offsets[0.85]
         assert lo95 <= lo85 <= up85 <= up95
 
     def test_too_few_residuals(self):
@@ -184,23 +182,21 @@ class TestFitIntervals:
         fit_intervals(np.linspace(-1.0, 1.0, 20))
 
     def test_interval_model_validation(self):
-        with pytest.raises(ValueError):
-            IntervalModel(offsets={1.5: (-1.0, 1.0)})
-        with pytest.raises(ValueError):
-            IntervalModel(offsets={0.9: (1.0, -1.0)})
+        for level in (1.5, 1.0, 0.0, -0.1):
+            with pytest.raises(ValueError, match="level must lie in"):
+                fit_intervals(np.linspace(-1.0, 1.0, 20), levels=(0.9, level))
 
 
 class TestForecast:
     def test_offsets_applied_per_level(self):
         panel = square_panel()
-        model = IntervalModel(offsets={0.9: (-1.0, 2.0), 0.5: (-0.5, 0.5)})
-        bundle = forecast(panel, [0.0, 1.0, 0.0, 0.0], model)
-        assert isinstance(bundle, ForecastBundle)
-        np.testing.assert_array_equal(bundle.point, panel.matrix[1])
-        lo, up = bundle.intervals[0.9]
+        offsets = {0.9: (-1.0, 2.0), 0.5: (-0.5, 0.5)}
+        point, intervals = forecast(panel, [0.0, 1.0, 0.0, 0.0], offsets)
+        np.testing.assert_array_equal(point, panel.matrix[1])
+        lo, up = intervals[0.9]
         np.testing.assert_array_equal(lo, panel.matrix[1] - 1.0)
         np.testing.assert_array_equal(up, panel.matrix[1] + 2.0)
-        assert set(bundle.intervals) == {0.9, 0.5}
+        assert set(intervals) == {0.9, 0.5}
 
     def test_learner_order_constant(self):
         assert KINDS == ("bilstm", "cnn_gru", "lstm_xgb", "random_forest")

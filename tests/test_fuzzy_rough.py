@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from granucast.fuzzy_rough import (
     PEAK_COLUMN,
     ClusterConfig,
-    FuzzyRoughCMeans,
     TooFewGranules,
     extract_features,
     init_centers,
@@ -16,7 +15,6 @@ from granucast.fuzzy_rough import (
     _distances,
 )
 from granucast.granulation import granulate_series
-from granucast.timeseries import Series
 
 
 def granule_cloud(rng, centers, per_cluster, sigma):
@@ -87,52 +85,50 @@ class TestRegionMasks:
         return region_masks(np.asarray(distances, dtype=np.float64)[:, None], self.CFG)
 
     def test_two_inner_one_boundary(self):
-        masks = self.masks_for([1.0, 1.2, 2.0])
-        assert masks.inner[:, 0].tolist() == [True, True, False]
-        assert masks.outer[:, 0].tolist() == [False, False, False]
+        inner, outer = self.masks_for([1.0, 1.2, 2.0])
+        assert inner[:, 0].tolist() == [True, True, False]
+        assert outer[:, 0].tolist() == [False, False, False]
 
     def test_one_inner_one_outer_one_excluded(self):
-        masks = self.masks_for([1.0, 1.5, 3.0])
-        assert masks.inner[:, 0].tolist() == [True, False, False]
-        assert masks.outer[:, 0].tolist() == [False, True, False]
+        inner, outer = self.masks_for([1.0, 1.5, 3.0])
+        assert inner[:, 0].tolist() == [True, False, False]
+        assert outer[:, 0].tolist() == [False, True, False]
 
     def test_on_center_point_is_inner_for_nearest_only(self):
-        masks = self.masks_for([0.0, 5.0, 5.0])
-        assert masks.inner[:, 0].tolist() == [True, False, False]
-        assert masks.outer[:, 0].tolist() == [False, False, False]
+        inner, outer = self.masks_for([0.0, 5.0, 5.0])
+        assert inner[:, 0].tolist() == [True, False, False]
+        assert outer[:, 0].tolist() == [False, False, False]
 
     @given(data=st.data())
     def test_nearest_center_always_inner_and_regions_disjoint(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         distances = rng.uniform(0, 4, size=(3, 12))
-        masks = region_masks(distances, self.CFG)
-        assert masks.inner[np.argmin(distances, axis=0), np.arange(12)].all()
-        assert not (masks.inner & masks.outer).any()
+        inner, outer = region_masks(distances, self.CFG)
+        assert inner[np.argmin(distances, axis=0), np.arange(12)].all()
+        assert not (inner & outer).any()
 
 
 class TestUpdateCenters:
     def test_inner_only_blends_with_previous(self):
         points = np.array([[1.0, 1, 1], [3.0, 3, 3]])
-        masks = region_masks(np.array([[0.1, 0.1]]), ClusterConfig(cluster_count=1))
+        inner, outer = region_masks(np.array([[0.1, 0.1]]), ClusterConfig(cluster_count=1))
         previous = np.array([[10.0, 10, 10]])
-        updated = update_centers(points, masks, previous, outer_weight=0.5)
+        updated = update_centers(points, inner, outer, previous, outer_weight=0.5)
         assert updated[0] == pytest.approx(0.5 * np.array([2.0, 2, 2]) + 0.5 * previous[0])
 
     def test_mixed_regions_blend_region_means(self):
         points = np.array([[0.0, 0, 0], [2.0, 2, 2], [4.0, 4, 4]])
         inner = np.array([[True, True, False]])
         outer = np.array([[False, False, True]])
-        masks = type(region_masks(np.zeros((1, 1)), ClusterConfig()))(inner, outer)
-        updated = update_centers(points, masks, np.array([[9.0, 9, 9]]), 0.5)
+        updated = update_centers(points, inner, outer, np.array([[9.0, 9, 9]]), 0.5)
         assert updated[0].tolist() == [2.5, 2.5, 2.5]
 
     def test_memberless_center_stays_put(self):
         points = np.array([[1.0, 1, 1]])
         inner = np.array([[True], [False]])
         outer = np.array([[False], [False]])
-        masks = type(region_masks(np.zeros((1, 1)), ClusterConfig()))(inner, outer)
         previous = np.array([[0.0, 0, 0], [7.0, 7, 7]])
-        updated = update_centers(points, masks, previous, 0.5)
+        updated = update_centers(points, inner, outer, previous, 0.5)
         assert updated[1].tolist() == [7.0, 7.0, 7.0]
 
 
@@ -142,7 +138,7 @@ class TestFit:
         true_centers = np.array([[0.0, 1.0, 2.0], [5.0, 6.0, 7.0], [10.0, 11.0, 12.0]])
         separation = np.linalg.norm(true_centers[1] - true_centers[0])
         points = granule_cloud(rng, true_centers, per_cluster=40, sigma=0.05 * separation)
-        result = FuzzyRoughCMeans(ClusterConfig()).fit(points)
+        result = extract_features(points, ClusterConfig())[1]
         assert result.converged
         # greedy-match converged centers to the nearest true center
         for center in result.centers:
@@ -151,7 +147,7 @@ class TestFit:
 
     def test_identical_granules_converge_immediately(self):
         points = np.array([[2.0, 3, 4]] * 6)
-        result = FuzzyRoughCMeans(ClusterConfig()).fit(points)
+        result = extract_features(points, ClusterConfig())[1]
         assert result.converged and result.iterations == 1
         assert result.memberships.sum(axis=0) == pytest.approx(np.ones(6))
         assert (result.memberships.argmax(axis=0) == 0).all()
@@ -160,7 +156,7 @@ class TestFit:
         rng = np.random.default_rng(1)
         points = rng.uniform(0, 1, size=(10, 3))
         points.sort(axis=1)
-        result = FuzzyRoughCMeans(ClusterConfig(tol=np.inf)).fit(points)
+        result = extract_features(points, ClusterConfig(tol=np.inf))[1]
         assert result.iterations == 1
 
     def test_membership_columns_sum_to_one_every_iteration(self):
@@ -168,18 +164,18 @@ class TestFit:
         points = granule_cloud(
             rng, [[0.0, 0.5, 1.0], [4.0, 4.5, 5.0], [9.0, 9.5, 10.0]], 20, 0.3
         )
-        result = FuzzyRoughCMeans(ClusterConfig()).fit(points, record_trace=True)
-        assert len(result.membership_trace) >= 1
-        for u in result.membership_trace:
+        result = extract_features(points, ClusterConfig(), record_trace=True)[1]
+        assert len(result.center_trace) >= 1
+        for centers in result.center_trace:
+            u = membership_matrix(points, centers)
             assert np.allclose(u.sum(axis=0), 1.0, atol=1e-9)
 
     def test_trace_lengths_match_iterations(self):
         rng = np.random.default_rng(3)
         points = rng.uniform(0, 2, size=(12, 3))
         points.sort(axis=1)
-        result = FuzzyRoughCMeans(ClusterConfig(max_iters=7)).fit(points, record_trace=True)
+        result = extract_features(points, ClusterConfig(max_iters=7), record_trace=True)[1]
         assert len(result.center_trace) == result.iterations
-        assert len(result.membership_trace) == result.iterations
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 1000), scale=st.floats(0.1, 20))
@@ -189,10 +185,8 @@ class TestFit:
         rng = np.random.default_rng(seed)
         points = rng.uniform(0, 3, size=(15, 3))
         points.sort(axis=1)
-        base = FuzzyRoughCMeans(ClusterConfig(max_iters=20, tol=1e-6)).fit(points)
-        scaled = FuzzyRoughCMeans(ClusterConfig(max_iters=20, tol=1e-6 * scale)).fit(
-            points * scale
-        )
+        base = extract_features(points, ClusterConfig(max_iters=20, tol=1e-6))[1]
+        scaled = extract_features(points * scale, ClusterConfig(max_iters=20, tol=1e-6 * scale))[1]
         assert (scaled.iterations, scaled.converged) == (base.iterations, base.converged)
         assert np.allclose(scaled.centers, base.centers * scale, rtol=1e-8, atol=1e-10)
         assert np.allclose(scaled.memberships, base.memberships, atol=1e-9)
@@ -202,9 +196,7 @@ class TestExtractFeatures:
     def make_granules(self, n=30, seed=0):
         rng = np.random.default_rng(seed)
         values = np.repeat(rng.uniform(2, 10, n), 4) + rng.normal(0, 0.2, 4 * n)
-        return granulate_series(
-            Series(values=values, origin=0, step=600), window_size=4
-        )
+        return granulate_series(values, window_size=4)
 
     def test_record_vector_layout(self):
         granules = self.make_granules()

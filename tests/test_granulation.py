@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from granucast.granulation import InvalidGranule, granulate_series
-from granucast.timeseries import Series, SeriesTooShort
+from granucast.timeseries import SeriesTooShort
 
 
 def series_of(values):
-    return Series(values=np.asarray(values, dtype=np.float64), origin=0, step=600)
+    return np.asarray(values, dtype=np.float64)
 
 
 def granulate_window(values):

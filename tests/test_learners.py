@@ -545,6 +545,13 @@ class TestModelLifecycle:
             save_model(stage1, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_save_refuses_an_unfit_model(self, kind, tmp_path):
+        path = tmp_path / f"{kind}.npz"
+        with pytest.raises(UntrainedModel, match=kind):
+            save_model(_MODEL_CLASSES[kind](SMALL[kind], 5, 2), path)
+        assert not path.exists()
+
     def test_config_validation(self):
         for config_type, bad in (
             (NetConfig, {"learning_rate": 0.0}),

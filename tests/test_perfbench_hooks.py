@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from granucast.config import build_run_config
 from granucast.learners import (
     KINDS,
     ForestConfig,
@@ -18,6 +19,7 @@ from granucast.learners import (
     save_model,
 )
 from granucast.sunflower import SunflowerOptimizer
+from granucast.synth import SynthConfig, write_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +64,22 @@ def test_benchmark_reloads_saved_models(kind, monkeypatch, tmp_path):
     problems, predictions = checks.check_model(path, data.inputs)
     assert problems == []
     np.testing.assert_array_equal(predictions, model.predict(data.inputs))
+
+
+def test_benchmark_builds_evaluation_sets_through_the_library(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    checks = importlib.import_module("checks")
+    samples = 1800
+    (tmp_path / "input").mkdir()
+    write_csv(tmp_path / "input" / "data.csv", SynthConfig(samples=samples, seed=5))
+    bench = run.Bench(run.WORKLOADS["train-full"], 5, tmp_path)
+    val, test = bench.evaluation_sets()
+
+    resolved = build_run_config("full", 5)
+    (tmp_path / "config.txt").write_text(resolved.describe())
+    sizes = checks.split_sizes(samples, checks.read_config(tmp_path))
+    assert len(test) == len(test.targets) == sizes["test_rows"] > 0
+    assert len(val) > 0
+    width = resolved.lag * (resolved.cluster.cluster_count + 3)
+    assert val.inputs.shape[1] == test.inputs.shape[1] == width

@@ -84,11 +84,15 @@ class TestForecastRunStructure:
         )
 
     def test_bundle_layout(self, forecast_run):
-        assert len(forecast_run.bundle.point) == 36
-        assert set(forecast_run.bundle.intervals) == {0.95, 0.85}
+        assert len(forecast_run.point) == 36
+        assert set(forecast_run.intervals) == set(forecast_run.offsets) == {0.95, 0.85}
+        for level, (lo, up) in forecast_run.offsets.items():
+            lower, upper = forecast_run.intervals[level]
+            np.testing.assert_array_equal(lower, forecast_run.point + lo)
+            np.testing.assert_array_equal(upper, forecast_run.point + up)
 
     def test_scores_recomputable(self, forecast_run):
-        fresh = point_scores(forecast_run.test_set.targets, forecast_run.bundle.point)
+        fresh = point_scores(forecast_run.test_set.targets, forecast_run.point)
         assert fresh == forecast_run.test_scores
 
     def test_weight_fit_present(self, forecast_run):
@@ -101,10 +105,10 @@ class TestSoloPath:
         run = run_forecast(synth_series, cheap_pipeline_config(), solo="random_forest")
         assert run.weight_fit is None
         k = KINDS.index("random_forest")
-        np.testing.assert_array_equal(run.bundle.point, run.test_panel.matrix[k])
-        assert set(run.bundle.intervals) == {0.95, 0.85}
+        np.testing.assert_array_equal(run.point, run.test_panel.matrix[k])
+        assert set(run.intervals) == {0.95, 0.85}
         own = fit_intervals(run.val_set.targets - run.val_panel.matrix[k], (0.95, 0.85))
-        assert run.interval_model.offsets == own.offsets
+        assert run.offsets == own
 
     def test_unknown_solo_kind(self, synth_series):
         with pytest.raises(ValueError):
@@ -139,16 +143,18 @@ class TestSupervisedFromRuns:
 
 
 class TestCrossValidation:
-    def test_five_folds_partition_the_records(self, cv_report):
-        assert len(cv_report.folds) == 5
-        assert [f.fold for f in cv_report.folds] == [0, 1, 2, 3, 4]
-        gathered = np.sort(np.concatenate([f.test_record_indices for f in cv_report.folds]))
+    def test_five_folds_partition_the_records(self, cv_folds):
+        assert len(cv_folds) == 5
+        assert [f.fold for f in cv_folds] == [0, 1, 2, 3, 4]
+        gathered = np.sort(np.concatenate([f.test_record_indices for f in cv_folds]))
         np.testing.assert_array_equal(gathered, np.arange(200))
 
-    def test_columns_are_the_point_battery(self, cv_report):
-        assert cv_report.columns == PointScores.COLUMNS
-        assert cv_report.columns == ("MAPE", "MSE", "MAE", "RMSE", "NMSE", "U1", "IA", "R2")
+    def test_columns_are_the_point_battery(self, cv_folds):
+        assert PointScores.COLUMNS == ("MAPE", "MSE", "MAE", "RMSE", "NMSE", "U1", "IA", "R2")
+        for fold in cv_folds:
+            assert isinstance(fold.scores, PointScores)
+            assert len(fold.scores.as_row()) == len(PointScores.COLUMNS)
 
-    def test_scores_finite(self, cv_report):
-        for fold in cv_report.folds:
+    def test_scores_finite(self, cv_folds):
+        for fold in cv_folds:
             assert all(np.isfinite(fold.scores.as_row()))
