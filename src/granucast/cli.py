@@ -259,7 +259,10 @@ def _parse_forecast_csv(path: str):
             raise GranucastError(f"{path}: malformed interval columns at {header[j]!r}")
         if not 1 <= int(match.group(1)) <= 99:
             raise GranucastError(f"{path}: interval column {header[j]!r} lies outside 1-99%")
-        levels.append(int(match.group(1)) / 100.0)
+        level = int(match.group(1)) / 100.0
+        if level in levels:
+            raise GranucastError(f"{path}: repeated interval column {header[j]!r}")
+        levels.append(level)
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise GranucastError(
@@ -417,6 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error(f"--seed must be at least 0, got {args.seed}")
     if args.command == "cv" and args.folds < 2:
         parser.error(f"--folds must be at least 2, got {args.folds}")
     if args.command == "synth" and args.samples < 2:

@@ -15,17 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ensemble import DEFAULT_LEVELS
-from .errors import GranucastError
+from .errors import GranucastError, require_int
 from .fuzzy_rough import ClusterConfig
 from .learners import CONFIG_TYPES, KINDS, ForestConfig, NetConfig, StackConfig
 from .sunflower import OptimizerConfig
 from .timeseries import SplitSpec
 
 PRESETS = ("full", "desk")
-
-# the value types a config file may give an integer setting, by the field's
-# annotation (a string, as every config dataclass postpones annotations)
-_INTEGER_SETTINGS = {"int": (int,), "int | None": (int, type(None)), "tuple[int, ...]": (int,)}
 
 
 class ConfigError(GranucastError):
@@ -64,10 +60,8 @@ class RunConfig:
     cluster: ClusterConfig = dataclasses.field(default_factory=ClusterConfig)
 
     def __post_init__(self):
-        if type(self.window_size) is not int or self.window_size < 2:
-            raise ValueError(f"expected an integer >= 2, got {self.window_size!r}")
-        if type(self.lag) is not int or self.lag < 1:
-            raise ValueError(f"expected an integer >= 1, got {self.lag!r}")
+        require_int("window_size", self.window_size, 2)
+        require_int("lag", self.lag, 1)
         if not all(isinstance(v, float) and 0.0 < v < 1.0 for v in self.levels):
             raise ValueError(f"expected levels in (0, 1), got {self.levels!r}")
         # forecast.csv names interval columns by whole percent
@@ -146,14 +140,10 @@ def _items(value) -> tuple:
 
 def _replace_field(obj, field_name: str, value, key: str):
     """``obj`` with one field replaced; errors name the config ``key``."""
-    fields = {f.name: f for f in dataclasses.fields(obj)}
-    if field_name not in fields:
+    if field_name not in {f.name for f in dataclasses.fields(obj)}:
         raise ConfigError(f"unknown setting {key}")
     if isinstance(getattr(obj, field_name), tuple) and not isinstance(value, tuple):
         value = (value,)
-    allowed = _INTEGER_SETTINGS.get(fields[field_name].type)
-    if allowed and not all(type(v) in allowed for v in _items(value)):
-        raise ConfigError(f"invalid value for {key}: expected an integer, got {value!r}")
     try:
         return dataclasses.replace(obj, **{field_name: value})
     except (TypeError, ValueError) as exc:
@@ -175,10 +165,9 @@ def build_run_config(
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}, expected one of {PRESETS}")
     if seed is None:
-        parsed = _parse_value(raw_seed) if raw_seed is not None else 0
-        if not isinstance(parsed, int):
-            raise ConfigError(f"seed must be an integer, got {raw_seed!r}")
-        seed = parsed
+        seed = _parse_value(raw_seed) if raw_seed is not None else 0
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
 
     run = RunConfig(
         optimizer=OptimizerConfig(rng_seed=seed + 10),

@@ -2,25 +2,33 @@
 
 Soft memberships follow the inverse-squared-distance rule of fuzzy C-means.
 On top of that, each point is assigned to concentric regions around its
-nearest center: an inner shell (distance within (1 + inner_margin) of the
-nearest-center distance) and an outer ring (within (1 + outer_margin)).
-Centers move to a weighted blend of inner-shell and outer-ring means, which
-keeps tight members dominant while letting fringe members pull a little.
+nearest center: an inner shell (distance within (1 + INNER_MARGIN) of the
+nearest-center distance) and an outer ring (within (1 + OUTER_MARGIN)).
+Centers move to a blend of inner-shell and outer-ring means, the outer ring
+weighted by OUTER_WEIGHT, which keeps tight members dominant while letting
+fringe members pull a little.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GranucastError
+from .errors import GranucastError, require_int
 
 logger = logging.getLogger(__name__)
 
 # column of the granule peak in an extract_features row
 PEAK_COLUMN = -2
+
+# region thresholds relative to a point's nearest-center distance, and the
+# outer ring's share of a center update
+INNER_MARGIN = 0.3
+OUTER_MARGIN = 0.7
+OUTER_WEIGHT = 0.5
 
 
 class TooFewGranules(GranucastError):
@@ -30,24 +38,14 @@ class TooFewGranules(GranucastError):
 @dataclass(frozen=True)
 class ClusterConfig:
     cluster_count: int = 3
-    inner_margin: float = 0.3
-    outer_margin: float = 0.7
-    outer_weight: float = 0.5
     max_iters: int = 100
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.cluster_count < 1:
-            raise ValueError(f"cluster_count must be >= 1, got {self.cluster_count}")
-        if not 0.0 < self.inner_margin < self.outer_margin:
-            raise ValueError(
-                f"need 0 < inner_margin < outer_margin, got "
-                f"({self.inner_margin}, {self.outer_margin})"
-            )
-        if not 0.0 <= self.outer_weight <= 1.0:
-            raise ValueError(f"outer_weight must be in [0, 1], got {self.outer_weight}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        require_int("cluster_count", self.cluster_count, 1)
+        require_int("max_iters", self.max_iters, 1)
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -102,20 +100,20 @@ def membership_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return u
 
 
-def region_masks(distances: np.ndarray, config: ClusterConfig) -> tuple[np.ndarray, np.ndarray]:
+def region_masks(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classify every (cluster, point) pair into inner shell / outer ring.
 
     Returns the ``(inner, outer)`` boolean masks, shaped like ``distances``;
     they never overlap.
 
     Thresholds scale with the point's nearest-center distance delta:
-    inner iff distance <= (1 + inner_margin) * delta, outer iff it falls
-    between that and (1 + outer_margin) * delta. A point sitting exactly on
+    inner iff distance <= (1 + INNER_MARGIN) * delta, outer iff it falls
+    between that and (1 + OUTER_MARGIN) * delta. A point sitting exactly on
     a center (delta = 0) is inner for its nearest center only.
     """
     delta = distances.min(axis=0)
-    chi_inner = (1.0 + config.inner_margin) * delta
-    chi_outer = (1.0 + config.outer_margin) * delta
+    chi_inner = (1.0 + INNER_MARGIN) * delta
+    chi_outer = (1.0 + OUTER_MARGIN) * delta
     inner = distances <= chi_inner[None, :]
     outer = (distances > chi_inner[None, :]) & (distances <= chi_outer[None, :])
     on_center = delta == 0.0
@@ -132,14 +130,14 @@ def update_centers(
     inner: np.ndarray,
     outer: np.ndarray,
     previous: np.ndarray,
-    outer_weight: float,
 ) -> np.ndarray:
-    """Blend inner-shell and outer-ring member means into new centers.
+    """Blend inner-shell and outer-ring member means into new centers, the
+    outer ring at weight ``OUTER_WEIGHT``.
 
     An empty region substitutes the previous center at that region's weight,
     so the map stays total; a center with no members at all does not move.
     """
-    w = outer_weight
+    w = OUTER_WEIGHT
     updated = previous.copy()
     for j in range(len(previous)):
         inner_pts = points[inner[j]]
@@ -174,8 +172,8 @@ def extract_features(
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        inner, outer = region_masks(_distances(points, centers), config)
-        new_centers = update_centers(points, inner, outer, centers, config.outer_weight)
+        inner, outer = region_masks(_distances(points, centers))
+        new_centers = update_centers(points, inner, outer, centers)
         displacement = np.abs(new_centers - centers).max()
         centers = new_centers
         if record_trace:

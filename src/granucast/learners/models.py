@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import GranucastError
+from ..errors import GranucastError, require_int
 from ..fuzzy_rough import PEAK_COLUMN
 from .nn import (
     BiLSTMLayer,
@@ -66,14 +66,17 @@ class NetConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        # a saved model's JSON metadata gives hidden_sizes back as a list
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(h < 1 for h in self.hidden_sizes) or not self.hidden_sizes:
-            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        require_int("batch_size", self.batch_size, 1)
+        require_int("epochs", self.epochs, 1)
+        require_int("rng_seed", self.rng_seed, 0)
+        if not self.hidden_sizes:
+            raise ValueError("hidden_sizes must not be empty")
+        for size in self.hidden_sizes:
+            require_int("hidden_sizes entry", size, 1)
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,11 @@ class StackConfig(NetConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if type(self.max_depth) is not int or self.max_depth < 1:
-            raise ValueError(f"max_depth must be an integer >= 1, got {self.max_depth}")
-        if self.boosting_rounds < 0:
-            raise ValueError(f"boosting_rounds must be >= 0, got {self.boosting_rounds}")
-        if self.lambda_reg < 0 or self.gamma_reg < 0:
-            raise ValueError("regularization strengths must be >= 0")
+        require_int("max_depth", self.max_depth, 1)
+        require_int("boosting_rounds", self.boosting_rounds, 0)
+        for name in ("lambda_reg", "gamma_reg"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,10 @@ class ForestConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.tree_count < 1:
-            raise ValueError(f"tree_count must be >= 1, got {self.tree_count}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
+        require_int("tree_count", self.tree_count, 1)
+        require_int("rng_seed", self.rng_seed, 0)
+        if self.max_depth is not None:
+            require_int("max_depth", self.max_depth, 1)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GranucastError
+from .errors import GranucastError, require_int
 
+# The fixed shape of the search: the shares of the population that pollinate
+# (nearest the guide) and that are reseeded from the tent chain (farthest),
+# the tent map's apex, and the default archive size and grid resolution.
+POLLINATION_RATE = 0.1
+MORTALITY_RATE = 0.1
+TENT_APEX = 0.7
+ARCHIVE_CAPACITY = 100
+GRID_DIVISIONS = 30
+
+_TENT_FIXED_POINTS = (0.0, 1.0 / (2.0 - TENT_APEX), 1.0)
 _FIXED_POINT_TOL = 1e-12
 _ESCAPE_NUDGE = 1e-6
 _KERNEL_EPS = 1e-9
@@ -41,30 +51,27 @@ class EmptyArchive(GranucastError):
 class TentChain:
     """Skewed tent map iterator over (0, 1) with fixed-point escape.
 
-    The map's invariant density is uniform, which is why it seeds
-    populations more evenly than raw pseudo-random draws. Iterates landing
-    (numerically) on {0, apex fixed point, 1} would freeze the chain, so
-    they get nudged by 1e-6 and wrapped back into (0, 1).
+    The map, with its apex at ``TENT_APEX``, has a uniform invariant
+    density, which is why it seeds populations more evenly than raw
+    pseudo-random draws. Iterates landing (numerically) on {0, apex fixed
+    point, 1} would freeze the chain, so they get nudged by 1e-6 and
+    wrapped back into (0, 1).
     """
 
-    def __init__(self, seed_value: float, apex: float = 0.7):
+    def __init__(self, seed_value: float):
         if not 0.0 < seed_value < 1.0:
             raise InvalidSeed(f"seed_value must lie in (0, 1), got {seed_value}")
-        if not 0.0 < apex < 1.0:
-            raise ValueError(f"apex must lie in (0, 1), got {apex}")
         self.state = float(seed_value)
-        self.apex = apex
-        self._fixed_points = (0.0, 1.0 / (2.0 - apex), 1.0)
 
     def draw(self, count: int) -> np.ndarray:
         out = np.empty(count)
         value = self.state
         for k in range(count):
-            if value < self.apex:
-                value = value / self.apex
+            if value < TENT_APEX:
+                value = value / TENT_APEX
             else:
-                value = (1.0 - value) / (1.0 - self.apex)
-            if any(abs(value - fp) <= _FIXED_POINT_TOL for fp in self._fixed_points):
+                value = (1.0 - value) / (1.0 - TENT_APEX)
+            if any(abs(value - fp) <= _FIXED_POINT_TOL for fp in _TENT_FIXED_POINTS):
                 value += _ESCAPE_NUDGE
                 if value >= 1.0:
                     value -= 1.0
@@ -98,8 +105,8 @@ class ParetoArchive:
 
     def __init__(
         self,
-        capacity: int = 100,
-        grid_divisions: int = 30,
+        capacity: int = ARCHIVE_CAPACITY,
+        grid_divisions: int = GRID_DIVISIONS,
         rng: np.random.Generator | None = None,
     ):
         if capacity < 1 or grid_divisions < 1:
@@ -177,29 +184,12 @@ class ParetoArchive:
 class OptimizerConfig:
     population: int = 100
     iterations: int = 100
-    pollination_rate: float = 0.1
-    mortality_rate: float = 0.1
-    tent_apex: float = 0.7
-    archive_capacity: int = 100
-    grid_divisions: int = 30
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        for name in ("pollination_rate", "mortality_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {rate}")
-        if self.pollination_rate + self.mortality_rate >= 1.0:
-            raise ValueError("pollination_rate + mortality_rate must stay below 1")
-        if not 0.0 < self.tent_apex < 1.0:
-            raise ValueError(f"tent_apex must lie in (0, 1), got {self.tent_apex}")
-        for name in ("archive_capacity", "grid_divisions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        require_int("population", self.population, 1)
+        require_int("iterations", self.iterations, 0)
+        require_int("rng_seed", self.rng_seed, 0)
 
 
 def tent_positions(chain: TentChain, count: int, dim: int, low: float, high: float) -> np.ndarray:
@@ -228,12 +218,8 @@ class SunflowerOptimizer:
         self.config = config
         self.rng = np.random.default_rng(config.rng_seed)
         seed_value = float(self.rng.uniform(1e-9, 1.0 - 1e-9))
-        self.tent = TentChain(seed_value, config.tent_apex)
-        self.archive = ParetoArchive(
-            capacity=config.archive_capacity,
-            grid_divisions=config.grid_divisions,
-            rng=self.rng,
-        )
+        self.tent = TentChain(seed_value)
+        self.archive = ParetoArchive(rng=self.rng)
         self.step_scale = 0.05 * float(np.linalg.norm(np.full(dim, high - low)))
 
     def _evaluate(self, positions: np.ndarray) -> np.ndarray:
@@ -262,7 +248,6 @@ class SunflowerOptimizer:
         """One synchronous sweep; t is the 1-based iteration index. Returns
         the moved positions and their objectives, both already offered to
         the archive."""
-        cfg = self.config
         count, dim = positions.shape
         guide = self.archive.select_guide()
 
@@ -272,10 +257,10 @@ class SunflowerOptimizer:
         )
         ranking = np.argsort(guide_distance, kind="stable")
         pollinator = np.zeros(count, dtype=bool)
-        pollinator[ranking[: math.ceil(cfg.pollination_rate * count)]] = True
+        pollinator[ranking[: math.ceil(POLLINATION_RATE * count)]] = True
         farthest = ranking[::-1][~pollinator[ranking[::-1]]]
         mortal = np.zeros(count, dtype=bool)
-        mortal[farthest[: math.ceil(cfg.mortality_rate * count)]] = True
+        mortal[farthest[: math.ceil(MORTALITY_RATE * count)]] = True
 
         neighbor_distance = np.linalg.norm(positions - np.roll(positions, 1, axis=0), axis=1)
         kernel = 1.0 / (4.0 * np.pi * np.maximum(neighbor_distance, _KERNEL_EPS) ** 2)

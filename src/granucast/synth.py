@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import require_int
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -34,8 +36,8 @@ class SynthConfig:
     floor: float = 0.1
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
+        require_int("samples", self.samples, 2)
+        require_int("seed", self.seed, 0)
         if not 0.0 <= self.gap_fraction < 0.5:
             raise ValueError(f"gap_fraction must lie in [0, 0.5), got {self.gap_fraction}")
 

@@ -104,7 +104,7 @@ def test_archive_soundness(zdt_runs):
 
 
 def test_chaotic_draw_uniformity():
-    draws = TentChain(1.0 / math.pi, apex=0.7).draw(10_000)
+    draws = TentChain(1.0 / math.pi).draw(10_000)
     freq = np.histogram(draws, bins=10, range=(0.0, 1.0))[0] / 10_000.0
     ok = bool(np.all((freq >= 0.05) & (freq <= 0.2)))
     report(

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import granucast
-from granucast import pipeline
+from granucast import cli, pipeline
 from granucast.cli import main
 from granucast.config import build_run_config
 from granucast.evaluation import PointScores, point_scores
 from granucast.learners import load_model
+from granucast.synth import SynthConfig
 
 QUICK_CONF = """\
 preset = desk
@@ -470,13 +471,82 @@ class TestExitCodes:
 
     def test_bad_archive_size_stops_before_training(self, cli_env, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
-        conf.write_text("preset = desk\noptimizer.archive_capacity = 0\n")
+        conf.write_text("preset = desk\noptimizer.population = 0\n")
         out = tmp_path / "f"
         code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "optimizer.archive_capacity" in err
+        assert err.startswith("error: ") and "optimizer.population" in err
         assert not (out / "forecast.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "cluster.inner_margin",
+            "cluster.outer_margin",
+            "cluster.outer_weight",
+            "optimizer.pollination_rate",
+            "optimizer.mortality_rate",
+            "optimizer.tent_apex",
+            "optimizer.archive_capacity",
+            "optimizer.grid_divisions",
+        ],
+    )
+    def test_fixed_search_shape_is_not_a_setting(
+        self, cli_env, tmp_path, capsys, monkeypatch, key
+    ):
+        # an older config.txt lists these keys; deleting the line makes it usable
+        fitted = []
+        monkeypatch.setattr(pipeline, "fit_learner", lambda kind, *_: fitted.append(kind))
+        conf = tmp_path / "old.conf"
+        conf.write_text(f"preset = desk\n{key} = 0.5\n")
+        out = tmp_path / "f"
+        code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: unknown setting {key}\n"
+        assert fitted == [] and not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--seed", "-3"],
+            ["granulate", "--data", "DATA", "--seed", "-2"],
+            ["train", "--data", "DATA", "--preset", "desk", "--seed", "-2"],
+            ["forecast", "--data", "DATA", "--preset", "desk", "--seed", "-2"],
+            ["cv", "--data", "DATA", "--preset", "desk", "--seed", "-2"],
+            ["benchmark-opt", "--problem", "zdt1", "--seed", "-3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_a_usage_error(self, cli_env, tmp_path, capsys, monkeypatch, argv):
+        fitted = []
+        for module in (pipeline, cli):
+            monkeypatch.setattr(module, "fit_learner", lambda kind, *_: fitted.append(kind))
+        out = tmp_path / "out"
+        argv = [cli_env.data if arg == "DATA" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed must be at least 0" in err and "Traceback" not in err
+        assert fitted == [] and not out.exists()
+
+    def test_negative_seed_in_a_config_file_returns_one(
+        self, cli_env, tmp_path, capsys, monkeypatch
+    ):
+        fitted = []
+        monkeypatch.setattr(pipeline, "fit_learner", lambda kind, *_: fitted.append(kind))
+        conf = tmp_path / "bad.conf"
+        conf.write_text("preset = desk\nseed = -2\n")
+        out = tmp_path / "f"
+        code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0")
+        assert fitted == [] and not any(out.iterdir())
+
+    def test_synth_config_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SynthConfig(seed=-1)
 
     @pytest.mark.parametrize(
         "argv",
@@ -532,6 +602,10 @@ class TestExitCodes:
             "index,actual,point,lo95,hi95\n0,5.0,5.1,4.0,inf\n1,6.0,6.1,5.0,7.0\n",
             "index,actual,point,lo0,hi0\n0,5.0,5.1,5.1,5.1\n1,6.0,6.1,6.1,6.1\n",
             "index,actual,point,lo100,hi100\n0,5.0,5.1,4.0,6.0\n1,6.0,6.1,5.0,7.0\n",
+            (
+                "index,actual,point,lo95,hi95,lo95,hi95\n"
+                "0,5.0,5.1,4.0,6.0,4.5,5.5\n1,6.0,6.1,5.0,7.0,5.5,6.5\n"
+            ),
         ],
         ids=[
             "empty",
@@ -542,6 +616,7 @@ class TestExitCodes:
             "inf_cell",
             "level_0",
             "level_100",
+            "repeated_level",
         ],
     )
     def test_malformed_forecast_csv_returns_one(self, tmp_path, capsys, text):

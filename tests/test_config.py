@@ -113,6 +113,13 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError):
             build_run_config(config_path=path)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        path = write_config(tmp_path, "seed = -2\n")
+        with pytest.raises(ConfigError, match="seed"):
+            build_run_config(config_path=path)
+        with pytest.raises(ConfigError, match="seed"):
+            build_run_config(seed=-2)
+
     def test_scalar_overrides(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -217,6 +224,12 @@ class TestBuildRunConfig:
             ("learners.bilstm.learning_rate = nan", "learners.bilstm.learning_rate"),
             ("learners.bilstm.learning_rate = inf", "learners.bilstm.learning_rate"),
             ("cluster.tol = nan", "cluster.tol"),
+            ("cluster.tol = inf", "cluster.tol"),
+            ("cluster.tol = -1", "cluster.tol"),
+            ("learners.lstm_xgb.lambda_reg = inf", "learners.lstm_xgb.lambda_reg"),
+            ("learners.lstm_xgb.gamma_reg = inf", "learners.lstm_xgb.gamma_reg"),
+            ("optimizer.rng_seed = -1", "optimizer.rng_seed"),
+            ("learners.bilstm.rng_seed = -1", "learners.bilstm.rng_seed"),
             ("split.train = nan", "split.train"),
             ("cluster.max_iters = 2.5", "cluster.max_iters"),
             ("cluster.cluster_count = 2.5", "cluster.cluster_count"),
@@ -264,9 +277,9 @@ class TestDescribe:
         [
             (
                 {"preset": "desk", "seed": 5},
-                "240507c11186e9cad5a9913b1d2d7d1f651b592a3a7e43d46fdce92b431da516",
+                "c171cf9fc67082d3e0fad621ae45c0673fc72c77fa3f7dbd93c659bc07a2c6f4",
             ),
-            ({}, "eb9511b8937411db7427571f3580900e2de7afd3b894ebce3bd339371c4eafbd"),
+            ({}, "64e43af1cc6ef7685445a2cc1919c4d466ded7195bf7a8fc847418210ca649c5"),
         ],
         ids=["desk_seed_5", "defaults"],
     )

@@ -79,10 +79,8 @@ class TestMembership:
 
 
 class TestRegionMasks:
-    CFG = ClusterConfig()
-
     def masks_for(self, distances):
-        return region_masks(np.asarray(distances, dtype=np.float64)[:, None], self.CFG)
+        return region_masks(np.asarray(distances, dtype=np.float64)[:, None])
 
     def test_two_inner_one_boundary(self):
         inner, outer = self.masks_for([1.0, 1.2, 2.0])
@@ -103,7 +101,7 @@ class TestRegionMasks:
     def test_nearest_center_always_inner_and_regions_disjoint(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         distances = rng.uniform(0, 4, size=(3, 12))
-        inner, outer = region_masks(distances, self.CFG)
+        inner, outer = region_masks(distances)
         assert inner[np.argmin(distances, axis=0), np.arange(12)].all()
         assert not (inner & outer).any()
 
@@ -111,16 +109,16 @@ class TestRegionMasks:
 class TestUpdateCenters:
     def test_inner_only_blends_with_previous(self):
         points = np.array([[1.0, 1, 1], [3.0, 3, 3]])
-        inner, outer = region_masks(np.array([[0.1, 0.1]]), ClusterConfig(cluster_count=1))
+        inner, outer = region_masks(np.array([[0.1, 0.1]]))
         previous = np.array([[10.0, 10, 10]])
-        updated = update_centers(points, inner, outer, previous, outer_weight=0.5)
+        updated = update_centers(points, inner, outer, previous)
         assert updated[0] == pytest.approx(0.5 * np.array([2.0, 2, 2]) + 0.5 * previous[0])
 
     def test_mixed_regions_blend_region_means(self):
         points = np.array([[0.0, 0, 0], [2.0, 2, 2], [4.0, 4, 4]])
         inner = np.array([[True, True, False]])
         outer = np.array([[False, False, True]])
-        updated = update_centers(points, inner, outer, np.array([[9.0, 9, 9]]), 0.5)
+        updated = update_centers(points, inner, outer, np.array([[9.0, 9, 9]]))
         assert updated[0].tolist() == [2.5, 2.5, 2.5]
 
     def test_memberless_center_stays_put(self):
@@ -128,7 +126,7 @@ class TestUpdateCenters:
         inner = np.array([[True], [False]])
         outer = np.array([[False], [False]])
         previous = np.array([[0.0, 0, 0], [7.0, 7, 7]])
-        updated = update_centers(points, inner, outer, previous, 0.5)
+        updated = update_centers(points, inner, outer, previous)
         assert updated[1].tolist() == [7.0, 7.0, 7.0]
 
 
@@ -152,12 +150,28 @@ class TestFit:
         assert result.memberships.sum(axis=0) == pytest.approx(np.ones(6))
         assert (result.memberships.argmax(axis=0) == 0).all()
 
-    def test_infinite_tol_stops_after_one_iteration(self):
+    def test_tol_above_every_displacement_stops_after_one_iteration(self):
         rng = np.random.default_rng(1)
         points = rng.uniform(0, 1, size=(10, 3))
         points.sort(axis=1)
-        result = extract_features(points, ClusterConfig(tol=np.inf))[1]
-        assert result.iterations == 1
+        result = extract_features(points, ClusterConfig(tol=1e300))[1]
+        assert result.iterations == 1 and result.converged
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol": np.inf},
+            {"tol": -1.0},
+            {"tol": 0.0},
+            {"tol": np.nan},
+            {"cluster_count": 0},
+            {"max_iters": 2.5},
+            {"cluster_count": True},
+        ],
+    )
+    def test_config_validation(self, bad):
+        with pytest.raises(ValueError):
+            ClusterConfig(**bad)
 
     def test_membership_columns_sum_to_one_every_iteration(self):
         rng = np.random.default_rng(2)

@@ -567,6 +567,17 @@ class TestModelLifecycle:
             (ForestConfig, {"max_depth": 0}),
             (StackConfig, {"lambda_reg": -1.0}),
             (StackConfig, {"gamma_reg": -0.5}),
+            (StackConfig, {"lambda_reg": float("nan")}),
+            (StackConfig, {"gamma_reg": float("inf")}),
+            (StackConfig, {"boosting_rounds": 2.5}),
+            # integer settings take plain ints only
+            (NetConfig, {"epochs": 2.5}),
+            (NetConfig, {"batch_size": True}),
+            (NetConfig, {"hidden_sizes": (2.5, 3)}),
+            (NetConfig, {"rng_seed": -1}),
+            (ForestConfig, {"tree_count": True}),
+            (ForestConfig, {"max_depth": 2.5}),
+            (ForestConfig, {"rng_seed": -1}),
         ):
             with pytest.raises(ValueError):
                 config_type(**bad)

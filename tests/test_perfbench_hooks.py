@@ -83,3 +83,18 @@ def test_benchmark_builds_evaluation_sets_through_the_library(monkeypatch, tmp_p
     assert len(val) > 0
     width = resolved.lag * (resolved.cluster.cluster_count + 3)
     assert val.inputs.shape[1] == test.inputs.shape[1] == width
+
+
+def test_benchmark_settings_resolve(monkeypatch, tmp_path):
+    # the self-check's cheap settings, and the config.txt keys the output
+    # checks read back, must survive any change to the set of settings
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    selfcheck = importlib.import_module("selfcheck")
+    checks = importlib.import_module("checks")
+    conf = tmp_path / "cheap.conf"
+    conf.write_text(selfcheck.CHEAP_CONFIG)
+    resolved = build_run_config("desk", selfcheck.SEED, conf)
+    (tmp_path / "config.txt").write_text(resolved.describe())
+    config = checks.read_config(tmp_path)
+    assert {"window_size", "lag", "split.train", "split.val"} <= set(config)
+    assert checks.split_sizes(selfcheck.SAMPLES, config)["test_rows"] > 0
