@@ -133,8 +133,8 @@ def cmd_granulate(args) -> int:
     missing = _require_file(args.data)
     if missing is not None:
         return missing
-    out = _out_dir(args)
     run = _run_config(args)
+    out = _out_dir(args)
     granules = granulate_series(_load_clean_series(args.data), run.window_size)
     features, cluster_result = extract_features(granules, run.cluster, record_trace=args.trace)
     nearest = np.argmax(cluster_result.memberships, axis=0)
@@ -175,8 +175,8 @@ def cmd_train(args) -> int:
     missing = _require_file(args.data)
     if missing is not None:
         return missing
-    out = _out_dir(args)
     run = _run_config(args)
+    out = _out_dir(args)
     _, _, _, parts, _ = extract_and_split(_load_clean_series(args.data), run)
     train_set = make_supervised(parts[0], run.lag)
     kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
@@ -195,8 +195,8 @@ def cmd_forecast(args) -> int:
     missing = _require_file(args.data)
     if missing is not None:
         return missing
-    out = _out_dir(args)
     run = _run_config(args)
+    out = _out_dir(args)
     solo = _MODEL_ALIASES[args.model] if args.model else None
     result = run_forecast(_load_clean_series(args.data), run, solo=solo)
 
@@ -319,8 +319,8 @@ def cmd_cv(args) -> int:
     missing = _require_file(args.data)
     if missing is not None:
         return missing
-    out = _out_dir(args)
     run = _run_config(args)
+    out = _out_dir(args)
     folds = run_cv(_load_clean_series(args.data), run, k=args.folds)
     rows = [[fold.fold, *(_fmt(v) for v in fold.scores.as_row())] for fold in folds]
     means = np.mean([fold.scores.as_row() for fold in folds], axis=0)
@@ -333,8 +333,8 @@ def cmd_cv(args) -> int:
 
 
 def cmd_benchmark_opt(args) -> int:
-    out = _out_dir(args)
     run = _run_config(args)
+    out = _out_dir(args)
     which = int(args.problem[-1])
     archive = SunflowerOptimizer(
         lambda v: np.array(zdt_evaluate(which, v)), args.dim, 0.0, 1.0, run.optimizer

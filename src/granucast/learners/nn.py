@@ -5,6 +5,16 @@ buffers; ``forward`` returns the full output sequence plus a cache, and
 ``backward`` consumes the gradient w.r.t. that sequence, accumulates
 parameter gradients and returns the gradient w.r.t. the input sequence.
 Shapes are batch-first: (batch, time, features).
+
+The recurrent layers start from the all-zero state, so at t = 0 they skip
+every matmul that meets it: the state's product with the recurrent weights
+in the forward step, and in the backward step the recurrent-weight gradient
+(``h_prev.T @ da``, which would only add zeros) and the gradient passed to
+the state before t = 0 (``da @ wh.T``, which nothing reads). The LSTM runs
+its three sigmoid gates as one call on the fused pre-activation block and
+caches ``(x_t, h_prev, c_prev, ifo, g, tanh_c)`` per step, ``ifo`` being
+that ``(batch, 3 * hidden)`` block of gate values in (i, f, o) order. These
+rewrites give the same bits as the plain per-gate loops.
 """
 
 from __future__ import annotations
@@ -23,12 +33,15 @@ class SequenceTooShort(GranucastError):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # evaluated piecewise so exp never overflows
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # e = exp(-|z|) <= 1 never overflows; the numerator is 1 where z >= 0 and
+    # e below, so this is 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on the
+    # two sides, operation for operation
+    e = np.abs(z, out=np.empty(z.shape))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, z >= 0, out=np.empty(z.shape))
+    e += 1.0
+    out /= e
     return out
 
 
@@ -76,16 +89,17 @@ class LSTMLayer(Layer):
         h_seq = np.empty((batch, steps, hdim))
         cache = []
         for t in range(steps):
-            a = x[:, t, :] @ wx + h @ wh + b
-            i = sigmoid(a[:, :hdim])
-            f = sigmoid(a[:, hdim : 2 * hdim])
-            o = sigmoid(a[:, 2 * hdim : 3 * hdim])
+            x_t = x[:, t, :]
+            a = x_t @ wx
+            if t:
+                a += h @ wh
+            a += b
+            ifo = sigmoid(a[:, : 3 * hdim])
             g = np.tanh(a[:, 3 * hdim :])
-            c_new = f * c + i * g
+            c_new = ifo[:, hdim : 2 * hdim] * c + ifo[:, :hdim] * g
             tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            cache.append((x[:, t, :], h, c, i, f, o, g, tanh_c))
-            h, c = h_new, c_new
+            cache.append((x_t, h, c, ifo, g, tanh_c))
+            h, c = ifo[:, 2 * hdim :] * tanh_c, c_new
             h_seq[:, t, :] = h
         return h_seq, cache
 
@@ -96,29 +110,28 @@ class LSTMLayer(Layer):
         dx = np.empty((batch, steps, self.in_dim))
         dh_next = np.zeros((batch, hdim))
         dc_next = np.zeros((batch, hdim))
+        # gradient w.r.t. the fused pre-activation, gate order (i, f, o, g)
+        da = np.empty((batch, 4 * hdim))
+        d_ifo, dg = da[:, : 3 * hdim], da[:, 3 * hdim :]
         for t in reversed(range(steps)):
-            x_t, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
+            x_t, h_prev, c_prev, ifo, g, tanh_c = cache[t]
+            i, f, o = ifo[:, :hdim], ifo[:, hdim : 2 * hdim], ifo[:, 2 * hdim :]
             dh = d_h_seq[:, t, :] + dh_next
-            do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c**2)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
+            np.multiply(dc, g, out=d_ifo[:, :hdim])
+            np.multiply(dc, c_prev, out=d_ifo[:, hdim : 2 * hdim])
+            np.multiply(dh, tanh_c, out=d_ifo[:, 2 * hdim :])
+            d_ifo *= ifo
+            d_ifo *= 1.0 - ifo
+            np.multiply(dc, i, out=dg)
+            dg *= 1.0 - g**2
             dc_next = dc * f
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    do * o * (1.0 - o),
-                    dg * (1.0 - g**2),
-                ],
-                axis=1,
-            )
             self.grads["wx"] += x_t.T @ da
-            self.grads["wh"] += h_prev.T @ da
             self.grads["b"] += da.sum(axis=0)
             dx[:, t, :] = da @ wx.T
-            dh_next = da @ wh.T
+            if t:
+                self.grads["wh"] += h_prev.T @ da
+                dh_next = da @ wh.T
         return dx
 
 
@@ -177,13 +190,28 @@ class GRULayer(Layer):
             self._register(f"w{gate}h", (hidden, hidden))
             self._register(f"b{gate}", (hidden,))
 
-    def step(self, h_prev: np.ndarray, x_t: np.ndarray):
-        """One cell application; returns the new state and a step cache."""
+    def _pre(self, gate: str, h_prev: np.ndarray | None, x_t: np.ndarray) -> np.ndarray:
+        """``h_prev @ w{gate}h + x_t @ w{gate}x + b{gate}``; ``None`` is the zero state."""
         p = self.params
-        u = sigmoid(h_prev @ p["wuh"] + x_t @ p["wux"] + p["bu"])
-        r = sigmoid(h_prev @ p["wrh"] + x_t @ p["wrx"] + p["br"])
+        a = x_t @ p[f"w{gate}x"]
+        if h_prev is not None:
+            a += h_prev @ p[f"w{gate}h"]
+        a += p[f"b{gate}"]
+        return a
+
+    def step(self, h_prev: np.ndarray | None, x_t: np.ndarray):
+        """One cell application; returns the new state and a step cache.
+
+        ``h_prev=None`` stands for the all-zero initial state, whose matmuls
+        are skipped.
+        """
+        u = sigmoid(self._pre("u", h_prev, x_t))
+        r = sigmoid(self._pre("r", h_prev, x_t))
+        first = h_prev is None
+        if first:
+            h_prev = np.zeros_like(u)
         hr = r * h_prev
-        cand = np.tanh(hr @ p["wch"] + x_t @ p["wcx"] + p["bc"])
+        cand = np.tanh(self._pre("c", None if first else hr, x_t))
         h = (1.0 - u) * h_prev + u * cand
         return h, (x_t, h_prev, u, r, hr, cand)
 
@@ -191,7 +219,7 @@ class GRULayer(Layer):
         if x.shape[2] != self.in_dim:
             raise DimensionMismatch(f"expected input width {self.in_dim}, got {x.shape[2]}")
         batch, steps, _ = x.shape
-        h = np.zeros((batch, self.hidden))
+        h = None
         h_seq = np.empty((batch, steps, self.hidden))
         cache = []
         for t in range(steps):
@@ -208,31 +236,19 @@ class GRULayer(Layer):
         for t in reversed(range(steps)):
             x_t, h_prev, u, r, hr, cand = cache[t]
             dh = d_h_seq[:, t, :] + dh_next
-            du = dh * (cand - h_prev)
-            dcand = dh * u
-            dh_prev = dh * (1.0 - u)
-            dcin = dcand * (1.0 - cand**2)
-            g["wch"] += hr.T @ dcin
-            g["wcx"] += x_t.T @ dcin
-            g["bc"] += dcin.sum(axis=0)
+            dcin = dh * u * (1.0 - cand**2)
             dhr = dcin @ p["wch"].T
-            dx_t = dcin @ p["wcx"].T
-            dr = dhr * h_prev
-            dh_prev += dhr * r
-            drin = dr * r * (1.0 - r)
-            g["wrh"] += h_prev.T @ drin
-            g["wrx"] += x_t.T @ drin
-            g["br"] += drin.sum(axis=0)
-            dh_prev += drin @ p["wrh"].T
-            dx_t += drin @ p["wrx"].T
-            duin = du * u * (1.0 - u)
-            g["wuh"] += h_prev.T @ duin
-            g["wux"] += x_t.T @ duin
-            g["bu"] += duin.sum(axis=0)
-            dh_prev += duin @ p["wuh"].T
-            dx_t += duin @ p["wux"].T
-            dx[:, t, :] = dx_t
-            dh_next = dh_prev
+            drin = dhr * h_prev * r * (1.0 - r)
+            duin = dh * (cand - h_prev) * u * (1.0 - u)
+            for gate, d_in in (("c", dcin), ("r", drin), ("u", duin)):
+                g[f"w{gate}x"] += x_t.T @ d_in
+                g[f"b{gate}"] += d_in.sum(axis=0)
+            dx[:, t, :] = dcin @ p["wcx"].T + drin @ p["wrx"].T + duin @ p["wux"].T
+            if t:
+                g["wch"] += hr.T @ dcin
+                g["wrh"] += h_prev.T @ drin
+                g["wuh"] += h_prev.T @ duin
+                dh_next = dh * (1.0 - u) + dhr * r + drin @ p["wrh"].T + duin @ p["wuh"].T
         return dx
 
 

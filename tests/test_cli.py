@@ -504,7 +504,7 @@ class TestExitCodes:
         code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: unknown setting {key}\n"
-        assert fitted == [] and not any(out.iterdir())
+        assert fitted == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -542,7 +542,33 @@ class TestExitCodes:
         code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0")
-        assert fitted == [] and not any(out.iterdir())
+        assert fitted == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["granulate", "--data", "DATA"],
+            ["train", "--data", "DATA"],
+            ["forecast", "--data", "DATA"],
+            ["cv", "--data", "DATA"],
+            ["benchmark-opt", "--problem", "zdt1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rejected_config_creates_no_output_directory(
+        self, cli_env, tmp_path, capsys, monkeypatch, argv
+    ):
+        fitted = []
+        for module in (pipeline, cli):
+            monkeypatch.setattr(module, "fit_learner", lambda kind, *_: fitted.append(kind))
+        conf = tmp_path / "bad.conf"
+        conf.write_text("preset = desk\nno_such_key = 1\n")
+        out = tmp_path / "nested" / "out"
+        argv = [cli_env.data if arg == "DATA" else arg for arg in argv]
+        code = main([*argv, "--config", str(conf), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown setting no_such_key\n"
+        assert fitted == [] and not out.parent.exists()
 
     def test_synth_config_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):

@@ -11,6 +11,7 @@ import pytest
 from conftest import gradient_rel_err
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from granucast.evaluation import point_scores
 from granucast.fuzzy_rough import PEAK_COLUMN
@@ -37,7 +38,7 @@ from granucast.learners import (
     save_model,
 )
 from granucast.learners.models import _MODEL_CLASSES
-from granucast.learners.nn import BiLSTMLayer, Conv1dLayer, GRULayer, LSTMLayer
+from granucast.learners.nn import BiLSTMLayer, Conv1dLayer, GRULayer, LSTMLayer, sigmoid
 from granucast.learners.trees import build_boosted_tree, build_cart
 
 
@@ -118,6 +119,172 @@ class TestMakeSupervised:
             np.testing.assert_array_equal(part.targets, data.targets[rows])
             np.testing.assert_array_equal(part.target_indices, data.target_indices[rows])
             assert (part.lag, part.record_width) == (data.lag, data.record_width)
+
+
+# --- frozen references: the plain kernels the fused ones must match bit for bit
+
+
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_lstm(params, x, d_h_seq):
+    """Per-gate LSTM forward and backward; returns (h_seq, dx, grads)."""
+    wx, wh, b = params["wx"], params["wh"], params["b"]
+    batch, steps, _ = x.shape
+    hdim = wh.shape[0]
+    h = np.zeros((batch, hdim))
+    c = np.zeros((batch, hdim))
+    h_seq = np.empty((batch, steps, hdim))
+    cache = []
+    for t in range(steps):
+        a = x[:, t, :] @ wx + h @ wh + b
+        i = reference_sigmoid(a[:, :hdim])
+        f = reference_sigmoid(a[:, hdim : 2 * hdim])
+        o = reference_sigmoid(a[:, 2 * hdim : 3 * hdim])
+        g = np.tanh(a[:, 3 * hdim :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        cache.append((x[:, t, :], h, c, i, f, o, g, tanh_c))
+        h, c = h_new, c_new
+        h_seq[:, t, :] = h
+
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    dx = np.empty_like(x)
+    dh_next = np.zeros((batch, hdim))
+    dc_next = np.zeros((batch, hdim))
+    for t in reversed(range(steps)):
+        x_t, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
+        dh = d_h_seq[:, t, :] + dh_next
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc_next = dc * f
+        da = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g**2)],
+            axis=1,
+        )
+        grads["wx"] += x_t.T @ da
+        grads["wh"] += h_prev.T @ da
+        grads["b"] += da.sum(axis=0)
+        dx[:, t, :] = da @ wx.T
+        dh_next = da @ wh.T
+    return h_seq, dx, grads
+
+
+def reference_gru(p, x, d_h_seq):
+    """GRU forward and backward with every matmul; returns (h_seq, dx, grads)."""
+    batch, steps, _ = x.shape
+    hdim = p["wuh"].shape[0]
+    h = np.zeros((batch, hdim))
+    h_seq = np.empty((batch, steps, hdim))
+    cache = []
+    for t in range(steps):
+        x_t, h_prev = x[:, t, :], h
+        u = reference_sigmoid(h_prev @ p["wuh"] + x_t @ p["wux"] + p["bu"])
+        r = reference_sigmoid(h_prev @ p["wrh"] + x_t @ p["wrx"] + p["br"])
+        hr = r * h_prev
+        cand = np.tanh(hr @ p["wch"] + x_t @ p["wcx"] + p["bc"])
+        h = (1.0 - u) * h_prev + u * cand
+        cache.append((x_t, h_prev, u, r, hr, cand))
+        h_seq[:, t, :] = h
+
+    g = {name: np.zeros_like(value) for name, value in p.items()}
+    dx = np.empty_like(x)
+    dh_next = np.zeros((batch, hdim))
+    for t in reversed(range(steps)):
+        x_t, h_prev, u, r, hr, cand = cache[t]
+        dh = d_h_seq[:, t, :] + dh_next
+        du = dh * (cand - h_prev)
+        dcand = dh * u
+        dh_prev = dh * (1.0 - u)
+        dcin = dcand * (1.0 - cand**2)
+        g["wch"] += hr.T @ dcin
+        g["wcx"] += x_t.T @ dcin
+        g["bc"] += dcin.sum(axis=0)
+        dhr = dcin @ p["wch"].T
+        dx_t = dcin @ p["wcx"].T
+        dr = dhr * h_prev
+        dh_prev += dhr * r
+        drin = dr * r * (1.0 - r)
+        g["wrh"] += h_prev.T @ drin
+        g["wrx"] += x_t.T @ drin
+        g["br"] += drin.sum(axis=0)
+        dh_prev += drin @ p["wrh"].T
+        dx_t += drin @ p["wrx"].T
+        duin = du * u * (1.0 - u)
+        g["wuh"] += h_prev.T @ duin
+        g["wux"] += x_t.T @ duin
+        g["bu"] += duin.sum(axis=0)
+        dh_prev += duin @ p["wuh"].T
+        dx_t += duin @ p["wux"].T
+        dx[:, t, :] = dx_t
+        dh_next = dh_prev
+    return h_seq, dx, g
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+SPECIAL_INPUTS = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
+
+
+class TestSigmoid:
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+            elements=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+        )
+    )
+    def test_matches_the_piecewise_form_bit_for_bit(self, z):
+        with np.errstate(over="raise"):
+            assert_same_bits(sigmoid(z), reference_sigmoid(z))
+            flat = np.concatenate([z.ravel(), SPECIAL_INPUTS])
+            assert_same_bits(sigmoid(flat), reference_sigmoid(flat))
+
+
+KERNEL_SHAPES = [(1, 1, 3), (3, 4, 3), (100, 4, 3)]
+
+
+def random_layer(layer_cls, width, hidden, rng):
+    layer = layer_cls(width, hidden)
+    for value in layer.params.values():
+        value[...] = rng.normal(scale=0.5, size=value.shape)
+    return layer
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize(
+    ("layer_cls", "reference"), [(LSTMLayer, reference_lstm), (GRULayer, reference_gru)]
+)
+def test_recurrent_kernels_match_the_plain_loops_bit_for_bit(layer_cls, reference, shape):
+    # the (1, 1, w) case runs only the zero-state step; the longer ones run it
+    # and then the full step
+    rng = np.random.default_rng(sum(shape))
+    batch, steps, width = shape
+    hidden = 4
+    layer = random_layer(layer_cls, width, hidden, rng)
+    x = rng.normal(size=shape)
+    d_h_seq = rng.normal(size=(batch, steps, hidden))
+    h_seq, cache = layer.forward(x)
+    dx = layer.backward(d_h_seq, cache)
+    ref_h_seq, ref_dx, ref_grads = reference(layer.params, x, d_h_seq)
+    assert_same_bits(h_seq, ref_h_seq)
+    assert_same_bits(dx, ref_dx)
+    assert layer.grads.keys() == ref_grads.keys()
+    for name, grad in layer.grads.items():
+        assert_same_bits(grad, ref_grads[name])
 
 
 class TestLstmLayer:

@@ -18,23 +18,41 @@ from granucast.learners import (
     fit_learner,
     save_model,
 )
+from granucast.learners import nn, trees
 from granucast.sunflower import SunflowerOptimizer
 from granucast.synth import SynthConfig, write_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+# (owner, attribute) of each kernel the tracer wraps for a per-layer metric
+TRACED_KERNELS = [
+    (nn, "sigmoid"),
+    (nn, "clip_gradients"),
+    *(
+        (cls, attr)
+        for cls in (nn.LSTMLayer, nn.GRULayer, nn.Conv1dLayer)
+        for attr in ("forward", "backward")
+    ),
+    (trees, "build_cart"),
+    (trees.Tree, "predict"),
+    (SunflowerOptimizer, "step"),
+]
+
+
 def test_tracer_installs_and_restores(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
-    original = SunflowerOptimizer.__dict__["step"]
+    originals = {(owner, attr): vars(owner)[attr] for owner, attr in TRACED_KERNELS}
     recorder = tracer.Tracer()
     try:
         tracer.install(recorder)
-        assert SunflowerOptimizer.__dict__["step"] is not original
+        for (owner, attr), original in originals.items():
+            assert vars(owner)[attr] is not original, f"{owner.__name__}.{attr} is not traced"
     finally:
         recorder.restore()
-    assert SunflowerOptimizer.__dict__["step"] is original
+    for (owner, attr), original in originals.items():
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} is not restored"
 
 
 TINY_NET = NetConfig(hidden_sizes=(3,), epochs=2, batch_size=4)
