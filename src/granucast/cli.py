@@ -7,11 +7,12 @@ ensemble pipeline, ``evaluate`` scores a forecast CSV, ``cv`` runs the
 contiguous k-fold harness, and ``benchmark-opt`` exercises the optimizer
 on analytic two-objective problems.
 
-Every command writes its artifacts into ``--out`` together with the
-resolved configuration (``config.txt``) and a ``manifest.txt`` listing the
+``main`` does the work the commands share: it checks the input files,
+resolves the run configuration, creates ``--out``, and afterwards writes
+the resolved configuration (``config.txt``) and a ``manifest.txt`` of the
 config hash and a checksum per artifact. Outputs are deterministic in
 (inputs, config, seed). Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+error (a bad option, a missing input file or an unusable ``--out``).
 """
 
 from __future__ import annotations
@@ -73,27 +74,6 @@ def _finish_run(out_dir: Path, config_text: str, artifact_names: list[str]) -> N
     _write_manifest(out_dir, config_text, artifact_names + ["config.txt"])
 
 
-def _require_file(path: str) -> int | None:
-    if not Path(path).is_file():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return 2
-    return None
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _run_config(args) -> RunConfig:
-    if args.config is not None:
-        missing = _require_file(args.config)
-        if missing is not None:
-            raise SystemExit(missing)
-    return build_run_config(preset=args.preset, seed=args.seed, config_path=args.config)
-
-
 def _load_clean_series(path: str) -> np.ndarray:
     return interpolate_gaps(load_series(path))
 
@@ -111,30 +91,23 @@ def _level_label(level: float) -> str:
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
+def cmd_synth(args, run: None, out: Path) -> tuple[str, list[str]]:
     config = SynthConfig(
         samples=args.samples,
         seed=args.seed if args.seed is not None else 0,
         gap_fraction=args.gap_fraction,
     )
     gap_count = write_synth_csv(out / "data.csv", config)
+    print(f"rows: {config.samples}")
+    print(f"gaps: {gap_count}")
     config_text = "command = synth\n" + "".join(
         f"{f.name} = {getattr(config, f.name)!r}\n"
         for f in sorted(dataclasses.fields(config), key=lambda f: f.name)
     )
-    _finish_run(out, config_text, ["data.csv"])
-    print(f"rows: {config.samples}")
-    print(f"gaps: {gap_count}")
-    return 0
+    return config_text, ["data.csv"]
 
 
-def cmd_granulate(args) -> int:
-    missing = _require_file(args.data)
-    if missing is not None:
-        return missing
-    run = _run_config(args)
-    out = _out_dir(args)
+def cmd_granulate(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     granules = granulate_series(_load_clean_series(args.data), run.window_size)
     features, cluster_result = extract_features(granules, run.cluster, record_trace=args.trace)
     nearest = np.argmax(cluster_result.memberships, axis=0)
@@ -165,18 +138,12 @@ def cmd_granulate(args) -> int:
             ),
         )
         names.append("trace.csv")
-    _finish_run(out, run.describe(), names)
     print(f"windows: {len(granules)}")
     print(f"clustering iterations: {cluster_result.iterations}")
-    return 0
+    return run.describe(), names
 
 
-def cmd_train(args) -> int:
-    missing = _require_file(args.data)
-    if missing is not None:
-        return missing
-    run = _run_config(args)
-    out = _out_dir(args)
+def cmd_train(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     _, _, _, parts, _ = extract_and_split(_load_clean_series(args.data), run)
     train_set = make_supervised(parts[0], run.lag)
     kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
@@ -187,16 +154,10 @@ def cmd_train(args) -> int:
         save_model(model, out / name)
         names.append(name)
         print(f"trained {kind}: {name}")
-    _finish_run(out, run.describe(), names)
-    return 0
+    return run.describe(), names
 
 
-def cmd_forecast(args) -> int:
-    missing = _require_file(args.data)
-    if missing is not None:
-        return missing
-    run = _run_config(args)
-    out = _out_dir(args)
+def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     solo = _MODEL_ALIASES[args.model] if args.model else None
     result = run_forecast(_load_clean_series(args.data), run, solo=solo)
 
@@ -218,6 +179,7 @@ def cmd_forecast(args) -> int:
         rows.append(row)
     _write_rows(out / "forecast.csv", header, rows)
     names = ["forecast.csv"]
+    print(f"forecast rows: {len(rows)}")
 
     if result.weight_fit is not None:
         fit = result.weight_fit
@@ -231,22 +193,22 @@ def cmd_forecast(args) -> int:
             out / "archive.csv", fit.archive, ["mape", "mse", *(f"weight_{k}" for k in KINDS)]
         )
         names += ["weights.txt", "archive.csv"]
-        print(f"forecast rows: {len(rows)}")
         print(
             "validation objectives: mape="
             f"{_fmt(fit.chosen_objectives[0])} mse={_fmt(fit.chosen_objectives[1])}"
         )
     else:
-        print(f"forecast rows: {len(rows)}")
         print(f"solo model: {solo}")
     print(f"test mape = {_fmt(result.test_scores.mape)}")
-    _finish_run(out, run.describe(), names)
-    return 0
+    return run.describe(), names
 
 
 def _parse_forecast_csv(path: str):
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = [row for row in csv.reader(handle) if row]
+    except UnicodeDecodeError as exc:
+        raise GranucastError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise GranucastError(f"{path}: file is empty")
     header, rows = rows[0], rows[1:]
@@ -283,12 +245,7 @@ def _parse_forecast_csv(path: str):
     return actual, point, bounds
 
 
-def cmd_evaluate(args) -> int:
-    for path in filter(None, (args.forecast, args.baseline)):
-        missing = _require_file(path)
-        if missing is not None:
-            return missing
-    out = _out_dir(args)
+def cmd_evaluate(args, run: None, out: Path) -> tuple[str, list[str]]:
     actual, point, bounds = _parse_forecast_csv(args.forecast)
     scores = point_scores(actual, point)
     pairs = list(zip(PointScores.COLUMNS, scores.as_row()))
@@ -308,41 +265,30 @@ def cmd_evaluate(args) -> int:
         dm = dm_test(actual - point, base_actual - base_point)
         pairs += [("DM_STAT", dm.statistic), ("DM_REJECT", float(dm.reject))]
     _write_rows(out / "metrics.csv", ["metric", "value"], ((k, _fmt(v)) for k, v in pairs))
-    config_text = "command = evaluate\n"
-    _finish_run(out, config_text, ["metrics.csv"])
     for key, value in pairs:
         print(f"{key} = {_fmt(value)}")
-    return 0
+    return "command = evaluate\n", ["metrics.csv"]
 
 
-def cmd_cv(args) -> int:
-    missing = _require_file(args.data)
-    if missing is not None:
-        return missing
-    run = _run_config(args)
-    out = _out_dir(args)
+def cmd_cv(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     folds = run_cv(_load_clean_series(args.data), run, k=args.folds)
     rows = [[fold.fold, *(_fmt(v) for v in fold.scores.as_row())] for fold in folds]
     means = np.mean([fold.scores.as_row() for fold in folds], axis=0)
     rows.append(["mean", *(_fmt(v) for v in means)])
     _write_rows(out / "cv_scores.csv", ["fold", *PointScores.COLUMNS], rows)
-    _finish_run(out, run.describe(), ["cv_scores.csv"])
     for name, value in zip(PointScores.COLUMNS, means):
         print(f"mean {name} = {_fmt(value)}")
-    return 0
+    return run.describe(), ["cv_scores.csv"]
 
 
-def cmd_benchmark_opt(args) -> int:
-    run = _run_config(args)
-    out = _out_dir(args)
+def cmd_benchmark_opt(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     which = int(args.problem[-1])
     archive = SunflowerOptimizer(
         lambda v: np.array(zdt_evaluate(which, v)), args.dim, 0.0, 1.0, run.optimizer
     ).run()
 
     if not archive.is_sound():
-        print("error: archive soundness check failed", file=sys.stderr)
-        return 1
+        raise GranucastError("archive soundness check failed")
     reference = {1: zdt1_front, 2: zdt2_front, 3: zdt3_front}[which](500)
     igd, spacing = front_quality(archive.objectives, reference)
     _write_archive(
@@ -350,13 +296,11 @@ def cmd_benchmark_opt(args) -> int:
         archive,
         ["objective_1", "objective_2", *(f"x_{d + 1}" for d in range(args.dim))],
     )
-    # comments, so that config.txt stays a valid --config
-    config_text = run.describe() + f"# problem = {args.problem}\n# dim = {args.dim}\n"
-    _finish_run(out, config_text, ["front.csv"])
     print(f"archive size: {len(archive)}")
     print(f"igd = {_fmt(igd)}")
     print(f"spacing = {_fmt(spacing)}")
-    return 0
+    # comments, so that config.txt stays a valid --config
+    return run.describe() + f"# problem = {args.problem}\n# dim = {args.dim}\n", ["front.csv"]
 
 
 # --- parser -----------------------------------------------------------------
@@ -430,11 +374,26 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--gap-fraction must lie in [0, 0.5), got {args.gap_fraction}")
     if args.command == "benchmark-opt" and args.dim < 2:
         parser.error(f"--dim must be at least 2, got {args.dim}")
+    for path in filter(None, map(vars(args).get, ("data", "config", "forecast", "baseline"))):
+        if not Path(path).is_file():
+            print(f"error: no such file: {path}", file=sys.stderr)
+            return 2
+    out = Path(args.out)
     try:
-        return args.func(args)
+        run = None
+        if "preset" in vars(args):
+            run = build_run_config(preset=args.preset, seed=args.seed, config_path=args.config)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        config_text, artifact_names = args.func(args, run, out)
+        _finish_run(out, config_text, artifact_names)
     except GranucastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -102,8 +102,12 @@ def _format_value(value) -> str:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     entries: dict[str, str] = {}
-    for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -39,7 +39,7 @@ class TooFewGranules(GranucastError):
 class ClusterConfig:
     cluster_count: int = 3
     max_iters: int = 100
-    tol: float = 1e-6
+    tol: float = 1e-6  # a fraction of the granule entries' range
 
     def __post_init__(self):
         require_int("cluster_count", self.cluster_count, 1)
@@ -158,9 +158,10 @@ def extract_features(
 ) -> tuple[np.ndarray, ClusterResult]:
     """Cluster the ``(n, 3)`` granule rows and return one feature row per window.
 
-    Region / center-update sweeps run until the largest center move falls
-    below ``config.tol``, or ``config.max_iters`` times; ``record_trace``
-    keeps the centers after every sweep.
+    Region / center-update sweeps run until the largest center move is at
+    most ``config.tol`` times the range (max - min) of the granule entries,
+    so the stop does not depend on the unit, or ``config.max_iters`` times;
+    ``record_trace`` keeps the centers after every sweep.
 
     The feature matrix has shape ``(n, k + 3)`` for k clusters: row i holds
     window i's k converged memberships, then its granule's low, peak and up
@@ -168,6 +169,8 @@ def extract_features(
     """
     points = np.asarray(granules, dtype=np.float64)
     centers = init_centers(points, config.cluster_count)
+    span = points.max() - points.min()
+    threshold = config.tol * span
     center_trace: list[np.ndarray] = []
     converged = False
     iterations = 0
@@ -178,14 +181,16 @@ def extract_features(
         centers = new_centers
         if record_trace:
             center_trace.append(centers.copy())
-        if displacement < config.tol:
+        # a constant input's centers sit on it after one sweep, up to the
+        # rounding of a mean of equal values, which no relative tol can absorb
+        if displacement <= threshold or span == 0.0:
             converged = True
             break
     if not converged:
         logger.warning(
             "clustering did not converge in %d iterations (last displacement above %g)",
             config.max_iters,
-            config.tol,
+            threshold,
         )
     memberships = membership_matrix(points, centers)
     result = ClusterResult(centers, memberships, iterations, converged, tuple(center_trace))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import zipfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -202,6 +203,8 @@ class _SequenceRegressor:
             for p in layer.params.values():
                 p[...] = vec[offset : offset + p.size].reshape(p.shape)
                 offset += p.size
+        if offset != len(vec):
+            raise ValueError(f"parameter vector has {len(vec)} entries, expected {offset}")
 
     # --- forward / backward -------------------------------------------------
 
@@ -469,16 +472,21 @@ def save_model(model, path: str | Path):
 
 
 def load_model(path: str | Path):
-    """Reconstruct a model saved by ``save_model``; bit-exact round trip."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"][()]))
-        arrays = {k: data[k] for k in data.files if k != "meta"}
-    if meta.get("format") != _FORMAT:
-        raise ModelFileError(f"{path}: model format {meta.get('format')!r}, expected {_FORMAT}")
-    if meta.get("kind") not in KINDS:
-        raise ModelFileError(f"{path}: model kind {meta.get('kind')!r}, expected one of {KINDS}")
-    cls = _MODEL_CLASSES[meta["kind"]]
-    extra = meta["extra"]
-    model = cls(cls.config_type(**meta["config"]), extra.pop("record_width"), extra.pop("lag"))
-    model._load_state(extra, arrays)
+    """Reconstruct a model saved by ``save_model``; bit-exact round trip.
+    Any other file raises ModelFileError."""
+    try:
+        with np.load(Path(path), allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"][()]))
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        fmt, kind = meta.get("format"), meta.get("kind")
+        if fmt != _FORMAT:
+            raise ModelFileError(f"{path}: model format {fmt!r}, expected {_FORMAT}")
+        if kind not in KINDS:
+            raise ModelFileError(f"{path}: model kind {kind!r}, expected one of {KINDS}")
+        cls = _MODEL_CLASSES[kind]
+        extra = meta["extra"]
+        model = cls(cls.config_type(**meta["config"]), extra.pop("record_width"), extra.pop("lag"))
+        model._load_state(extra, arrays)
+    except (AttributeError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelFileError(f"{path}: not a saved model ({type(exc).__name__}: {exc})") from None
     return model

@@ -108,42 +108,52 @@ def load_series(path: str | Path) -> RawSeries:
     """Read a ``timestamp,wind_speed`` CSV into a RawSeries.
 
     Empty wind_speed fields become gaps. Raises EmptyFile when there are no
-    data rows, MalformedRow for parse failures and NonMonotoneTimestamps when
-    timestamps do not strictly increase.
+    data rows, MalformedRow for parse failures (text that is not UTF-8
+    included) and NonMonotoneTimestamps when timestamps do not strictly
+    increase.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path}: file is empty") from None
-        if [column.strip().lower() for column in header] != ["timestamp", "wind_speed"]:
-            raise MalformedRow(f"{path}: expected header 'timestamp,wind_speed', got {header!r}")
-        timestamps: list[int] = []
-        values: list[float] = []
-        mask: list[bool] = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedRow(f"{path}: row {row_number} has {len(row)} fields, expected 2")
-            timestamps.append(_parse_timestamp(row[0], row_number))
-            raw_value = row[1].strip()
-            if raw_value == "":
-                values.append(math.nan)
-                mask.append(True)
-            else:
-                try:
-                    value = float(raw_value)
-                except ValueError:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyFile(f"{path}: file is empty") from None
+            if [column.strip().lower() for column in header] != ["timestamp", "wind_speed"]:
+                raise MalformedRow(
+                    f"{path}: expected header 'timestamp,wind_speed', got {header!r}"
+                )
+            timestamps: list[int] = []
+            values: list[float] = []
+            mask: list[bool] = []
+            for row_number, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
                     raise MalformedRow(
-                        f"{path}: row {row_number}: unparseable wind_speed {raw_value!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise MalformedRow(f"{path}: row {row_number}: NaN or infinity not allowed")
-                values.append(value)
-                mask.append(False)
+                        f"{path}: row {row_number} has {len(row)} fields, expected 2"
+                    )
+                timestamps.append(_parse_timestamp(row[0], row_number))
+                raw_value = row[1].strip()
+                if raw_value == "":
+                    values.append(math.nan)
+                    mask.append(True)
+                else:
+                    try:
+                        value = float(raw_value)
+                    except ValueError:
+                        raise MalformedRow(
+                            f"{path}: row {row_number}: unparseable wind_speed {raw_value!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise MalformedRow(
+                            f"{path}: row {row_number}: NaN or infinity not allowed"
+                        )
+                    values.append(value)
+                    mask.append(False)
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not timestamps:
         raise EmptyFile(f"{path}: no data rows")
     return RawSeries(

@@ -263,7 +263,11 @@ def test_cli_determinism(tmp_path_factory):
         for tag in ("a", "b"):
             out = root / f"{name}_{tag}"
             assert cli_main(argv_for(str(out))) == 0
-            manifests.append((out / "manifest.txt").read_bytes())
+            manifest = (out / "manifest.txt").read_text()
+            # the manifest hashes every file the run wrote, and only those
+            listed = {line.split("  ", 1)[1] for line in manifest.splitlines()[1:]}
+            assert listed == {p.name for p in out.iterdir()} - {"manifest.txt"}, name
+            manifests.append(manifest)
         return manifests[0] == manifests[1]
 
     data = str(root / "synth_a" / "data.csv")

@@ -18,6 +18,7 @@ from granucast.cli import main
 from granucast.config import build_run_config
 from granucast.evaluation import PointScores, point_scores
 from granucast.learners import load_model
+from granucast.sunflower import ParetoArchive
 from granucast.synth import SynthConfig
 
 QUICK_CONF = """\
@@ -387,20 +388,77 @@ class TestExitCodes:
     def test_missing_forecast_file(self, tmp_path):
         assert main(["evaluate", "--forecast", str(tmp_path / "nope.csv")]) == 2
 
-    def test_missing_config_file(self, cli_env, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "granulate",
-                    "--data",
-                    cli_env.data,
-                    "--config",
-                    str(tmp_path / "nope.conf"),
-                    "--out",
-                    str(tmp_path / "g"),
-                ]
-            )
-        assert exc.value.code == 2
+    def test_missing_config_file(self, cli_env, tmp_path, capsys):
+        conf, out = tmp_path / "nope.conf", tmp_path / "g"
+        argv = ["granulate", "--data", cli_env.data, "--config", str(conf), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: no such file: {conf}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--data", "MISSING"] for command in ("granulate", "train", "forecast", "cv")
+        ]
+        + [
+            [command, "--data", "DATA", "--config", "MISSING"]
+            for command in ("granulate", "train", "forecast", "cv")
+        ]
+        + [
+            ["benchmark-opt", "--problem", "zdt1", "--config", "MISSING"],
+            ["evaluate", "--forecast", "MISSING"],
+            ["evaluate", "--forecast", "DATA", "--baseline", "MISSING"],
+        ],
+        ids=lambda argv: f"{argv[0]}_{argv[argv.index('MISSING') - 1].lstrip('-')}",
+    )
+    def test_missing_input_file_returns_two(self, cli_env, tmp_path, capsys, argv):
+        missing, out = tmp_path / "missing.csv", tmp_path / "nested" / "out"
+        subs = {"DATA": cli_env.data, "MISSING": str(missing)}
+        assert main([*(subs.get(arg, arg) for arg in argv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["synth", "--samples", "50"], ["forecast", "--data", "DATA", "--preset", "desk"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_a_file"])
+    def test_unusable_out_returns_two(self, cli_env, tmp_path, capsys, monkeypatch, argv, below):
+        fitted = []
+        monkeypatch.setattr(pipeline, "fit_learner", lambda kind, *_: fitted.append(kind))
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if below else blocker
+        argv = [cli_env.data if arg == "DATA" else arg for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep\n" and fitted == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["granulate", "--data", "BAD"],
+            ["granulate", "--data", "DATA", "--config", "BAD"],
+            ["evaluate", "--forecast", "BAD"],
+        ],
+        ids=["data", "config", "forecast"],
+    )
+    def test_input_that_is_not_utf8_returns_one(self, cli_env, tmp_path, capsys, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"timestamp,wind_speed\n0,\xff\xfe\n")
+        subs = {"DATA": cli_env.data, "BAD": str(bad)}
+        assert main([*(subs.get(arg, arg) for arg in argv), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
+    def test_unsound_archive_returns_one(self, cli_env, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ParetoArchive, "is_sound", lambda self: False)
+        argv = ["benchmark-opt", "--problem", "zdt1", "--config", cli_env.conf]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: archive soundness check failed\n"
+        assert not (tmp_path / "o" / "manifest.txt").exists()
 
     def test_unknown_problem_choice(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

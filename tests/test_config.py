@@ -49,6 +49,12 @@ class TestParseConfigFile:
         with pytest.raises(ConfigError, match=r"run\.conf:2"):
             parse_config_file(path)
 
+    def test_bytes_that_are_not_utf8_are_a_config_error(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"seed = 7\n\xff\xfe = 1\n")
+        with pytest.raises(ConfigError, match=f"{path}: not UTF-8 text"):
+            parse_config_file(path)
+
     def test_later_entries_win(self, tmp_path):
         path = write_config(tmp_path, "lag = 3\nlag = 6\n")
         assert parse_config_file(path) == {"lag": "6"}

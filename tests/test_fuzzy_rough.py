@@ -150,6 +150,14 @@ class TestFit:
         assert result.memberships.sum(axis=0) == pytest.approx(np.ones(6))
         assert (result.memberships.argmax(axis=0) == 0).all()
 
+    @pytest.mark.parametrize("value", [2.0, 31.848084366072715])
+    def test_constant_input_converges_at_the_first_sweep(self, value):
+        # the float mean of seven copies of the second value is not exactly
+        # that value, so the centers move by one ulp on a range of 0
+        points = np.full((7, 3), value)
+        result = extract_features(points, ClusterConfig())[1]
+        assert result.converged and result.iterations == 1
+
     def test_tol_above_every_displacement_stops_after_one_iteration(self):
         rng = np.random.default_rng(1)
         points = rng.uniform(0, 1, size=(10, 3))
@@ -194,13 +202,14 @@ class TestFit:
     @settings(max_examples=10)
     @given(seed=st.integers(0, 1000), scale=st.floats(0.1, 20))
     def test_scale_equivariance(self, seed, scale):
-        # `tol` bounds the center displacement in data units, so the scaled
-        # fit gets a tolerance scaled alike and must stop at the same sweep.
+        # `tol` is relative to the data's range, so the same tol must stop
+        # the scaled fit at the same sweep.
         rng = np.random.default_rng(seed)
         points = rng.uniform(0, 3, size=(15, 3))
         points.sort(axis=1)
-        base = extract_features(points, ClusterConfig(max_iters=20, tol=1e-6))[1]
-        scaled = extract_features(points * scale, ClusterConfig(max_iters=20, tol=1e-6 * scale))[1]
+        config = ClusterConfig(max_iters=20, tol=1e-6)
+        base = extract_features(points, config)[1]
+        scaled = extract_features(points * scale, config)[1]
         assert (scaled.iterations, scaled.converged) == (base.iterations, base.converged)
         assert np.allclose(scaled.centers, base.centers * scale, rtol=1e-8, atol=1e-10)
         assert np.allclose(scaled.memberships, base.memberships, atol=1e-9)

@@ -49,6 +49,13 @@ def toy_features(count: int) -> np.ndarray:
     return np.column_stack([0.25 + 0.01 * i, 0.75 - 0.01 * i, i, i + 0.5, i + 1.0])
 
 
+def write_npz(path, meta: str | None, arrays: dict) -> None:
+    """An .npz of ``arrays`` plus, unless None, the ``meta`` string."""
+    extra = {} if meta is None else {"meta": np.array(meta)}
+    with path.open("wb") as fh:
+        np.savez(fh, **extra, **arrays)
+
+
 def toy_supervised(n: int = 30, width: int = 5, lag: int = 4, seed: int = 0) -> SupervisedSet:
     rng = np.random.default_rng(seed)
     inputs = rng.normal(size=(n, lag * width))
@@ -701,6 +708,49 @@ class TestModelLifecycle:
         with path.open("wb") as fh:
             np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(ModelFileError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path, meta, arrays: path.write_text("index,actual,point\n"),
+            lambda path, meta, arrays: path.write_bytes(path.read_bytes()[:200]),
+            lambda path, meta, arrays: write_npz(path, None, arrays),
+            lambda path, meta, arrays: write_npz(path, "{format: 2", arrays),
+            lambda path, meta, arrays: write_npz(path, "[2]", arrays),
+            lambda path, meta, arrays: write_npz(
+                path, json.dumps({k: v for k, v in meta.items() if k != "extra"}), arrays
+            ),
+            lambda path, meta, arrays: write_npz(
+                path, json.dumps({**meta, "config": {"tree_count": 10}}), arrays
+            ),
+            lambda path, meta, arrays: write_npz(
+                path, json.dumps(meta), {k: v for k, v in arrays.items() if k != "theta"}
+            ),
+            lambda path, meta, arrays: write_npz(
+                path, json.dumps(meta), {**arrays, "theta": np.append(arrays["theta"], 1.0)}
+            ),
+        ],
+        ids=[
+            "text_file",
+            "truncated_npz",
+            "no_meta",
+            "meta_not_json",
+            "meta_not_an_object",
+            "meta_without_extra",
+            "config_of_another_kind",
+            "no_theta",
+            "theta_too_long",
+        ],
+    )
+    def test_load_rejects_files_that_are_not_models(self, damage, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(fit_learner("lstm_xgb", toy_supervised(), SMALL["lstm_xgb"]), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays.pop("meta")[()]))
+        damage(path, meta, arrays)
+        with pytest.raises(ModelFileError, match="model.npz"):
             load_model(path)
 
     def test_save_refuses_kinds_it_cannot_load(self, tmp_path):

@@ -92,6 +92,14 @@ class TestLoadSeries:
         with pytest.raises(FileNotFoundError):
             load_series(tmp_path / "absent.csv")
 
+    def test_bytes_that_are_not_utf8_are_malformed(self, tmp_path):
+        # the bad row lies past the first block the text reader decodes
+        rows = "".join(f"{600 * i},5.0\n" for i in range(2000))
+        path = tmp_path / "series.csv"
+        path.write_bytes(f"timestamp,wind_speed\n{rows}".encode() + b"1200000,\xff\xfe\n")
+        with pytest.raises(MalformedRow, match=f"{path}: not UTF-8 text"):
+            load_series(path)
+
 
 class TestInterpolateGaps:
     def make_raw(self, values):
