@@ -12,7 +12,7 @@ resolves the run configuration, creates ``--out``, and afterwards writes
 the resolved configuration (``config.txt``) and a ``manifest.txt`` of the
 config hash and a checksum per artifact. Outputs are deterministic in
 (inputs, config, seed). Exit codes: 0 success, 1 runtime failure, 2 usage
-error (a bad option, a missing input file or an unusable ``--out``).
+error (a bad option, a missing input file, or an unusable or reused ``--out``).
 """
 
 from __future__ import annotations
@@ -379,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: no such file: {path}", file=sys.stderr)
             return 2
     out = Path(args.out)
+    if (out / "manifest.txt").exists():
+        print(f"error: output directory {out} already holds a run (manifest.txt)", file=sys.stderr)
+        return 2
     try:
         run = None
         if "preset" in vars(args):

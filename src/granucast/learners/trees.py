@@ -2,12 +2,18 @@
 
 ``build_cart`` grows the random forest's trees (the bagging lives in
 ``models.ForestRegressor``); ``BoostedTrees`` is lstm_xgb's second stage.
-Both grow their trees with one preorder grower and one split scan over a
-flat array-of-nodes tree representation that serializes to plain lists.
-They differ only in the leaf value, the cut score and one extra stop rule.
-Split search is exact over sorted feature values with prefix sums; ties
-break to the lowest feature index, then the lowest threshold, so rebuilds
-are reproducible across platforms.
+Both grow a flat array-of-nodes tree, which serializes to plain lists, with
+one preorder grower; they differ only in the leaf value, the cut score and
+one extra stop rule.
+
+Split search is exact and sorts once: ``presort`` orders each feature's rows
+by (value, row) once per tree (once per fit for boosting), and every node
+keeps that order filtered to its own rows, so it scores all cuts of its
+candidate features with prefix sums and no sort. Cuts between equal values
+are never taken. Ties break to the lowest feature, then the lowest
+threshold, but only between bit-equal scores: one partition reached through
+two features is summed in two row orders, and the two scores can differ in
+the last bit (ROADMAP item 13).
 """
 
 from __future__ import annotations
@@ -61,67 +67,64 @@ class Tree:
         return out
 
 
-def _best_split(cols: np.ndarray, y: np.ndarray, cut_scores) -> tuple[float, int, float]:
-    """Best cut over the candidate columns ``cols`` of one node.
+def presort(x: np.ndarray) -> np.ndarray:
+    """Each feature's row indices in ascending (value, row) order, shape (features, rows)."""
+    return np.argsort(x.T, axis=1, kind="stable")
 
-    ``cut_scores(sorted_y, y)`` maps the node's targets sorted by each
-    column, shape (n, k), to the score of cutting after each of the first
-    n - 1 rows. Cuts between equal values score -inf. Returns (score,
-    column position, threshold); the score is -inf when every column is
-    constant. The first maximum in column-major order keeps the lowest
-    column, then the lowest threshold, on ties.
+
+def _grow(x, y, order, max_depth, leaf_value, cut_scores, candidates, min_score) -> Tree:
+    """Greedy preorder tree growth shared by both learners, from ``presort(x)``.
+
+    A node holds its m rows as a (features + 1, m) matrix: row f lists them
+    in feature f's (value, row) order, the last row ascending; a split
+    partitions each row stably. A node stores ``leaf_value(sum, m)`` of its
+    targets and stays a leaf when it has one row, sits at ``max_depth``,
+    ``candidates(targets)`` returns None instead of k sorted feature indices,
+    or its best cut scores no more than ``min_score``. ``cut_scores(cuts,
+    sum)`` scores cutting after each of the first m - 1 candidate rows,
+    given as a C-ordered (m, k) array, each column in its feature's order.
     """
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
-    scores = cut_scores(y[order], y)
-    scores[~(xs[1:] > xs[:-1])] = -np.inf
-    column, row = divmod(int(np.argmax(scores.T)), len(y) - 1)
-    threshold = float((xs[row, column] + xs[row + 1, column]) / 2.0)
-    return float(scores[row, column]), column, threshold
-
-
-def _grow(x, y, max_depth, leaf_value, cut_scores, candidates, min_score) -> Tree:
-    """Greedy preorder tree growth shared by both learners.
-
-    Every node stores ``leaf_value(targets)``. A node stays a leaf when it
-    has one row, sits at ``max_depth``, ``candidates(targets)`` returns None
-    instead of a sorted array of feature indices, or its best cut scores no
-    more than ``min_score``.
-    """
+    xt = np.ascontiguousarray(x.T)
     tree = Tree()
-
-    def grow(rows: np.ndarray, depth: int) -> int:
+    # (ranked rows, depth, parent, parent's link list); the left child pops first
+    stack = [(np.vstack([order, np.arange(len(y))]), 0, _LEAF, tree.left)]
+    while stack:
+        ranked, depth, parent, link = stack.pop()
         node = tree.add_node()
-        sub_y = y[rows]
-        tree.value[node] = leaf_value(sub_y)
-        if len(rows) < 2 or (max_depth is not None and depth >= max_depth):
-            return node
-        features = candidates(sub_y)
+        if parent != _LEAF:
+            link[parent] = node
+        rows = ranked[-1]
+        m = len(rows)
+        if m == 1:
+            # numpy's sum adds a lone value to 0.0, which turns -0.0 into 0.0
+            tree.value[node] = leaf_value(y[rows[0]] + 0.0, 1)
+            continue
+        targets = y[rows]
+        total = np.add.reduce(targets)
+        tree.value[node] = leaf_value(total, m)
+        if m < 2 or (max_depth is not None and depth >= max_depth):
+            continue
+        features = candidates(targets)
         if features is None:
-            return node
-        score, column, threshold = _best_split(x[rows[:, None], features], sub_y, cut_scores)
-        if score <= min_score:
-            return node
+            continue
+        cuts = np.ascontiguousarray(ranked.take(features, axis=0).T)
+        xs = xt[features, cuts]
+        scores = cut_scores(cuts, total)
+        scores[~(xs[1:] > xs[:-1])] = -np.inf
+        column, row = divmod(int(scores.T.argmax()), m - 1)
+        if scores[row, column] <= min_score:
+            continue
         feature = int(features[column])
-        goes_left = x[rows, feature] <= threshold
+        lo, hi = xs[row, column], xs[row + 1, column]
+        # a midpoint that rounds up to hi, or overflows, would send every row left
+        threshold = float((lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else np.nextafter(hi, lo))
         tree.feature[node], tree.threshold[node] = feature, threshold
-        tree.left[node] = grow(rows[goes_left], depth + 1)
-        tree.right[node] = grow(rows[~goes_left], depth + 1)
-        return node
-
-    grow(np.arange(len(y)), 0)
+        # children at max_depth are leaves: they need only their rows
+        keep = ranked[-1:] if max_depth is not None and depth + 1 >= max_depth else ranked
+        goes_left = (xt[feature][keep] <= threshold).ravel()
+        for part, link in ((~goes_left, tree.right), (goes_left, tree.left)):
+            stack.append((keep.compress(part).reshape(len(keep), -1), depth + 1, node, link))
     return tree
-
-
-def _negative_sse(ys: np.ndarray, _y: np.ndarray) -> np.ndarray:
-    """Minus the summed squared error of the two sides of each cut."""
-    n = len(ys)
-    s1 = np.cumsum(ys, axis=0)
-    s2 = np.cumsum(ys**2, axis=0)
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    left1, left2 = s1[:-1], s2[:-1]
-    right_n = n - left_n
-    return -((left2 - left1**2 / left_n) + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / right_n))
 
 
 def build_cart(
@@ -138,16 +141,35 @@ def build_cart(
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n_features = x.shape[1]
+    n, n_features = x.shape
+    k = n_features if features_per_split is None else min(features_per_split, n_features)
+    y2 = y * y
+    counts = np.arange(n + 1, dtype=np.float64)[:, None]
 
-    def candidates(sub_y: np.ndarray) -> np.ndarray | None:
-        if np.all(sub_y == sub_y[0]):
+    def candidates(targets: np.ndarray) -> np.ndarray | None:
+        if (targets == targets[0]).all():
             return None
-        if features_per_split is None or features_per_split >= n_features:
-            return np.arange(n_features)
-        return np.sort(rng.choice(n_features, size=features_per_split, replace=False))
+        if k == n_features:
+            return np.arange(k)
+        drawn = rng.choice(n_features, size=k, replace=False)
+        drawn.sort()
+        return drawn
 
-    return _grow(x, y, max_depth, lambda t: float(t.mean()), _negative_sse, candidates, -np.inf)
+    def negative_sse(cuts: np.ndarray, _total) -> np.ndarray:
+        """Minus the summed squared error of the two sides of each cut."""
+        m = len(cuts)
+        s1 = np.add.accumulate(y[cuts], axis=0)
+        s2 = np.add.accumulate(y2[cuts], axis=0)
+        left1, left2 = s1[:-1], s2[:-1]
+        return -(
+            (left2 - left1**2 / counts[1:m])
+            + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / counts[m - 1 : 0 : -1])
+        )
+
+    def mean(total, m: int) -> float:
+        return float(total / m)
+
+    return _grow(x, y, presort(x), max_depth, mean, negative_sse, candidates, -np.inf)
 
 
 def build_boosted_tree(
@@ -156,31 +178,35 @@ def build_boosted_tree(
     lambda_reg: float,
     gamma_reg: float,
     max_depth: int,
+    order: np.ndarray | None = None,
 ) -> Tree:
     """One boosting round's tree on gradients of squared loss (hessian 1).
 
     Leaf weight is -G / (H + lambda) with H = member count; a cut scores
     its second-order gain over keeping the node whole, and is kept only
-    when that gain exceeds gamma.
+    when that gain exceeds gamma. ``order`` is ``presort(x)``, sorted here
+    unless given.
     """
-    all_features = np.arange(x.shape[1])
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(residual_grad, dtype=np.float64)
+    n, n_features = x.shape
+    all_features = np.arange(n_features)
+    hessian = np.arange(n + 1, dtype=np.float64)[:, None] + lambda_reg  # H + lambda, H = 0..n
 
-    def gain(gs: np.ndarray, g: np.ndarray) -> np.ndarray:
-        n = len(g)
-        total_g = g.sum()
-        parent_score = total_g**2 / (n + lambda_reg)
-        left_g = np.cumsum(gs, axis=0)[:-1]
-        left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    def gain(cuts: np.ndarray, total_g) -> np.ndarray:
+        m = len(cuts)
+        left_g = np.add.accumulate(g[cuts], axis=0)[:-1]
         return 0.5 * (
-            left_g**2 / (left_n + lambda_reg)
-            + (total_g - left_g) ** 2 / (n - left_n + lambda_reg)
-            - parent_score
+            left_g**2 / hessian[1:m]
+            + (total_g - left_g) ** 2 / hessian[m - 1 : 0 : -1]
+            - total_g**2 / (m + lambda_reg)
         )
 
-    def leaf_weight(g: np.ndarray) -> float:
-        return float(-g.sum() / (len(g) + lambda_reg))
+    def leaf_weight(total_g, m: int) -> float:
+        return float(-total_g / (m + lambda_reg))
 
-    return _grow(x, residual_grad, max_depth, leaf_weight, gain, lambda _: all_features, gamma_reg)
+    order = presort(x) if order is None else order
+    return _grow(x, g, order, max_depth, leaf_weight, gain, lambda _: all_features, gamma_reg)
 
 
 @dataclass
@@ -215,12 +241,13 @@ class BoostedTrees:
             lambda_reg=lambda_reg,
             gamma_reg=gamma_reg,
         )
+        order = presort(x)
         pred = np.full(len(y), model.base_score)
         penalty = 0.0
         model.objective_history.append(model._objective(y, pred, penalty))
         for _ in range(rounds):
             grad = pred - y
-            tree = build_boosted_tree(x, grad, lambda_reg, gamma_reg, max_depth)
+            tree = build_boosted_tree(x, grad, lambda_reg, gamma_reg, max_depth, order)
             model.trees.append(tree)
             pred += shrinkage * tree.predict(x)
             shrunk = shrinkage * tree.leaf_values()

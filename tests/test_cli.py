@@ -4,6 +4,7 @@ reruns, manifest integrity, exit codes, and the console entry point."""
 import csv
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -436,6 +437,28 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot create output directory {out}: ")
         assert "Traceback" not in err
         assert blocker.read_text() == "keep\n" and fitted == []
+
+    def test_out_that_holds_a_run_returns_two(
+        self, cli_env, forecast_dir, tmp_path, capsys, monkeypatch
+    ):
+        # a copy of the ensemble forecast, so a faulty run cannot spoil the fixture
+        out = tmp_path / "run"
+        shutil.copytree(forecast_dir, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        fitted = []
+        monkeypatch.setattr(pipeline, "fit_learner", lambda kind, *_: fitted.append(kind))
+        argv = ["forecast", "--data", cli_env.data, "--config", cli_env.conf, "--model", "rf"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output directory {out} already holds a run (manifest.txt)\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert fitted == []
+
+    def test_out_without_a_manifest_is_used(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep\n")
+        assert main(["synth", "--samples", "50", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "manifest.txt").is_file()
+        assert (tmp_path / "notes.txt").read_text() == "keep\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,6 +3,7 @@ against hand-rolled references, analytic gradients against finite
 differences, the tree learners, and the fit/save/load lifecycle."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -625,6 +626,197 @@ class TestSplitRule:
         assert root_split(build_cart(x, y, np.random.default_rng(0))) == optima[0]
         boosted = build_boosted_tree(x, g, lambda_reg=1.0, gamma_reg=0.0, max_depth=1)
         assert root_split(boosted) == optima[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0000000000000002, 1.0000000000000004), (1e308, 1.5e308), (0.0, np.inf)],
+        ids=["adjacent_doubles", "overflowing_sum", "infinite_upper"],
+    )
+    def test_threshold_separates_when_the_midpoint_does_not(self, low, high):
+        # (low + high) / 2 is high or inf here, and x <= it would keep both rows
+        # together: the threshold falls back to the largest double below high
+        x = np.array([[low], [high]])
+        y = np.array([0.0, 1.0])
+        cart = build_cart(x, y, np.random.default_rng(0))
+        boosted = build_boosted_tree(x, 1.0 - 2.0 * y, 1.0, 0.0, max_depth=3)
+        for tree in (cart, boosted):
+            assert len(tree.feature) == 3
+            assert tree.threshold[0] == np.nextafter(high, low)
+        np.testing.assert_array_equal(cart.predict(x), y)
+        np.testing.assert_array_equal(boosted.predict(x), [-0.5, 0.5])
+
+
+def golden_sample() -> tuple[np.ndarray, np.ndarray]:
+    """A seeded bootstrap: duplicated rows, and x and y rounded to one decimal
+    so that values tie within columns, within targets and between cuts."""
+    rng = np.random.default_rng(2024)
+    x = np.round(rng.normal(size=(150, 9)), 1)
+    y = np.round(x[:, 0] - x[:, 3] ** 2 + rng.normal(size=150), 1)
+    rows = rng.integers(0, 150, size=150)
+    return x[rows], y[rows]
+
+
+def sha256_of(tree) -> str:
+    return hashlib.sha256(json.dumps(dataclasses.asdict(tree)).encode()).hexdigest()
+
+
+class TestGoldenTrees:
+    """Trees pinned to the bit: a faster grower must reproduce them exactly.
+
+    ROADMAP item 13 (ties decided by last-bit noise) will change these
+    digests on purpose; a change that only speeds growth up must not.
+    """
+
+    @pytest.mark.parametrize(
+        "build, nodes, digest",
+        [
+            (
+                lambda x, y, g: build_cart(x, y, np.random.default_rng(3), features_per_split=3),
+                183,
+                "226d08457d163c732afbffe20fef83fcf92b638e91fcdf28f6d509603048fd82",
+            ),
+            (
+                lambda x, y, g: build_cart(x, y, np.random.default_rng(3), max_depth=3),
+                15,
+                "94b903c913ffe68d8a31673f08893498d8874bad016e866552132703f322dbcd",
+            ),
+            (
+                lambda x, y, g: build_boosted_tree(x, g, 1.0, gamma_reg=0.5, max_depth=1),
+                3,
+                "8818fcd415ab894db0dfa1e021a2a3c52dc8af47cd8a6a52b1f167a092257536",
+            ),
+            (
+                lambda x, y, g: build_boosted_tree(x, g, 1.0, gamma_reg=0.5, max_depth=3),
+                15,
+                "a3a008dbe718b5afc76b12206ce1ea11ce7088eabe3513205bdf864876ebd0d1",
+            ),
+        ],
+        ids=["cart_sqrt_features", "cart_depth_3", "boosted_depth_1", "boosted_depth_3"],
+    )
+    def test_tree(self, build, nodes, digest):
+        x, y = golden_sample()
+        tree = build(x, y, np.round(y - y.mean(), 1))
+        assert len(tree.feature) == nodes
+        assert sha256_of(tree) == digest
+
+    def test_boosting_predictions(self):
+        x, y = golden_sample()
+        model = BoostedTrees.fit(x, y, rounds=20, max_depth=3, gamma_reg=0.5)
+        assert (
+            hashlib.sha256(model.predict(x).tobytes()).hexdigest()
+            == "89b5486d25f3dc01a514d2fa70402b9bd54d81ddd20add5826df6aa2fe85a495"
+        )
+
+
+# --- frozen reference: the grower that sorted each node's columns afresh
+
+
+def reference_tree(x, y, max_depth, leaf_value, cut_scores, candidates, min_score) -> dict:
+    """Preorder growth that argsorts the candidate columns at every node; the
+    presorted grower must build the same tree bit for bit."""
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def grow(rows, depth):
+        node = len(tree["feature"])
+        for key, blank in zip(tree, (-1, 0.0, -1, -1, 0.0)):
+            tree[key].append(blank)
+        sub_y = y[rows]
+        tree["value"][node] = leaf_value(sub_y)
+        if len(rows) < 2 or (max_depth is not None and depth >= max_depth):
+            return node
+        features = candidates(sub_y)
+        if features is None:
+            return node
+        cols = x[rows[:, None], features]
+        order = np.argsort(cols, axis=0, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=0)
+        scores = cut_scores(sub_y[order], sub_y)
+        scores[~(xs[1:] > xs[:-1])] = -np.inf
+        column, row = divmod(int(np.argmax(scores.T)), len(rows) - 1)
+        if scores[row, column] <= min_score:
+            return node
+        feature = int(features[column])
+        threshold = float((xs[row, column] + xs[row + 1, column]) / 2.0)
+        goes_left = x[rows, feature] <= threshold
+        tree["feature"][node], tree["threshold"][node] = feature, threshold
+        tree["left"][node] = grow(rows[goes_left], depth + 1)
+        tree["right"][node] = grow(rows[~goes_left], depth + 1)
+        return node
+
+    grow(np.arange(len(y)), 0)
+    return tree
+
+
+def reference_negative_sse(ys, _y):
+    n = len(ys)
+    s1, s2 = np.cumsum(ys, axis=0), np.cumsum(ys**2, axis=0)
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    left1, left2 = s1[:-1], s2[:-1]
+    return -((left2 - left1**2 / left_n) + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / (n - left_n)))
+
+
+def reference_gain(lambda_reg):
+    def gain(gs, g):
+        n, total_g = len(g), g.sum()
+        left_g = np.cumsum(gs, axis=0)[:-1]
+        left_n = np.arange(1, n, dtype=np.float64)[:, None]
+        return 0.5 * (
+            left_g**2 / (left_n + lambda_reg)
+            + (total_g - left_g) ** 2 / (n - left_n + lambda_reg)
+            - total_g**2 / (n + lambda_reg)
+        )
+
+    return gain
+
+
+def reference_cart_candidates(rng, n_features, per_split):
+    def candidates(sub_y):
+        if np.all(sub_y == sub_y[0]):
+            return None
+        if per_split is None or per_split >= n_features:
+            return np.arange(n_features)
+        return np.sort(rng.choice(n_features, size=per_split, replace=False))
+
+    return candidates
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_presorted_growth_matches_per_node_sorting(seed):
+    # bootstraps of rounded values: duplicated rows, ties within columns,
+    # tied scores between columns, and -0.0 targets
+    rng = np.random.default_rng(seed)
+    n, f = int(rng.integers(2, 90)), int(rng.integers(1, 7))
+    x = np.round(rng.normal(size=(n, f)), int(rng.integers(0, 3)))
+    y = np.round(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), int(rng.integers(0, 4)))
+    rows = rng.integers(0, n, size=n)
+    x, y = x[rows], y[rows]
+    depth, per_split = [None, 1, 2, 5][seed % 4], [None, 1, 2, f][seed // 4 % 4]
+    lambda_reg, gamma_reg = [0.0, 1.0, 3.0][seed % 3], [0.0, 0.1][seed % 2]
+
+    cart = build_cart(x, y, np.random.default_rng(seed), depth, per_split)
+    expected = reference_tree(
+        x,
+        y,
+        depth,
+        lambda t: float(t.mean()),
+        reference_negative_sse,
+        reference_cart_candidates(np.random.default_rng(seed), f, per_split),
+        -np.inf,
+    )
+    assert json.dumps(dataclasses.asdict(cart)) == json.dumps(expected)
+
+    boosted = build_boosted_tree(x, y, lambda_reg, gamma_reg, depth or 4)
+    expected = reference_tree(
+        x,
+        y,
+        depth or 4,
+        lambda g: float(-g.sum() / (len(g) + lambda_reg)),
+        reference_gain(lambda_reg),
+        lambda _: np.arange(f),
+        gamma_reg,
+    )
+    assert json.dumps(dataclasses.asdict(boosted)) == json.dumps(expected)
 
 
 SMALL_NET = NetConfig(hidden_sizes=(6,), epochs=8, batch_size=8, learning_rate=0.05, rng_seed=3)

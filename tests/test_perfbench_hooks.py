@@ -35,6 +35,7 @@ TRACED_KERNELS = [
         for attr in ("forward", "backward")
     ),
     (trees, "build_cart"),
+    (trees, "build_boosted_tree"),
     (trees.Tree, "predict"),
     (SunflowerOptimizer, "step"),
 ]
@@ -53,6 +54,26 @@ def test_tracer_installs_and_restores(monkeypatch):
         recorder.restore()
     for (owner, attr), original in originals.items():
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} is not restored"
+
+
+def test_tracer_counts_tree_building(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(40, 5)), rng.normal(size=40)
+    data = SupervisedSet(inputs=x, targets=y, lag=1, record_width=5, target_indices=np.arange(40))
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder)
+        forest = fit_learner("random_forest", data, ForestConfig(tree_count=3))
+        trees.BoostedTrees.fit(x, y, rounds=3)
+    finally:
+        recorder.restore()
+    summary = recorder.summary()
+    nodes = sum(len(tree.feature) for tree in forest.trees)
+    assert summary["counters"]["learners.trees.cart_nodes"] == nodes
+    assert summary["calls"]["learners.trees.build_cart"] == 3
+    assert summary["calls"]["learners.trees.boosted_tree"] == 3
 
 
 TINY_NET = NetConfig(hidden_sizes=(3,), epochs=2, batch_size=4)
