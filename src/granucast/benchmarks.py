@@ -16,15 +16,20 @@ class OutOfDomain(GranucastError):
     pass
 
 
-def zdt_evaluate(which: int, v: np.ndarray) -> tuple[float, float]:
-    """Evaluate one of the three benchmark functions on [0, 1]^dim."""
+def zdt_evaluate(which: int, v: np.ndarray) -> np.ndarray:
+    """Evaluate one of the three benchmark functions on [0, 1]^dim.
+
+    ``v`` holds one decision vector per row, (n, dim); the result holds
+    (f1, f2) per row, (n, 2).
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or len(v) < 2:
-        raise OutOfDomain("need a 1-D decision vector with at least 2 components")
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise OutOfDomain(f"decision vector outside [0, 1]^dim: {v}")
-    p1 = float(v[0])
-    g = 1.0 + 9.0 / (len(v) - 1) * float(v[1:].sum())
+    if v.ndim != 2 or v.shape[1] < 2:
+        raise OutOfDomain("need an (n, dim) matrix of decision vectors with dim >= 2")
+    outside = ((v < 0.0) | (v > 1.0)).any(axis=1)
+    if outside.any():
+        raise OutOfDomain(f"decision vector outside [0, 1]^dim: {v[outside][0]}")
+    p1 = v[:, 0]
+    g = 1.0 + 9.0 / (v.shape[1] - 1) * v[:, 1:].sum(axis=1)
     ratio = p1 / g
     if which == 1:
         h = 1.0 - np.sqrt(ratio)
@@ -34,7 +39,7 @@ def zdt_evaluate(which: int, v: np.ndarray) -> tuple[float, float]:
         h = 1.0 - np.sqrt(ratio) - ratio * np.sin(10.0 * np.pi * p1)
     else:
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
-    return p1, float(g * h)
+    return np.column_stack([p1, g * h])
 
 
 def zdt1_front(samples: int) -> np.ndarray:

@@ -284,7 +284,7 @@ def cmd_cv(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
 def cmd_benchmark_opt(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     which = int(args.problem[-1])
     archive = SunflowerOptimizer(
-        lambda v: np.array(zdt_evaluate(which, v)), args.dim, 0.0, 1.0, run.optimizer
+        lambda v: zdt_evaluate(which, v), args.dim, 0.0, 1.0, run.optimizer
     ).run()
 
     if not archive.is_sound():

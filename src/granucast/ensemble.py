@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GranucastError
-from .evaluation import LengthMismatch, mape_excluding_small, mse
+from .evaluation import _SMALL_ACTUAL, LengthMismatch, ZeroActual, mape_excluding_small
 from .learners import KINDS
 from .sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
 
@@ -68,11 +68,34 @@ def combine(panel: PredictionPanel, weights) -> np.ndarray:
     return w @ panel.matrix
 
 
-def ensemble_objectives(weights, panel: PredictionPanel) -> tuple[float, float]:
-    """(MAPE, MSE) of the combined prediction, both to be minimized."""
-    combined = combine(panel, weights)
-    mape_value, _ = mape_excluding_small(panel.actuals, combined)
-    return mape_value, mse(panel.actuals, combined)
+def ensemble_objectives(weights, panel: PredictionPanel) -> np.ndarray:
+    """(MAPE, MSE) of each weight row's combined prediction, both to be
+    minimized: an (n, 4) weight matrix gives an (n, 2) objective matrix.
+
+    Each row equals ``mape_excluding_small`` and ``mse`` of ``combine(panel,
+    w)`` to the last bit. That takes one vector-matrix product per row (one
+    matrix product for all rows rounds differently) and contiguous rows for
+    the row means (``compress``, not a fancy index, which returns them
+    column-major).
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    learners = panel.matrix.shape[0]
+    if weights.ndim != 2 or weights.shape[1] != learners:
+        raise LengthMismatch(
+            f"weight matrix has shape {weights.shape}, panel expects (n, {learners})"
+        )
+    combined = np.empty((len(weights), len(panel)))
+    for row, w in zip(combined, weights):
+        np.matmul(w, panel.matrix, out=row)
+    actuals = panel.actuals
+    keep = np.abs(actuals) >= _SMALL_ACTUAL
+    if not keep.any():
+        raise ZeroActual("all actuals below the MAPE cutoff")
+    kept = actuals[keep]
+    mape_values = 100.0 * np.mean(
+        np.abs(kept - combined.compress(keep, axis=1)) / np.abs(kept), axis=1
+    )
+    return np.column_stack([mape_values, np.mean((actuals - combined) ** 2, axis=1)])
 
 
 @dataclass(frozen=True)
@@ -122,10 +145,10 @@ def fit_weights(panel: PredictionPanel, config: OptimizerConfig = OptimizerConfi
     _, excluded = mape_excluding_small(panel.actuals, panel.actuals)
     k = panel.matrix.shape[0]
     archive = SunflowerOptimizer(
-        lambda w: np.array(ensemble_objectives(w, panel)), k, WEIGHT_LOW, WEIGHT_HIGH, config
+        lambda w: ensemble_objectives(w, panel), k, WEIGHT_LOW, WEIGHT_HIGH, config
     ).run()
-    for candidate in baseline_candidates(k):
-        archive.insert(candidate, np.array(ensemble_objectives(candidate, panel)))
+    candidates = baseline_candidates(k)
+    archive.insert_many(candidates, ensemble_objectives(candidates, panel))
     pick = select_compromise(archive)
     mape_value, mse_value = archive.objectives[pick]
     return WeightFit(

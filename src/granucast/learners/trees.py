@@ -72,7 +72,9 @@ def presort(x: np.ndarray) -> np.ndarray:
     return np.argsort(x.T, axis=1, kind="stable")
 
 
-def _grow(x, y, order, max_depth, leaf_value, cut_scores, candidates, min_score) -> Tree:
+def _grow(
+    x, y, order, max_depth, leaf_value, cut_scores, candidates, min_score, leaf=None
+) -> Tree:
     """Greedy preorder tree growth shared by both learners, from ``presort(x)``.
 
     A node holds its m rows as a (features + 1, m) matrix: row f lists them
@@ -83,6 +85,8 @@ def _grow(x, y, order, max_depth, leaf_value, cut_scores, candidates, min_score)
     or its best cut scores no more than ``min_score``. ``cut_scores(cuts,
     sum)`` scores cutting after each of the first m - 1 candidate rows,
     given as a C-ordered (m, k) array, each column in its feature's order.
+    When ``leaf`` is given, an int array with one slot per row, each row's
+    slot receives the node number of the leaf that holds it.
     """
     xt = np.ascontiguousarray(x.T)
     tree = Tree()
@@ -95,6 +99,8 @@ def _grow(x, y, order, max_depth, leaf_value, cut_scores, candidates, min_score)
             link[parent] = node
         rows = ranked[-1]
         m = len(rows)
+        if leaf is not None:
+            leaf[rows] = node  # a child overwrites its parent
         if m == 1:
             # numpy's sum adds a lone value to 0.0, which turns -0.0 into 0.0
             tree.value[node] = leaf_value(y[rows[0]] + 0.0, 1)
@@ -179,13 +185,14 @@ def build_boosted_tree(
     gamma_reg: float,
     max_depth: int,
     order: np.ndarray | None = None,
+    leaf: np.ndarray | None = None,
 ) -> Tree:
     """One boosting round's tree on gradients of squared loss (hessian 1).
 
     Leaf weight is -G / (H + lambda) with H = member count; a cut scores
     its second-order gain over keeping the node whole, and is kept only
     when that gain exceeds gamma. ``order`` is ``presort(x)``, sorted here
-    unless given.
+    unless given; ``leaf``, when given, receives each row's leaf node.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(residual_grad, dtype=np.float64)
@@ -206,7 +213,9 @@ def build_boosted_tree(
         return float(-total_g / (m + lambda_reg))
 
     order = presort(x) if order is None else order
-    return _grow(x, g, order, max_depth, leaf_weight, gain, lambda _: all_features, gamma_reg)
+    return _grow(
+        x, g, order, max_depth, leaf_weight, gain, lambda _: all_features, gamma_reg, leaf
+    )
 
 
 @dataclass
@@ -242,14 +251,16 @@ class BoostedTrees:
             gamma_reg=gamma_reg,
         )
         order = presort(x)
+        leaf = np.empty(len(y), dtype=np.intp)
         pred = np.full(len(y), model.base_score)
         penalty = 0.0
         model.objective_history.append(model._objective(y, pred, penalty))
         for _ in range(rounds):
             grad = pred - y
-            tree = build_boosted_tree(x, grad, lambda_reg, gamma_reg, max_depth, order)
+            tree = build_boosted_tree(x, grad, lambda_reg, gamma_reg, max_depth, order, leaf)
             model.trees.append(tree)
-            pred += shrinkage * tree.predict(x)
+            # the grower routes rows as predict does, so this is tree.predict(x)
+            pred += shrinkage * np.array(tree.value)[leaf]
             shrunk = shrinkage * tree.leaf_values()
             penalty += gamma_reg * tree.leaf_count + (lambda_reg / 2.0) * float(
                 (shrunk**2).sum()

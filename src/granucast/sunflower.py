@@ -9,6 +9,20 @@ farthest fraction is reseeded from the chaotic tent chain, and every moved
 individual receives a heavy-tailed perturbation whose degrees of freedom
 grow with the iteration count while its scale shrinks as 1/sqrt(t): wide
 exploration early, fine refinement late.
+
+The search works in whole sweeps. The objective maps an (n, dim) matrix of
+positions to an (n, k) matrix of objective rows, so each sweep makes one
+objective call, and ``ParetoArchive.insert_many`` offers the sweep to the
+archive behind one broadcast dominance screen. The screen is exact: it only
+rejects candidates that a current member dominates, and sequential
+insertion rejects those too. Dominance is transitive, and between two
+evictions a member leaves only when a candidate that dominates it enters,
+so some member still dominates the candidate when its turn comes. An
+eviction breaks that chain, so after every entry that leaves the archive
+full (every eviction does) the rest of the sweep is screened again.
+Rejected candidates draw nothing from the rng and change no state, so the
+archive, its evictions and guide picks, and the rng stream are those of
+one-by-one insertion.
 """
 
 from __future__ import annotations
@@ -141,6 +155,28 @@ class ParetoArchive:
             self._evict()
         return True
 
+    def insert_many(self, positions, objectives) -> None:
+        """Offer candidate rows in order, with the same outcome as calling
+        ``insert`` on each; candidates that a current member dominates are
+        dropped by one broadcast screen instead of one insert each."""
+        objectives = np.asarray(objectives, dtype=np.float64)
+        positions = np.asarray(positions, dtype=np.float64)
+        if not np.isfinite(objectives).all():
+            raise NonFiniteObjective("candidate objectives must be finite")
+        start = 0
+        while start < len(objectives):
+            open_rows = np.arange(start, len(objectives))
+            if len(self):
+                beaten = dominates(self.objectives[:, None], objectives[None, start:])
+                open_rows = open_rows[~beaten.any(axis=0)]
+            start = len(objectives)
+            for row in open_rows:
+                if self.insert(positions[row], objectives[row]) and len(self) == self.capacity:
+                    # an eviction may have dropped the only member that
+                    # dominated a later candidate: screen all later ones again
+                    start = row + 1
+                    break
+
     def _cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Each member's cell number and each cell's occupancy; cells are
         numbered in lexicographic order of their grid coordinates."""
@@ -173,7 +209,8 @@ class ParetoArchive:
         weights = 1.0 / counts
         cumulative = np.cumsum(weights / weights.sum())
         winner = int(np.searchsorted(cumulative, self.rng.random(), side="right"))
-        return self._pick_in_cell(cell, winner)
+        # the cumulative sum can end just below 1.0, so a draw can land past the last cell
+        return self._pick_in_cell(cell, min(winner, len(counts) - 1))
 
     def is_sound(self) -> bool:
         """Exhaustive pairwise check that no member dominates another."""
@@ -192,6 +229,13 @@ class OptimizerConfig:
         require_int("rng_seed", self.rng_seed, 0)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, computed as ``np.linalg.norm`` computes
+    it for one row, sqrt(dot(x, x)); ``norm(axis=1)`` rounds some rows
+    differently."""
+    return np.sqrt([row.dot(row) for row in rows])
+
+
 def tent_positions(chain: TentChain, count: int, dim: int, low: float, high: float) -> np.ndarray:
     """Map ``count * dim`` chained tent iterates onto [low, high]^dim, row-major."""
     unit = chain.draw(count * dim).reshape(count, dim)
@@ -201,7 +245,12 @@ def tent_positions(chain: TentChain, count: int, dim: int, low: float, high: flo
 class SunflowerOptimizer:
     """Minimizes the vector objective ``evaluate`` over the box
     [low, high]^dim; ``run`` returns the archive and is deterministic for a
-    given seed."""
+    given seed.
+
+    ``evaluate`` scores a whole population at once: it maps an (n, dim)
+    matrix of positions to an (n, k) matrix whose row i holds the k
+    objectives of position i.
+    """
 
     def __init__(
         self,
@@ -223,23 +272,25 @@ class SunflowerOptimizer:
         self.step_scale = 0.05 * float(np.linalg.norm(np.full(dim, high - low)))
 
     def _evaluate(self, positions: np.ndarray) -> np.ndarray:
-        """Objective rows for the position rows, one objective call per row."""
-        rows = []
-        for position in positions:
-            obj = np.asarray(self.evaluate(position), dtype=np.float64)
-            if not np.isfinite(obj).all():
-                raise NonFiniteObjective(
-                    f"objective evaluation returned non-finite values at {position}"
-                )
-            rows.append(obj)
-        return np.stack(rows)
+        """Objective rows for the position rows, from one objective call."""
+        objectives = np.asarray(self.evaluate(positions), dtype=np.float64)
+        if objectives.ndim != 2 or len(objectives) != len(positions):
+            raise ValueError(
+                f"objective returned shape {objectives.shape} for {len(positions)} positions"
+            )
+        finite = np.isfinite(objectives).all(axis=1)
+        if not finite.all():
+            raise NonFiniteObjective(
+                "objective evaluation returned non-finite values at "
+                f"{positions[np.argmin(finite)]}"
+            )
+        return objectives
 
     def run(self) -> ParetoArchive:
         cfg = self.config
         positions = tent_positions(self.tent, cfg.population, self.dim, self.low, self.high)
         objectives = self._evaluate(positions)
-        for row in zip(positions, objectives):
-            self.archive.insert(*row)
+        self.archive.insert_many(positions, objectives)
         for t in range(1, cfg.iterations + 1):
             positions, objectives = self.step(positions, objectives, t)
         return self.archive
@@ -251,10 +302,7 @@ class SunflowerOptimizer:
         count, dim = positions.shape
         guide = self.archive.select_guide()
 
-        # one 1-D norm per row: norm(axis=1) rounds some rows differently
-        guide_distance = np.array(
-            [np.linalg.norm(row) for row in objectives - self.archive.objectives[guide]]
-        )
+        guide_distance = _row_norms(objectives - self.archive.objectives[guide])
         ranking = np.argsort(guide_distance, kind="stable")
         pollinator = np.zeros(count, dtype=bool)
         pollinator[ranking[: math.ceil(POLLINATION_RATE * count)]] = True
@@ -277,7 +325,7 @@ class SunflowerOptimizer:
             noise[i] = self.rng.standard_t(df=t, size=dim)
 
         towards = self.archive.positions[guide] - positions
-        norm = np.array([np.linalg.norm(row) for row in towards])[:, None]
+        norm = _row_norms(towards)[:, None]
         direction = np.divide(towards, norm, out=np.zeros_like(towards), where=norm > 0.0)
         step = self.step_scale * kernel_norm * neighbor_distance
         moved = np.clip(positions + step[:, None] * direction, self.low, self.high)
@@ -290,7 +338,6 @@ class SunflowerOptimizer:
         )
 
         new_objectives = self._evaluate(new_positions)
-        for row in zip(new_positions, new_objectives):
-            self.archive.insert(*row)
+        self.archive.insert_many(new_positions, new_objectives)
         return new_positions, new_objectives
 

@@ -60,7 +60,7 @@ def zdt_runs():
             config = OptimizerConfig(population=100, iterations=100, rng_seed=seed)
             start = time.perf_counter()
             archive = SunflowerOptimizer(
-                lambda v: np.array(zdt_evaluate(which, v)), 4, 0.0, 1.0, config
+                lambda v: zdt_evaluate(which, v), 4, 0.0, 1.0, config
             ).run()
             elapsed = time.perf_counter() - start
             igd, _ = front_quality(archive.objectives, front)
@@ -203,7 +203,7 @@ def test_weight_vector_non_domination(forecast_run):
     for k in range(4):
         unit = np.zeros(4)
         unit[k] = 1.0
-        u_mape, u_mse = ensemble_objectives(unit, forecast_run.val_panel)
+        [[u_mape, u_mse]] = ensemble_objectives(unit[None], forecast_run.val_panel)
         no_worse = u_mape <= chosen_mape + tol and u_mse <= chosen_mse + tol
         better = u_mape < chosen_mape - tol or u_mse < chosen_mse - tol
         dominated = dominated or (no_worse and better)

@@ -2,8 +2,13 @@
 objectives, compromise selection, the weight search contract, and the
 residual-quantile interval machinery."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from granucast.ensemble import (
     PredictionPanel,
@@ -17,7 +22,13 @@ from granucast.ensemble import (
     forecast,
     select_compromise,
 )
-from granucast.evaluation import LengthMismatch
+from granucast.evaluation import (
+    _SMALL_ACTUAL,
+    LengthMismatch,
+    ZeroActual,
+    mape_excluding_small,
+    mse,
+)
 from granucast.learners import KINDS
 from granucast.sunflower import OptimizerConfig, ParetoArchive, dominates
 
@@ -71,15 +82,77 @@ class TestCombine:
             combine(square_panel(), [1.0, 2.0])
 
 
+def per_row_objectives(weights, panel: PredictionPanel) -> np.ndarray:
+    """The objective as it was first written: one weight row at a time,
+    through ``combine`` and the scalar metrics."""
+    rows = []
+    for w in weights:
+        combined = combine(panel, w)
+        mape_value, _ = mape_excluding_small(panel.actuals, combined)
+        rows.append((mape_value, mse(panel.actuals, combined)))
+    return np.array(rows)
+
+
+@st.composite
+def weights_and_panels(draw):
+    columns = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    actuals = rng.normal(5.0, 3.0, size=columns)
+    if draw(st.booleans()):
+        masked = rng.random(columns) < 0.3
+        masked[rng.integers(columns)] = False
+        actuals[masked] = rng.choice([0.0, -0.0, 1e-12, -5e-9], size=int(masked.sum()))
+    matrix = actuals + rng.normal(0.0, 2.0, size=(len(KINDS), columns))
+    weights = draw(
+        npst.arrays(
+            np.float64,
+            (draw(st.integers(1, 40)), len(KINDS)),
+            elements=st.floats(-2.0, 2.0, allow_nan=False),
+        )
+    )
+    return weights, PredictionPanel(matrix=matrix, actuals=actuals)
+
+
 class TestEnsembleObjectives:
     def test_hand_computed_values(self):
         # combined = (11, 9, 10, 20): two 10% errors over four samples
-        mape_value, mse_value = ensemble_objectives([1.0, 0.0, 0.0, 0.0], square_panel())
+        [[mape_value, mse_value]] = ensemble_objectives([[1.0, 0.0, 0.0, 0.0]], square_panel())
         assert mape_value == pytest.approx(5.0, abs=1e-12)
         assert mse_value == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_weights_score_zero(self):
-        assert ensemble_objectives([0.0, 1.0, 0.0, 0.0], square_panel()) == (0.0, 0.0)
+        objectives = ensemble_objectives([[0.0, 1.0, 0.0, 0.0]], square_panel())
+        assert objectives.tolist() == [[0.0, 0.0]]
+
+    def test_one_row_per_weight_row(self):
+        weights = np.vstack([np.eye(4), np.full(4, 0.25)])
+        objectives = ensemble_objectives(weights, square_panel())
+        assert objectives.shape == (5, 2)
+        assert objectives[1].tolist() == [0.0, 0.0]
+
+    def test_weight_matrix_shape_checked(self):
+        with pytest.raises(LengthMismatch):
+            ensemble_objectives([1.0, 0.0, 0.0, 0.0], square_panel())
+        with pytest.raises(LengthMismatch):
+            ensemble_objectives([[1.0, 0.0]], square_panel())
+
+    def test_all_small_actuals_rejected(self):
+        panel = PredictionPanel(matrix=np.ones((4, 3)), actuals=np.array([0.0, 1e-12, -1e-9]))
+        with pytest.raises(ZeroActual):
+            ensemble_objectives([[1.0, 0.0, 0.0, 0.0]], panel)
+        with pytest.raises(ZeroActual):
+            fit_weights(panel, OptimizerConfig(population=3, iterations=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights_and_panels())
+    def test_matches_the_per_row_form_bit_for_bit(self, case):
+        weights, panel = case
+        batched = ensemble_objectives(weights, panel)
+        assert batched.flags.c_contiguous
+        np.testing.assert_array_equal(
+            batched.view(np.int64), per_row_objectives(weights, panel).view(np.int64)
+        )
 
 
 class TestSelectCompromise:
@@ -138,8 +211,7 @@ class TestFitWeights:
         fit = fit_weights(panel, self.SMALL_SEARCH)
         assert isinstance(fit, WeightFit)
         assert fit.archive.is_sound()
-        for candidate in baseline_candidates(4):
-            candidate_obj = ensemble_objectives(candidate, panel)
+        for candidate_obj in ensemble_objectives(baseline_candidates(4), panel):
             assert not dominates(candidate_obj, fit.chosen_objectives)
 
     def test_deterministic(self):
@@ -160,6 +232,30 @@ class TestFitWeights:
         actual[3] = 1e-12
         tiny = PredictionPanel(matrix=panel.matrix, actuals=actual)
         assert fit_weights(tiny, self.SMALL_SEARCH).excluded_from_mape == 1
+
+    def test_matches_recorded_digest(self):
+        """A search recorded with one objective call and one insert per
+        candidate, on actuals with three values under the MAPE cutoff;
+        sweeps and the dominance screen must not move a bit."""
+        rng = np.random.default_rng(3)
+        actual = np.exp(rng.normal(1.0, 1.0, size=48))
+        actual[[5, 21, 40]] = (1e-12, 0.0, -3e-9)
+        assert (np.abs(actual) < _SMALL_ACTUAL).sum() == 3
+        matrix = np.stack(
+            [
+                actual * (1.0 + 0.3 * rng.normal(size=48)),
+                actual + rng.normal(size=48),
+                0.8 * actual + 0.5,
+                actual + 2.0 * rng.normal(size=48) ** 2,
+            ]
+        )
+        panel = PredictionPanel(matrix=matrix, actuals=actual)
+        fit = fit_weights(panel, OptimizerConfig(population=30, iterations=25, rng_seed=4))
+        assert (len(fit.archive), fit.excluded_from_mape) == (7, 3)
+        h = hashlib.sha256()
+        for array in (fit.archive.positions, fit.archive.objectives, fit.chosen):
+            h.update(array.tobytes())
+        assert h.hexdigest() == "0b20580047eabce961ea7d8bb6aa73a57b3ccd14bd406a3d69c03cf12913b9da"
 
 
 class TestFitIntervals:

@@ -488,6 +488,17 @@ class TestBoostedTrees:
         assert len(model.objective_history) == 51
         assert all(np.diff(model.objective_history) <= 1e-9)
 
+    def test_training_predictions_match_the_recorded_digest(self):
+        """The fit's running prediction, which sets every gradient and
+        objective, was recorded when it came from ``Tree.predict``; reading
+        it from the grower's leaves must not move a bit."""
+        rng = np.random.default_rng(8)
+        x = np.round(rng.normal(size=(120, 5)), 1)
+        y = np.round(x[:, 0] - x[:, 2] ** 2 + rng.normal(size=120), 1)
+        model = BoostedTrees.fit(x, y, rounds=25, max_depth=3, gamma_reg=0.1)
+        digest = hashlib.sha256(np.array(model.objective_history).tobytes()).hexdigest()
+        assert digest == "0b7174bac458589eca817864a708597d3f7e351f57261be009091cf233441ddd"
+
     def test_zero_rounds_is_the_mean_predictor(self):
         x = np.arange(6.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
@@ -806,7 +817,13 @@ def test_presorted_growth_matches_per_node_sorting(seed):
     )
     assert json.dumps(dataclasses.asdict(cart)) == json.dumps(expected)
 
-    boosted = build_boosted_tree(x, y, lambda_reg, gamma_reg, depth or 4)
+    leaf = np.empty(n, dtype=np.intp)
+    boosted = build_boosted_tree(x, y, lambda_reg, gamma_reg, depth or 4, leaf=leaf)
+    # each row's recorded node is the leaf that predict routes it to
+    assert all(boosted.feature[node] == -1 for node in leaf)
+    np.testing.assert_array_equal(
+        np.array(boosted.value)[leaf].view(np.int64), boosted.predict(x).view(np.int64)
+    )
     expected = reference_tree(
         x,
         y,

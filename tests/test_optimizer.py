@@ -2,6 +2,8 @@
 the optimization loop's determinism and bound handling, benchmark
 objective values and front-quality metrics."""
 
+import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -24,6 +26,7 @@ from granucast.sunflower import (
     ParetoArchive,
     SunflowerOptimizer,
     TentChain,
+    _row_norms,
     dominates,
     tent_positions,
 )
@@ -31,9 +34,15 @@ from granucast.sunflower import (
 
 def run_zdt(which, dim, config):
     """Optimize one ZDT problem over its box [0, 1]^dim."""
-    return SunflowerOptimizer(
-        lambda v: np.array(zdt_evaluate(which, v)), dim, 0.0, 1.0, config
-    ).run()
+    return SunflowerOptimizer(lambda v: zdt_evaluate(which, v), dim, 0.0, 1.0, config).run()
+
+
+def digest(*arrays) -> str:
+    """SHA-256 of the arrays' float64 bytes, one after the other."""
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 class TestTentChain:
@@ -168,6 +177,30 @@ class TestParetoArchive:
     def test_non_finite_candidate_rejected(self):
         with pytest.raises(NonFiniteObjective):
             ParetoArchive().insert([0.0], (np.nan, 1.0))
+        with pytest.raises(NonFiniteObjective):
+            ParetoArchive().insert_many([[0.0], [1.0]], [(0.0, 1.0), (np.inf, 1.0)])
+
+    def test_guide_roulette_cannot_run_past_the_last_cell(self):
+        """Six equally crowded cells give a cumulative sum ending at
+        1 - 2**-53; a draw of exactly that must pick the last cell."""
+
+        class TopDraw:
+            def __init__(self):
+                self.inner = np.random.default_rng(0)
+
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+            def integers(self, *args):
+                return self.inner.integers(*args)
+
+        archive = ParetoArchive(grid_divisions=6, rng=TopDraw())
+        for v in range(6):
+            archive.insert([float(v)], (float(v), 5.0 - v))
+        _, counts = archive._cells()
+        weights = 1.0 / counts
+        assert np.cumsum(weights / weights.sum())[-1] == np.nextafter(1.0, 0.0)
+        assert archive.select_guide() == 5
 
 
 class ListArchive:
@@ -218,7 +251,8 @@ class ListArchive:
         cells = sorted(counts)
         weights = np.array([1.0 / counts[c] for c in cells])
         cumulative = np.cumsum(weights / weights.sum())
-        winner = cells[int(np.searchsorted(cumulative, self.rng.random(), side="right"))]
+        drawn = int(np.searchsorted(cumulative, self.rng.random(), side="right"))
+        winner = cells[min(drawn, len(cells) - 1)]
         pool = [i for i, key in enumerate(keys) if key == winner]
         return pool[self.rng.integers(len(pool))]
 
@@ -242,13 +276,57 @@ class TestArchiveMatchesReference:
                 )
                 if draw.random() < 0.3:
                     assert archive.select_guide() == reference.select_guide()
-                np.testing.assert_array_equal(
-                    archive.positions, np.stack([m[0] for m in reference.members])
-                )
-                np.testing.assert_array_equal(
-                    archive.objectives, np.stack([m[1] for m in reference.members])
-                )
-                assert archive.rng.bit_generator.state == reference.rng.bit_generator.state
+                self.assert_same(archive, reference)
+
+    @staticmethod
+    def assert_same(archive, reference):
+        np.testing.assert_array_equal(
+            archive.positions, np.stack([m[0] for m in reference.members])
+        )
+        np.testing.assert_array_equal(
+            archive.objectives, np.stack([m[1] for m in reference.members])
+        )
+        assert archive.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_random_batches(self):
+        """Batches offered through ``insert_many`` end where one-by-one
+        inserts into the reference end, evictions and rng state included."""
+        for seed in range(60):
+            draw = np.random.default_rng(seed)
+            capacity = int(draw.integers(3, 21))
+            grid = int(draw.integers(2, 5))
+            archive = ParetoArchive(capacity, grid, np.random.default_rng(seed))
+            reference = ListArchive(capacity, grid, np.random.default_rng(seed))
+            for _ in range(40):
+                size = int(draw.integers(1, 13))
+                k = draw.integers(0, 30, size=size)
+                objectives = np.column_stack([k, 30 - k + draw.integers(0, 3, size=size)])
+                positions = draw.integers(0, 3, size=(size, 2)).astype(float)
+                archive.insert_many(positions, objectives.astype(float))
+                for row in zip(positions, objectives):
+                    reference.insert(*row)
+                if draw.random() < 0.3:
+                    assert archive.select_guide() == reference.select_guide()
+                self.assert_same(archive, reference)
+
+    def test_screen_redone_after_an_eviction(self):
+        """(1, 11) is dominated only by (0, 10). When (5, 5) enters a full
+        archive and evicts (0, 10), the later (1, 11) must enter, as it
+        does under one-by-one insertion."""
+        late_entries = 0
+        for seed in range(20):
+            archive = ParetoArchive(2, 1, np.random.default_rng(seed))
+            reference = ListArchive(2, 1, np.random.default_rng(seed))
+            for target in (archive, reference):
+                target.insert([0.0], (0.0, 10.0))
+                target.insert([1.0], (10.0, 0.0))
+            batch = np.array([[5.0, 5.0], [1.0, 11.0]])
+            archive.insert_many([[2.0], [3.0]], batch)
+            for position, objectives in zip([[2.0], [3.0]], batch):
+                reference.insert(position, objectives)
+            self.assert_same(archive, reference)
+            late_entries += [1.0, 11.0] in archive.objectives.tolist()
+        assert late_entries > 0
 
 
 class TestOptimizerConfig:
@@ -290,9 +368,54 @@ class TestOptimizationLoop:
 
     def test_non_finite_objective_aborts(self):
         config = OptimizerConfig(population=5, iterations=1)
-        optimizer = SunflowerOptimizer(lambda v: np.array([np.nan, 0.0]), 2, 0.0, 1.0, config)
+        optimizer = SunflowerOptimizer(
+            lambda v: np.tile([np.nan, 0.0], (len(v), 1)), 2, 0.0, 1.0, config
+        )
         with pytest.raises(NonFiniteObjective):
             optimizer.run()
+
+    def test_non_finite_objective_names_the_first_bad_row(self):
+        config = OptimizerConfig(population=6, iterations=0)
+        optimizer = SunflowerOptimizer(
+            lambda v: np.column_stack([v[:, 0], np.where(v[:, 0] > 0.5, np.inf, 0.0)]),
+            2,
+            0.0,
+            1.0,
+            config,
+        )
+        positions = tent_positions(TentChain(optimizer.tent.state), 6, 2, 0.0, 1.0)
+        first_bad = positions[np.flatnonzero(positions[:, 0] > 0.5)[0]]
+        with pytest.raises(NonFiniteObjective, match=re.escape(str(first_bad))):
+            optimizer.run()
+
+    def test_one_objective_call_per_sweep(self):
+        shapes = []
+
+        def objective(v):
+            shapes.append(v.shape)
+            return zdt_evaluate(1, v)
+
+        config = OptimizerConfig(population=12, iterations=7, rng_seed=2)
+        SunflowerOptimizer(objective, 3, 0.0, 1.0, config).run()
+        assert shapes == [(12, 3)] * 8
+
+    def test_objective_shape_checked(self):
+        optimizer = SunflowerOptimizer(lambda v: np.zeros(len(v)), 2, 0.0, 1.0)
+        with pytest.raises(ValueError, match="objective returned shape"):
+            optimizer.run()
+
+    def test_zdt_runs_match_recorded_digests(self):
+        """Archives recorded with one objective call and one insert per
+        candidate; sweeps and the dominance screen must not move a bit."""
+        config = OptimizerConfig(population=50, iterations=40, rng_seed=9)
+        recorded = {
+            1: (33, "811569022a28b2cac78cd4b4a4c763f517b70a227774b6eb57ba71ce66101fb8"),
+            3: (24, "92b577127b6fb39ec944444fc7ab1f6ad0e0ded78c992e4cc74a72e75c8feb52"),
+        }
+        for which, (size, expected) in recorded.items():
+            archive = run_zdt(which, 4, config)
+            assert len(archive) == size
+            assert digest(archive.positions, archive.objectives) == expected
 
     def test_tent_positions_alignment(self):
         flat = TentChain(0.3).draw(6)
@@ -305,6 +428,15 @@ class TestOptimizationLoop:
         assert igd < 0.1
         assert spacing >= 0.0
 
+    def test_row_norms_are_the_one_row_norms(self):
+        rng = np.random.default_rng(6)
+        for shape in ((1, 1), (100, 2), (100, 4), (37, 9)):
+            rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+            expected = np.array([np.linalg.norm(row) for row in rows])
+            np.testing.assert_array_equal(
+                _row_norms(rows).view(np.int64), expected.view(np.int64)
+            )
+
     def test_default_step_scale(self):
         # 5% of the box diagonal: norm((4, 4, 4, 4)) = 8 for [-2, 2]^4
         assert SunflowerOptimizer(lambda w: w, 4, -2.0, 2.0).step_scale == pytest.approx(0.4)
@@ -312,22 +444,35 @@ class TestOptimizationLoop:
 
 class TestBenchmarkObjectives:
     def test_known_values(self):
-        assert zdt_evaluate(1, np.array([0.0, 0.0, 0.0, 0.0])) == (0.0, 1.0)
-        assert zdt_evaluate(1, np.array([1.0, 0.0, 0.0, 0.0])) == (1.0, 0.0)
-        f1, f2 = zdt_evaluate(1, np.array([0.25, 0.0, 0.0, 0.0]))
+        rows = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0, 0.0],
+                [0.25, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 1.0, 1.0],
+            ]
+        )
+        values = zdt_evaluate(1, rows)
+        assert values.shape == (4, 2)
+        assert tuple(values[0]) == (0.0, 1.0)
+        assert tuple(values[1]) == (1.0, 0.0)
+        f1, f2 = values[2]
         assert (f1, f2) == (0.25, pytest.approx(0.5, abs=1e-15))
-        assert zdt_evaluate(1, np.array([0.0, 1.0, 1.0, 1.0])) == (0.0, 10.0)
-        assert zdt_evaluate(2, np.array([0.5, 0.0])) == (0.5, pytest.approx(0.75, abs=1e-15))
-        f1, f2 = zdt_evaluate(3, np.array([0.5, 0.0]))
+        assert tuple(values[3]) == (0.0, 10.0)
+        f1, f2 = zdt_evaluate(2, np.array([[0.5, 0.0]]))[0]
+        assert (f1, f2) == (0.5, pytest.approx(0.75, abs=1e-15))
+        f1, f2 = zdt_evaluate(3, np.array([[0.5, 0.0]]))[0]
         assert f2 == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-12)
 
     def test_domain_checks(self):
+        with pytest.raises(OutOfDomain, match=r"\[1.5 0. \]"):
+            zdt_evaluate(1, np.array([[0.5, 0.0], [1.5, 0.0]]))
         with pytest.raises(OutOfDomain):
-            zdt_evaluate(1, np.array([1.5, 0.0]))
+            zdt_evaluate(1, np.array([[0.5]]))
         with pytest.raises(OutOfDomain):
-            zdt_evaluate(1, np.array([0.5]))
+            zdt_evaluate(1, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            zdt_evaluate(4, np.array([0.5, 0.5]))
+            zdt_evaluate(4, np.array([[0.5, 0.5]]))
 
     def test_reference_fronts(self):
         np.testing.assert_allclose(

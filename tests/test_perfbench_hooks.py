@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from granucast import ensemble
 from granucast.config import build_run_config
 from granucast.learners import (
     KINDS,
@@ -19,7 +20,7 @@ from granucast.learners import (
     save_model,
 )
 from granucast.learners import nn, trees
-from granucast.sunflower import SunflowerOptimizer
+from granucast.sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
 from granucast.synth import SynthConfig, write_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -38,6 +39,8 @@ TRACED_KERNELS = [
     (trees, "build_boosted_tree"),
     (trees.Tree, "predict"),
     (SunflowerOptimizer, "step"),
+    (ParetoArchive, "insert"),
+    (ParetoArchive, "select_guide"),
 ]
 
 
@@ -74,6 +77,30 @@ def test_tracer_counts_tree_building(monkeypatch):
     assert summary["counters"]["learners.trees.cart_nodes"] == nodes
     assert summary["calls"]["learners.trees.build_cart"] == 3
     assert summary["calls"]["learners.trees.boosted_tree"] == 3
+    # boosting reads its training predictions from the grower's leaves
+    assert "learners.trees.tree_predict" not in summary["calls"]
+
+
+def test_tracer_counts_one_objective_call_per_sweep(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    rng = np.random.default_rng(4)
+    actuals = 5.0 + rng.normal(size=30)
+    panel = ensemble.PredictionPanel(matrix=actuals + rng.normal(size=(4, 30)), actuals=actuals)
+    config = OptimizerConfig(population=20, iterations=6, rng_seed=1)
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder)
+        # through the module attribute, which the tracer replaces
+        fit = ensemble.fit_weights(panel, config)
+    finally:
+        recorder.restore()
+    summary = recorder.summary()
+    # the first population, one per sweep, then the baseline candidates
+    assert summary["calls"]["sunflower.objective"] == config.iterations + 2
+    assert summary["calls"]["sunflower.step"] == config.iterations
+    assert summary["counters"]["sunflower.archive_size"] == len(fit.archive)
+    assert fit.archive.is_sound()
 
 
 TINY_NET = NetConfig(hidden_sizes=(3,), epochs=2, batch_size=4)
