@@ -1,16 +1,26 @@
 """Wind-speed series ingestion, gap imputation and splitting.
 
 Input format is a two-column CSV with header ``timestamp,wind_speed``.
-Timestamps are ISO-8601 strings or integer epoch seconds (detected per
-value; an ISO string without an offset is UTC) and must be strictly
-increasing. An empty wind_speed field marks a gap; NaN and infinite readings
-are rejected.
+Timestamps are integer epoch seconds or ISO-8601 strings, and must be
+strictly increasing. The form is detected per value: text that ``int()``
+accepts is epoch seconds (so ``20230101`` is a second count, not a date);
+anything else is read by ``datetime.fromisoformat``, and an ISO string
+without an offset is UTC. An empty wind_speed field marks a gap; NaN and
+infinite readings are rejected.
+
+Rows are numbered as in the file: the header is row 1, and blank lines keep
+their numbers although they hold no sample. A parse fault names the first
+faulty row in file order, and within a row a timestamp fault comes before a
+wind_speed fault. Text that is not UTF-8 is reported without a row when the
+reader decodes the block that holds it, and timestamp order is checked once
+every row has parsed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +35,12 @@ class MalformedRow(GranucastError):
 
 
 class NonMonotoneTimestamps(GranucastError):
-    pass
+    """``index`` is the 0-based sample whose timestamp does not exceed the
+    one before it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class EmptyFile(GranucastError):
@@ -66,7 +81,7 @@ class RawSeries:
         diffs = np.diff(self.timestamps)
         if len(diffs) and not np.all(diffs > 0):
             bad = int(np.argmax(diffs <= 0)) + 1
-            raise NonMonotoneTimestamps(f"timestamp at row {bad} does not increase")
+            raise NonMonotoneTimestamps(f"timestamp at row {bad} does not increase", bad)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -89,16 +104,19 @@ class SplitSpec:
             raise ValueError(f"split fractions sum to {total}, expected 1")
 
 
-def _parse_timestamp(text: str, row: int) -> int:
+def _parse_timestamp(text: str, path: Path, row: int) -> int:
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    # int() fails on any "T" or ":", and on a "-" other than a leading sign,
+    # so ISO text skips an attempt that can only raise
+    if "T" not in text and ":" not in text and "-" not in text[1:]:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError:
-        raise MalformedRow(f"row {row}: unparseable timestamp {text!r}") from None
+        raise MalformedRow(f"{path}: row {row}: unparseable timestamp {text!r}") from None
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return int(stamp.timestamp())
@@ -108,11 +126,18 @@ def load_series(path: str | Path) -> RawSeries:
     """Read a ``timestamp,wind_speed`` CSV into a RawSeries.
 
     Empty wind_speed fields become gaps. Raises EmptyFile when there are no
-    data rows, MalformedRow for parse failures (text that is not UTF-8
-    included) and NonMonotoneTimestamps when timestamps do not strictly
-    increase.
+    data rows, MalformedRow for parse failures (text that is not UTF-8 and
+    epoch values outside int64 included) and NonMonotoneTimestamps when
+    timestamps do not strictly increase. Every row-level error names the
+    file and the file row.
     """
     path = Path(path)
+    # typed buffers: a decade of rows stays three flat arrays, not millions
+    # of boxed Python objects
+    timestamps = array("q")
+    values = array("d")
+    mask = bytearray()
+    blank_rows: list[int] = []
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -124,21 +149,24 @@ def load_series(path: str | Path) -> RawSeries:
                 raise MalformedRow(
                     f"{path}: expected header 'timestamp,wind_speed', got {header!r}"
                 )
-            timestamps: list[int] = []
-            values: list[float] = []
-            mask: list[bool] = []
             for row_number, row in enumerate(reader, start=2):
                 if not row:
+                    blank_rows.append(row_number)
                     continue
                 if len(row) != 2:
                     raise MalformedRow(
                         f"{path}: row {row_number} has {len(row)} fields, expected 2"
                     )
-                timestamps.append(_parse_timestamp(row[0], row_number))
+                try:
+                    timestamps.append(_parse_timestamp(row[0], path, row_number))
+                except OverflowError:
+                    raise MalformedRow(
+                        f"{path}: row {row_number}: timestamp out of range"
+                    ) from None
                 raw_value = row[1].strip()
                 if raw_value == "":
                     values.append(math.nan)
-                    mask.append(True)
+                    mask.append(1)
                 else:
                     try:
                         value = float(raw_value)
@@ -151,16 +179,27 @@ def load_series(path: str | Path) -> RawSeries:
                             f"{path}: row {row_number}: NaN or infinity not allowed"
                         )
                     values.append(value)
-                    mask.append(False)
+                    mask.append(0)
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not timestamps:
         raise EmptyFile(f"{path}: no data rows")
-    return RawSeries(
-        timestamps=np.asarray(timestamps, dtype=np.int64),
-        values=np.asarray(values, dtype=np.float64),
-        gap_mask=np.asarray(mask, dtype=bool),
-    )
+    try:
+        return RawSeries(
+            timestamps=np.frombuffer(timestamps, dtype=np.int64),
+            values=np.frombuffer(values, dtype=np.float64),
+            gap_mask=np.frombuffer(mask, dtype=bool),
+        )
+    except NonMonotoneTimestamps as exc:
+        # sample i sits on file row i + 2 plus the blank rows up to it
+        row_number = exc.index + 2
+        for blank in blank_rows:
+            if blank > row_number:
+                break
+            row_number += 1
+        raise NonMonotoneTimestamps(
+            f"{path}: row {row_number}: timestamp does not increase", exc.index
+        ) from None
 
 
 def interpolate_gaps(raw: RawSeries) -> np.ndarray:

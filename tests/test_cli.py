@@ -476,6 +476,12 @@ class TestExitCodes:
         assert main([*(subs.get(arg, arg) for arg in argv), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
 
+    def test_epoch_outside_int64_returns_one(self, tmp_path, capsys):
+        bad = tmp_path / "huge.csv"
+        bad.write_text("timestamp,wind_speed\n0,5.0\n99999999999999999999,6.0\n")
+        assert main(["granulate", "--data", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: row 3: timestamp out of range\n"
+
     def test_unsound_archive_returns_one(self, cli_env, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ParetoArchive, "is_sound", lambda self: False)
         argv = ["benchmark-opt", "--problem", "zdt1", "--config", cli_env.conf]

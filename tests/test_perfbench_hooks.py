@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from granucast import ensemble
+from granucast import ensemble, timeseries
 from granucast.config import build_run_config
 from granucast.learners import (
     KINDS,
@@ -35,6 +35,8 @@ TRACED_KERNELS = [
         for cls in (nn.LSTMLayer, nn.GRULayer, nn.Conv1dLayer)
         for attr in ("forward", "backward")
     ),
+    (timeseries, "load_series"),
+    (timeseries, "interpolate_gaps"),
     (trees, "build_cart"),
     (trees, "build_boosted_tree"),
     (trees.Tree, "predict"),
@@ -57,6 +59,24 @@ def test_tracer_installs_and_restores(monkeypatch):
         recorder.restore()
     for (owner, attr), original in originals.items():
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} is not restored"
+
+
+def test_tracer_counts_loaded_rows_and_gaps(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    path = tmp_path / "series.csv"
+    path.write_text("timestamp,wind_speed\n0,5.0\n600,\n\n1200,\n1800,6.0\n")
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder)
+        # through the module attributes, which the tracer replaces
+        timeseries.interpolate_gaps(timeseries.load_series(path))
+    finally:
+        recorder.restore()
+    summary = recorder.summary()
+    assert summary["counters"]["timeseries.rows"] == 4
+    assert summary["counters"]["timeseries.gaps"] == 2
+    assert summary["calls"]["timeseries.load"] == 2
 
 
 def test_tracer_counts_tree_building(monkeypatch):

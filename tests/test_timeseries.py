@@ -1,3 +1,4 @@
+import re
 import time
 from datetime import datetime, timedelta, timezone
 
@@ -44,14 +45,18 @@ class TestLoadSeries:
         assert not load_series(path).gap_mask.any()
 
     def test_iso_timestamps(self, tmp_path):
+        # with Z, with offsets and without one (read as UTC)
         path = write(
             tmp_path,
             "timestamp,wind_speed\n"
             "2023-01-01T00:00:00+00:00,5.0\n"
-            "2023-01-01T00:10:00+00:00,6.0\n",
+            "2023-01-01T00:10:00Z,6.0\n"
+            "2023-01-01T01:20:00+01:00,7.0\n"
+            "2023-01-01T00:30:00,8.0\n"
+            "2022-12-31T19:40:00-05:00,9.0\n",
         )
-        raw = load_series(path)
-        assert raw.timestamps[1] - raw.timestamps[0] == 600
+        start = int(datetime(2023, 1, 1, tzinfo=timezone.utc).timestamp())
+        assert load_series(path).timestamps.tolist() == [start + 600 * i for i in range(5)]
 
     def test_non_monotone_rejected(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed\n600,5.0\n0,6.0\n")
@@ -91,6 +96,108 @@ class TestLoadSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_series(tmp_path / "absent.csv")
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n0,5.0\n600,abc\nzz,6.0\n")
+        with pytest.raises(MalformedRow, match=re.escape("row 3: unparseable wind_speed 'abc'")):
+            load_series(path)
+
+    def test_timestamp_fault_before_value_fault_on_one_row(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n0,5.0\nzz,abc\n")
+        with pytest.raises(MalformedRow, match=re.escape("row 3: unparseable timestamp 'zz'")):
+            load_series(path)
+
+    def test_unparseable_timestamp_message(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n0,5.0\nzz,6.0\n")
+        with pytest.raises(MalformedRow) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 3: unparseable timestamp 'zz'"
+
+    def test_field_count_message(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n0,5.0\n600,6.0,7.0\n")
+        with pytest.raises(MalformedRow) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 3 has 3 fields, expected 2"
+
+    def test_blank_lines_keep_their_row_numbers(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n0,5.0\n\n\n600,abc\n")
+        with pytest.raises(MalformedRow, match=re.escape("row 5: unparseable wind_speed")):
+            load_series(path)
+        raw = load_series(write(tmp_path, "timestamp,wind_speed\n\n0,5.0\n\n600,6.0\n\n"))
+        assert raw.timestamps.tolist() == [0, 600]
+
+    def test_non_monotone_message_names_the_file_row(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n600,5.0\n\n0,6.0\n1200,7.0\n")
+        with pytest.raises(NonMonotoneTimestamps) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 4: timestamp does not increase"
+
+    def test_quoted_fields(self, tmp_path):
+        path = write(tmp_path, 'timestamp,wind_speed\n"0","5.5"\n"600",""\n1200,"7"\n')
+        raw = load_series(path)
+        assert raw.timestamps.tolist() == [0, 600, 1200]
+        assert raw.gap_mask.tolist() == [False, True, False]
+        assert raw.values[0] == 5.5 and raw.values[2] == 7.0
+        # a quoted comma stays inside its field
+        path = write(tmp_path, 'timestamp,wind_speed\n"0,600",5.0\n')
+        with pytest.raises(MalformedRow, match=re.escape("row 2: unparseable timestamp '0,600'")):
+            load_series(path)
+
+    def test_integer_text_reads_as_epoch_seconds(self, tmp_path):
+        # "20230101" is also an ISO basic-format date; integers come first
+        path = write(tmp_path, "timestamp,wind_speed\n-120,5.0\n 0 ,5.5\n20230101,6.0\n")
+        raw = load_series(path)
+        assert raw.timestamps.tolist() == [-120, 0, 20230101]
+        assert raw.timestamps.dtype == np.int64
+
+    @pytest.mark.parametrize("stamp", ["99999999999999999999", "-9223372036854775809"])
+    def test_epoch_outside_int64_is_malformed(self, tmp_path, stamp):
+        path = write(tmp_path, f"timestamp,wind_speed\n0,5.0\n{stamp},abc\n")
+        with pytest.raises(MalformedRow) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 3: timestamp out of range"
+
+    @given(
+        start=st.integers(-(10**10), 10**10),
+        rows=st.lists(
+            st.tuples(
+                st.integers(1, 10**6),
+                st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+                st.sampled_from(["epoch", "Z", "+00:00", "naive", "+05:30", "-08:00"]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_round_trip_of_mixed_text(self, tmp_path_factory, start, rows):
+        stamps = start + np.cumsum([step for step, *_ in rows])
+        lines = ["timestamp,wind_speed"]
+        for stamp, (_, value, form, blank_before) in zip(stamps.tolist(), rows):
+            if blank_before:
+                lines.append("")
+            moment = datetime.fromtimestamp(stamp, tz=timezone.utc)
+            if form == "epoch":
+                text = str(stamp)
+            elif form == "Z":
+                text = moment.replace(tzinfo=None).isoformat() + "Z"
+            elif form == "naive":
+                text = moment.replace(tzinfo=None).isoformat()
+            else:
+                sign = 1 if form[0] == "+" else -1
+                offset = timedelta(hours=int(form[1:3]), minutes=int(form[4:]))
+                text = moment.astimezone(timezone(sign * offset)).isoformat()
+            lines.append(f"{text},{'' if value is None else repr(value)}")
+        path = tmp_path_factory.mktemp("round") / "series.csv"
+        path.write_text("\n".join(lines) + "\n")
+        raw = load_series(path)
+        values = np.array([np.nan if value is None else value for _, value, *_ in rows])
+        assert raw.timestamps.dtype == np.int64
+        assert raw.values.dtype == np.float64
+        assert raw.gap_mask.dtype == np.bool_
+        np.testing.assert_array_equal(raw.timestamps, stamps)
+        np.testing.assert_array_equal(raw.values, values)
+        np.testing.assert_array_equal(raw.gap_mask, np.isnan(values))
 
     def test_bytes_that_are_not_utf8_are_malformed(self, tmp_path):
         # the bad row lies past the first block the text reader decodes
