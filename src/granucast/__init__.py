@@ -34,7 +34,7 @@ from .evaluation import (
     iri,
     point_scores,
 )
-from .pipeline import run_cv, run_forecast
+from .pipeline import Forecaster, fit_forecaster, run_cv, run_forecast
 from .config import RunConfig, build_run_config
 from .synth import SynthConfig
 
@@ -78,6 +78,8 @@ __all__ = [
     "interval_scores",
     "iri",
     "point_scores",
+    "Forecaster",
+    "fit_forecaster",
     "run_cv",
     "run_forecast",
     "RunConfig",

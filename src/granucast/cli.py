@@ -170,7 +170,7 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     for i in range(len(result.point)):
         row = [
             int(result.test_record_indices[i]),
-            _fmt(result.test_set.targets[i]),
+            _fmt(result.test_panel.actuals[i]),
             _fmt(result.point[i]),
         ]
         for level in levels:
@@ -181,8 +181,8 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     names = ["forecast.csv"]
     print(f"forecast rows: {len(rows)}")
 
-    if result.weight_fit is not None:
-        fit = result.weight_fit
+    fit = result.forecaster.weight_fit
+    if fit is not None:
         lines = [f"chosen {kind} = {_fmt(w)}" for kind, w in zip(KINDS, fit.chosen)]
         lines.append(f"validation mape = {_fmt(fit.chosen_objectives[0])}")
         lines.append(f"validation mse = {_fmt(fit.chosen_objectives[1])}")
@@ -199,7 +199,7 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
         )
     else:
         print(f"solo model: {solo}")
-    print(f"test mape = {_fmt(result.test_scores.mape)}")
+    print(f"test mape = {_fmt(point_scores(result.test_panel.actuals, result.point).mape)}")
     return run.describe(), names
 
 

@@ -2,9 +2,10 @@
 
 The feature rows are split chronologically (train/validation/test) and
 each split builds its own lagged supervised set, so a split's first ``lag``
-rows serve only as history. Learners train on the train split, ensemble
-weights and interval offsets come from the validation split, and all
-reported scores are test-split only.
+rows serve only as history. ``fit_forecaster`` trains the learners on one
+set and fits the ensemble weights on another: ``run_forecast`` on the train
+and validation splits, with interval offsets from the validation residuals
+and test-split scores only, and ``run_cv`` once per fold, with no intervals.
 """
 
 from __future__ import annotations
@@ -24,28 +25,30 @@ from .learners import KINDS, SupervisedSet, TooFewRecords, fit_learner, make_sup
 from .timeseries import chrono_split, kfold_split
 
 
-@dataclass
-class ForecastRun:
-    granules: np.ndarray
-    features: np.ndarray
-    cluster_result: ClusterResult
-    split_bounds: tuple[int, int]
+@dataclass(frozen=True)
+class Forecaster:
+    """Trained learners, their weights (``weight_fit`` is None for a solo
+    learner) and the calibration actuals minus the combined forecast."""
+
     models: dict[str, object]
-    val_set: SupervisedSet
-    test_set: SupervisedSet
+    weight_fit: WeightFit | None
+    weights: np.ndarray
+    residuals: np.ndarray
+
+    def panel(self, data: SupervisedSet) -> PredictionPanel:
+        matrix = np.stack([self.models[kind].predict(data.inputs) for kind in KINDS])
+        return PredictionPanel(matrix=matrix, actuals=data.targets)
+
+
+@dataclass(frozen=True)
+class ForecastRun:
+    forecaster: Forecaster
     val_panel: PredictionPanel
     test_panel: PredictionPanel
-    weight_fit: WeightFit | None
     offsets: dict[float, tuple[float, float]]
     point: np.ndarray
     intervals: dict[float, tuple[np.ndarray, np.ndarray]]
-    test_scores: PointScores
     test_record_indices: np.ndarray
-
-
-def _panel(models: dict[str, object], data: SupervisedSet) -> PredictionPanel:
-    matrix = np.stack([models[kind].predict(data.inputs) for kind in KINDS])
-    return PredictionPanel(matrix=matrix, actuals=data.targets)
 
 
 def extract_and_split(
@@ -66,42 +69,38 @@ def train_models(train_set: SupervisedSet, config: RunConfig) -> dict[str, objec
     return {kind: fit_learner(kind, train_set, config.learners[kind]) for kind in KINDS}
 
 
+def fit_forecaster(
+    train_set: SupervisedSet, calib_set: SupervisedSet, config: RunConfig, solo: str | None = None
+) -> tuple[Forecaster, PredictionPanel]:
+    """Learners trained on ``train_set``, weights searched on their
+    ``calib_set`` panel (one-hot for ``solo``), and that panel."""
+    if solo is not None and solo not in KINDS:
+        raise ValueError(f"unknown learner {solo!r}, expected one of {KINDS}")
+    untuned = Forecaster(train_models(train_set, config), None, np.empty(0), np.empty(0))
+    calib_panel = untuned.panel(calib_set)
+    weight_fit = fit_weights(calib_panel, config.optimizer) if solo is None else None
+    weights = np.eye(len(KINDS))[KINDS.index(solo)] if weight_fit is None else weight_fit.chosen
+    residuals = calib_panel.actuals - combine(calib_panel, weights)
+    return Forecaster(untuned.models, weight_fit, weights, residuals), calib_panel
+
+
 def run_forecast(values: np.ndarray, config: RunConfig, solo: str | None = None) -> ForecastRun:
     """Full pipeline on one series; ``solo`` names one learner whose
     predictions stand alone (a one-hot weight vector, no weight search),
     with intervals from its own validation residuals."""
-    granules, features, cluster_result, parts, bounds = extract_and_split(values, config)
+    _, _, _, parts, bounds = extract_and_split(values, config)
     train_set, val_set, test_set = (make_supervised(part, config.lag) for part in parts)
-    models = train_models(train_set, config)
-    val_panel = _panel(models, val_set)
-    test_panel = _panel(models, test_set)
-
-    if solo is None:
-        weight_fit = fit_weights(val_panel, config.optimizer)
-        weights = weight_fit.chosen
-    else:
-        if solo not in KINDS:
-            raise ValueError(f"unknown learner {solo!r}, expected one of {KINDS}")
-        weight_fit = None
-        weights = np.eye(len(KINDS))[KINDS.index(solo)]
-    offsets = fit_intervals(val_set.targets - combine(val_panel, weights), config.levels)
-    point, intervals = forecast(test_panel, weights, offsets)
-
+    forecaster, val_panel = fit_forecaster(train_set, val_set, config, solo)
+    test_panel = forecaster.panel(test_set)
+    offsets = fit_intervals(forecaster.residuals, config.levels)
+    point, intervals = forecast(test_panel, forecaster.weights, offsets)
     return ForecastRun(
-        granules=granules,
-        features=features,
-        cluster_result=cluster_result,
-        split_bounds=bounds,
-        models=models,
-        val_set=val_set,
-        test_set=test_set,
+        forecaster=forecaster,
         val_panel=val_panel,
         test_panel=test_panel,
-        weight_fit=weight_fit,
         offsets=offsets,
         point=point,
         intervals=intervals,
-        test_scores=point_scores(test_set.targets, point),
         test_record_indices=bounds[1] + test_set.target_indices,
     )
 
@@ -148,15 +147,8 @@ def run_cv(values: np.ndarray, config: RunConfig, k: int = 5) -> list[FoldScore]
                 config.optimizer, rng_seed=config.optimizer.rng_seed + fold_salt
             ),
         )
-        models = train_models(inner_train, fold_config)
-        weight_fit = fit_weights(_panel(models, inner_val), fold_config.optimizer)
-        test_panel = _panel(models, test_set)
-        combined = combine(test_panel, weight_fit.chosen)
-        folds.append(
-            FoldScore(
-                fold=fold_index,
-                test_record_indices=np.asarray(test_idx, dtype=np.int64),
-                scores=point_scores(test_set.targets, combined),
-            )
-        )
+        forecaster, _ = fit_forecaster(inner_train, inner_val, fold_config)
+        test_panel = forecaster.panel(test_set)
+        scores = point_scores(test_panel.actuals, combine(test_panel, forecaster.weights))
+        folds.append(FoldScore(fold_index, np.asarray(test_idx, dtype=np.int64), scores))
     return folds

@@ -11,9 +11,8 @@ infinite readings are rejected.
 Rows are numbered as in the file: the header is row 1, and blank lines keep
 their numbers although they hold no sample. A parse fault names the first
 faulty row in file order, and within a row a timestamp fault comes before a
-wind_speed fault. Text that is not UTF-8 is reported without a row when the
-reader decodes the block that holds it, and timestamp order is checked once
-every row has parsed.
+wind_speed fault; a byte that is not UTF-8 is reported as such, as a fault of
+the row that holds it. Timestamp order is checked once every row has parsed.
 """
 
 from __future__ import annotations
@@ -138,17 +137,17 @@ def load_series(path: str | Path) -> RawSeries:
     values = array("d")
     mask = bytearray()
     blank_rows: list[int] = []
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyFile(f"{path}: file is empty") from None
-            if [column.strip().lower() for column in header] != ["timestamp", "wind_speed"]:
-                raise MalformedRow(
-                    f"{path}: expected header 'timestamp,wind_speed', got {header!r}"
-                )
+    # a byte that is not UTF-8 decodes to a lone surrogate, which fails every
+    # parse of its row; that row's fault is then reported as the bad byte
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            row_number, row = 1, next(reader)
+        except StopIteration:
+            raise EmptyFile(f"{path}: file is empty") from None
+        try:
+            if [column.strip().lower() for column in row] != ["timestamp", "wind_speed"]:
+                raise MalformedRow(f"{path}: expected header 'timestamp,wind_speed', got {row!r}")
             for row_number, row in enumerate(reader, start=2):
                 if not row:
                     blank_rows.append(row_number)
@@ -180,8 +179,12 @@ def load_series(path: str | Path) -> RawSeries:
                         )
                     values.append(value)
                     mask.append(0)
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except MalformedRow:
+            try:
+                "".join(row).encode("utf-8")  # lone surrogates do not encode
+            except UnicodeEncodeError:
+                raise MalformedRow(f"{path}: row {row_number}: not UTF-8 text") from None
+            raise
     if not timestamps:
         raise EmptyFile(f"{path}: no data rows")
     try:

@@ -197,7 +197,7 @@ def test_boosting_objective():
 
 
 def test_weight_vector_non_domination(forecast_run):
-    chosen_mape, chosen_mse = forecast_run.weight_fit.chosen_objectives
+    chosen_mape, chosen_mse = forecast_run.forecaster.weight_fit.chosen_objectives
     tol = 1e-6
     dominated = False
     for k in range(4):
@@ -216,7 +216,7 @@ def test_weight_vector_non_domination(forecast_run):
 
 
 def test_interval_coverage_and_nesting(forecast_run):
-    actual = forecast_run.test_set.targets
+    actual = forecast_run.test_panel.actuals
     lo95, hi95 = forecast_run.intervals[0.95]
     lo85, hi85 = forecast_run.intervals[0.85]
     picp = float(np.mean((actual >= lo95) & (actual <= hi95)))

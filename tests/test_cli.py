@@ -461,20 +461,21 @@ class TestExitCodes:
         assert (tmp_path / "notes.txt").read_text() == "keep\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, where",
         [
-            ["granulate", "--data", "BAD"],
-            ["granulate", "--data", "DATA", "--config", "BAD"],
-            ["evaluate", "--forecast", "BAD"],
+            (["granulate", "--data", "BAD"], ": row 2"),
+            (["granulate", "--data", "DATA", "--config", "BAD"], ""),
+            (["evaluate", "--forecast", "BAD"], ""),
         ],
         ids=["data", "config", "forecast"],
     )
-    def test_input_that_is_not_utf8_returns_one(self, cli_env, tmp_path, capsys, argv):
+    def test_input_that_is_not_utf8_returns_one(self, cli_env, tmp_path, capsys, argv, where):
+        # a series names the row of the bad byte
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"timestamp,wind_speed\n0,\xff\xfe\n")
         subs = {"DATA": cli_env.data, "BAD": str(bad)}
         assert main([*(subs.get(arg, arg) for arg in argv), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+        assert capsys.readouterr().err.startswith(f"error: {bad}{where}: not UTF-8 text")
 
     def test_epoch_outside_int64_returns_one(self, tmp_path, capsys):
         bad = tmp_path / "huge.csv"

@@ -1030,5 +1030,5 @@ class TestModelLifecycle:
 
 def test_each_learner_tracks_held_out_data(forecast_run):
     for k, kind in enumerate(KINDS):
-        scores = point_scores(forecast_run.test_set.targets, forecast_run.test_panel.matrix[k])
+        scores = point_scores(forecast_run.test_panel.actuals, forecast_run.test_panel.matrix[k])
         assert scores.r2 > 0.8, f"{kind} r2 {scores.r2:.3f}"

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from granucast import ensemble, timeseries
+from conftest import cheap_pipeline_config
+
+from granucast import ensemble, pipeline, timeseries
 from granucast.config import build_run_config
 from granucast.learners import (
     KINDS,
@@ -43,6 +45,12 @@ TRACED_KERNELS = [
     (SunflowerOptimizer, "step"),
     (ParetoArchive, "insert"),
     (ParetoArchive, "select_guide"),
+    (pipeline, "run_forecast"),
+    (pipeline, "extract_and_split"),
+    (pipeline, "train_models"),
+    (ensemble, "fit_weights"),
+    (ensemble, "fit_intervals"),
+    (ensemble, "forecast"),
 ]
 
 
@@ -121,6 +129,23 @@ def test_tracer_counts_one_objective_call_per_sweep(monkeypatch):
     assert summary["calls"]["sunflower.step"] == config.iterations
     assert summary["counters"]["sunflower.archive_size"] == len(fit.archive)
     assert fit.archive.is_sound()
+
+
+def test_tracer_sees_two_predicts_per_learner_in_a_forecast(monkeypatch, synth_series):
+    # one on the calibration rows, one on the test rows
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder)
+        # through the module attribute, which the tracer replaces
+        pipeline.run_forecast(synth_series, cheap_pipeline_config())
+    finally:
+        recorder.restore()
+    calls = recorder.summary()["calls"]
+    assert {kind: calls[f"learners.{kind}.predict"] for kind in KINDS} == dict.fromkeys(KINDS, 2)
+    for span in ("pipeline", "ensemble.fit_weights", "ensemble.fit_intervals", "ensemble.forecast"):
+        assert span in calls
 
 
 TINY_NET = NetConfig(hidden_sizes=(3,), epochs=2, batch_size=4)

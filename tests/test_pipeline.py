@@ -9,10 +9,12 @@ import pytest
 from conftest import cheap_pipeline_config
 
 from granucast.config import build_run_config
-from granucast.ensemble import fit_intervals
+from granucast.ensemble import TooFewResiduals, combine, fit_intervals
 from granucast.evaluation import PointScores, point_scores
 from granucast.learners import KINDS, TooFewRecords, make_supervised
-from granucast.pipeline import _samples_inside, run_forecast
+from granucast.pipeline import _samples_inside, extract_and_split, run_cv, run_forecast
+from granucast.synth import SynthConfig, write_csv
+from granucast.timeseries import interpolate_gaps, load_series
 
 
 def indexed_features(count: int) -> np.ndarray:
@@ -63,15 +65,22 @@ class TestPipelineConfig:
         assert config.levels == (0.95, 0.85)
 
 
+@pytest.fixture(scope="module")
+def split(synth_series, pipeline_config):
+    """``extract_and_split`` of the series behind ``forecast_run``."""
+    return extract_and_split(synth_series, pipeline_config)
+
+
 class TestForecastRunStructure:
-    def test_counts_and_indices(self, forecast_run):
+    def test_counts_and_indices(self, forecast_run, split):
         # 7200 samples in 36-point windows make 200 feature rows; the
         # 60/20/20 split leaves 40 test rows and lag 4 eats the first four
-        assert forecast_run.granules.shape == (200, 3)
-        assert forecast_run.features.shape == (200, 6)
-        assert forecast_run.split_bounds == (120, 160)
-        assert len(forecast_run.val_set) == 36
-        assert len(forecast_run.test_set) == 36
+        granules, features, _, _, bounds = split
+        assert granules.shape == (200, 3)
+        assert features.shape == (200, 6)
+        assert bounds == (120, 160)
+        assert len(forecast_run.val_panel) == 36
+        assert len(forecast_run.test_panel) == 36
         np.testing.assert_array_equal(
             forecast_run.test_record_indices, np.arange(164, 200)
         )
@@ -79,8 +88,15 @@ class TestForecastRunStructure:
     def test_panel_shapes(self, forecast_run):
         assert forecast_run.val_panel.matrix.shape == (4, 36)
         assert forecast_run.test_panel.matrix.shape == (4, 36)
+
+    def test_split_contract_of_the_benchmark(self, forecast_run, split, pipeline_config):
+        # perfbench/run.py scores saved models on sets it builds from these parts
+        _, _, _, parts, bounds = split
+        val_set, test_set = (make_supervised(part, pipeline_config.lag) for part in parts[1:])
+        np.testing.assert_array_equal(val_set.targets, forecast_run.val_panel.actuals)
+        np.testing.assert_array_equal(test_set.targets, forecast_run.test_panel.actuals)
         np.testing.assert_array_equal(
-            forecast_run.test_panel.actuals, forecast_run.test_set.targets
+            bounds[1] + test_set.target_indices, forecast_run.test_record_indices
         )
 
     def test_bundle_layout(self, forecast_run):
@@ -91,23 +107,38 @@ class TestForecastRunStructure:
             np.testing.assert_array_equal(lower, forecast_run.point + lo)
             np.testing.assert_array_equal(upper, forecast_run.point + up)
 
-    def test_scores_recomputable(self, forecast_run):
-        fresh = point_scores(forecast_run.test_set.targets, forecast_run.point)
-        assert fresh == forecast_run.test_scores
+    def test_scores_recomputable(self, forecast_run, split, pipeline_config):
+        # the fitted forecaster applied again to the test rows
+        forecaster = forecast_run.forecaster
+        test_set = make_supervised(split[3][2], pipeline_config.lag)
+        point = combine(forecaster.panel(test_set), forecaster.weights)
+        np.testing.assert_array_equal(point, forecast_run.point)
+        assert point_scores(test_set.targets, point) == point_scores(
+            forecast_run.test_panel.actuals, forecast_run.point
+        )
 
     def test_weight_fit_present(self, forecast_run):
-        assert forecast_run.weight_fit is not None
-        assert forecast_run.weight_fit.chosen.shape == (4,)
+        fit = forecast_run.forecaster.weight_fit
+        assert fit is not None
+        assert fit.chosen.shape == (4,)
+        np.testing.assert_array_equal(forecast_run.forecaster.weights, fit.chosen)
+
+    def test_offsets_come_from_the_validation_residuals(self, forecast_run):
+        forecaster, val_panel = forecast_run.forecaster, forecast_run.val_panel
+        np.testing.assert_array_equal(
+            forecaster.residuals, val_panel.actuals - combine(val_panel, forecaster.weights)
+        )
+        assert forecast_run.offsets == fit_intervals(forecaster.residuals, (0.95, 0.85))
 
 
 class TestSoloPath:
     def test_solo_uses_one_learner(self, synth_series):
         run = run_forecast(synth_series, cheap_pipeline_config(), solo="random_forest")
-        assert run.weight_fit is None
+        assert run.forecaster.weight_fit is None
         k = KINDS.index("random_forest")
         np.testing.assert_array_equal(run.point, run.test_panel.matrix[k])
         assert set(run.intervals) == {0.95, 0.85}
-        own = fit_intervals(run.val_set.targets - run.val_panel.matrix[k], (0.95, 0.85))
+        own = fit_intervals(run.val_panel.actuals - run.val_panel.matrix[k], (0.95, 0.85))
         assert run.offsets == own
 
     def test_unknown_solo_kind(self, synth_series):
@@ -158,3 +189,16 @@ class TestCrossValidation:
     def test_scores_finite(self, cv_folds):
         for fold in cv_folds:
             assert all(np.isfinite(fold.scores.as_row()))
+
+    def test_short_series_folds_need_no_intervals(self, tmp_path):
+        # 1440 samples leave 40 feature rows: too few validation residuals
+        # for a forecast's intervals, but cv fits none
+        path = tmp_path / "short.csv"
+        write_csv(path, SynthConfig(samples=1440, seed=5))
+        values = interpolate_gaps(load_series(path))
+        folds = run_cv(values, cheap_pipeline_config(), k=5)
+        assert [f.fold for f in folds] == [0, 1, 2, 3, 4]
+        for fold in folds:
+            assert all(np.isfinite(fold.scores.as_row()))
+        with pytest.raises(TooFewResiduals):
+            run_forecast(values, cheap_pipeline_config())

@@ -204,7 +204,28 @@ class TestLoadSeries:
         rows = "".join(f"{600 * i},5.0\n" for i in range(2000))
         path = tmp_path / "series.csv"
         path.write_bytes(f"timestamp,wind_speed\n{rows}".encode() + b"1200000,\xff\xfe\n")
-        with pytest.raises(MalformedRow, match=f"{path}: not UTF-8 text"):
+        with pytest.raises(MalformedRow, match=f"{path}: row 2002: not UTF-8 text"):
+            load_series(path)
+
+    def test_an_earlier_row_fault_beats_a_later_bad_byte(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"timestamp,wind_speed\n0,5.0\n600,abc\n1200,\xff\n")
+        with pytest.raises(MalformedRow, match=f"{path}: row 3: unparseable wind_speed 'abc'"):
+            load_series(path)
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            (b"timestamp,wind_speed\n0,5.0\n\n600,\xff\n1200,6.0\n", 4),
+            (b"timestamp,wind_speed\r\n0,5.0\r\n600,5\xe9\r\n", 3),
+            (b"timestamp,wind_\xffspeed\n0,5.0\n", 1),
+            (b"timestamp,wind_speed\n0,5.0\n\xff\n", 3),
+        ],
+    )
+    def test_a_lone_bad_byte_names_its_row(self, tmp_path, text, row):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text)
+        with pytest.raises(MalformedRow, match=f"{path}: row {row}: not UTF-8 text$"):
             load_series(path)
 
 
