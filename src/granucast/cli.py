@@ -37,7 +37,7 @@ from .learners import KINDS, fit_learner, make_supervised, save_model
 from .pipeline import extract_and_split, run_cv, run_forecast
 from .sunflower import SunflowerOptimizer
 from .synth import SynthConfig, write_csv as write_synth_csv
-from .timeseries import interpolate_gaps, load_series
+from .timeseries import interpolate_gaps, is_utf8, load_series
 
 _MODEL_ALIASES = {
     **{kind: kind for kind in KINDS},
@@ -204,17 +204,17 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
 
 
 def _parse_forecast_csv(path: str):
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except UnicodeDecodeError as exc:
-        raise GranucastError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    """Actuals, points and bounds; a fault names the first faulty file row."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        rows = [(line, row) for line, row in enumerate(csv.reader(handle), start=1) if row]
     if not rows:
         raise GranucastError(f"{path}: file is empty")
-    header, rows = rows[0], rows[1:]
+    (first, header), rows = rows[0], rows[1:]
+    if not is_utf8("".join(header)):
+        raise GranucastError(f"{path}: row {first}: not UTF-8 text")
     if header[:3] != ["index", "actual", "point"]:
         raise GranucastError(f"{path}: expected forecast columns index,actual,point,...")
-    levels = []
+    levels, data = [], []
     for j in range(3, len(header), 2):
         match = re.fullmatch(r"lo(\d+)", header[j])
         if not match or header[j + 1 : j + 2] != [f"hi{match.group(1)}"]:
@@ -225,19 +225,22 @@ def _parse_forecast_csv(path: str):
         if level in levels:
             raise GranucastError(f"{path}: repeated interval column {header[j]!r}")
         levels.append(level)
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
+        if not is_utf8("".join(row)):
+            raise GranucastError(f"{path}: row {line}: not UTF-8 text")
         if len(row) != len(header):
             raise GranucastError(
                 f"{path}: row {line} has {len(row)} fields, expected {len(header)}"
             )
-    try:
-        data = np.array([[float(cell) for cell in row[1:]] for row in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise GranucastError(f"{path}: unparseable number: {exc}") from None
-    if data.size == 0:
+        try:
+            data.append([float(cell) for cell in row[1:]])
+        except ValueError as exc:
+            raise GranucastError(f"{path}: row {line}: unparseable number: {exc}") from None
+        if not np.isfinite(data[-1]).all():
+            raise GranucastError(f"{path}: row {line}: NaN or infinite value")
+    if not data:
         raise GranucastError(f"{path}: no forecast rows")
-    if not np.isfinite(data).all():
-        raise GranucastError(f"{path}: NaN or infinite value")
+    data = np.array(data)
     actual, point = data[:, 0], data[:, 1]
     bounds = {
         level: (data[:, 2 + 2 * k], data[:, 3 + 2 * k]) for k, level in enumerate(levels)

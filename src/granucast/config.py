@@ -19,7 +19,7 @@ from .errors import GranucastError, require_int
 from .fuzzy_rough import ClusterConfig
 from .learners import CONFIG_TYPES, KINDS, ForestConfig, NetConfig, StackConfig
 from .sunflower import OptimizerConfig
-from .timeseries import SplitSpec
+from .timeseries import SplitSpec, is_utf8
 
 PRESETS = ("full", "desk")
 
@@ -102,12 +102,11 @@ def _format_value(value) -> str:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     entries: dict[str, str] = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
+        if not is_utf8(raw):
+            raise ConfigError(f"{path}:{line_number}: not UTF-8 text")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

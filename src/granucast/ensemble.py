@@ -27,6 +27,7 @@ WEIGHT_HIGH = 2.0
 _TIE_TOL = 1e-12
 
 DEFAULT_LEVELS = (0.95, 0.85)
+MIN_RESIDUALS = 20  # fewest validation residuals the interval quantiles take
 
 
 class TooFewResiduals(GranucastError):
@@ -166,8 +167,8 @@ def fit_intervals(
     quantiles (linear interpolation between order statistics) at alpha/2
     and 1 - alpha/2 per level."""
     residuals = np.asarray(residuals, dtype=np.float64)
-    if len(residuals) < 20:
-        raise TooFewResiduals(f"need at least 20 residuals, got {len(residuals)}")
+    if len(residuals) < MIN_RESIDUALS:
+        raise TooFewResiduals(f"need at least {MIN_RESIDUALS} residuals, got {len(residuals)}")
     offsets = {}
     for level in levels:
         if not 0.0 < level < 1.0:

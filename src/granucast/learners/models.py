@@ -3,7 +3,8 @@
 Neural learners (bidirectional LSTM, conv + GRU, LSTM feeding boosted
 trees) train by plain mini-batch SGD on squared loss with gradient
 clipping; inputs and targets are z-scored with training statistics and
-predictions mapped back. Tree learners consume raw features.
+predictions mapped back. Each net keeps its parameters and gradients in two
+vectors, ``theta`` and ``grad``. Tree learners consume raw features.
 
 Models serialize to a single ``.npz`` with a JSON metadata entry; round
 trips are bit-exact because parameters travel as raw float64 and tree
@@ -169,6 +170,13 @@ class _SequenceRegressor:
         self.layers: list = []
         self.head: DenseHead | None = None
         self._build()
+        # fixed from here on: theta lays the layers out in this order
+        self._all_layers = [*self.layers, self.head]
+        size = sum(p.size for layer in self._all_layers for p in layer.params.values())
+        self.theta, self.grad = np.zeros(size), np.zeros(size)
+        offset = 0
+        for layer in self._all_layers:
+            offset = layer.bind(self.theta, self.grad, offset)
         self.x_mean: np.ndarray | None = None
         self.x_std: np.ndarray | None = None
         self.y_mean = 0.0
@@ -181,30 +189,6 @@ class _SequenceRegressor:
     def _head_steps(self, width: int) -> np.ndarray:
         """The time step the head reads for each of the last layer's channels."""
         return np.full(width, -1)
-
-    # --- parameter plumbing -------------------------------------------------
-
-    @property
-    def _all_layers(self):
-        return [*self.layers, self.head]
-
-    def init_weights(self, rng: np.random.Generator):
-        for layer in self._all_layers:
-            layer.init_weights(rng)
-
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [p.ravel() for layer in self._all_layers for p in layer.params.values()]
-        )
-
-    def set_parameter_vector(self, vec: np.ndarray):
-        offset = 0
-        for layer in self._all_layers:
-            for p in layer.params.values():
-                p[...] = vec[offset : offset + p.size].reshape(p.shape)
-                offset += p.size
-        if offset != len(vec):
-            raise ValueError(f"parameter vector has {len(vec)} entries, expected {offset}")
 
     # --- forward / backward -------------------------------------------------
 
@@ -223,9 +207,8 @@ class _SequenceRegressor:
         return preds, (caches, head_cache, out.shape, head_index)
 
     def loss_and_grads(self, x_seq: np.ndarray, y: np.ndarray) -> float:
-        """Mean squared error over the batch; gradients land in the layers."""
-        for layer in self._all_layers:
-            layer.zero_grads()
+        """Mean squared error over the batch; its gradient lands in ``grad``."""
+        self.grad[...] = 0.0
         preds, (caches, head_cache, out_shape, head_index) = self.forward_sequences(x_seq)
         diff = preds - y
         loss = float((diff**2).mean())
@@ -245,7 +228,8 @@ class _SequenceRegressor:
     def fit(self, data: SupervisedSet):
         cfg = self.config
         rng = np.random.default_rng(cfg.rng_seed)
-        self.init_weights(rng)
+        for layer in self._all_layers:
+            layer.init_weights(rng)
         x = np.asarray(data.inputs, dtype=np.float64)
         y = np.asarray(data.targets, dtype=np.float64)
         self.x_mean = x.mean(axis=0)
@@ -262,9 +246,7 @@ class _SequenceRegressor:
                 batch = order[start : start + cfg.batch_size]
                 self.loss_and_grads(x_seq[batch], y_n[batch])
                 clip_gradients(self._all_layers, _GRAD_CLIP)
-                for layer in self._all_layers:
-                    for name, p in layer.params.items():
-                        p -= cfg.learning_rate * layer.grads[name]
+                self.theta -= cfg.learning_rate * self.grad
         self.trained = True
         return self
 
@@ -279,14 +261,16 @@ class _SequenceRegressor:
 
     def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
         return {}, {
-            "theta": self.parameter_vector(),
+            "theta": self.theta,
             "x_mean": self.x_mean,
             "x_std": self.x_std,
             "y_stats": np.array([self.y_mean, self.y_std]),
         }
 
     def _load_state(self, extra: dict, arrays):
-        self.set_parameter_vector(arrays["theta"])
+        if arrays["theta"].shape != self.theta.shape:
+            raise ValueError(f"theta of shape {arrays['theta'].shape}, expected {self.theta.shape}")
+        self.theta[...] = arrays["theta"]
         self.x_mean = arrays["x_mean"]
         self.x_std = arrays["x_std"]
         self.y_mean, self.y_std = (float(v) for v in arrays["y_stats"])

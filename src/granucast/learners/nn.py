@@ -1,10 +1,10 @@
 """Recurrent and convolutional building blocks with hand-written backprop.
 
-Everything runs in float64 numpy. Layers own their parameters and gradient
-buffers; ``forward`` returns the full output sequence plus a cache, and
-``backward`` consumes the gradient w.r.t. that sequence, accumulates
-parameter gradients and returns the gradient w.r.t. the input sequence.
-Shapes are batch-first: (batch, time, features).
+Everything runs in float64 numpy. A layer owns its parameter and gradient
+arrays alone; inside a net they are views of the net's ``theta``/``grad``.
+``forward`` returns the output sequence plus a cache, and ``backward`` takes
+the gradient w.r.t. that sequence, accumulates parameter gradients and
+returns the gradient w.r.t. the input. Shapes are (batch, time, features).
 
 The recurrent layers start from the all-zero state, so at t = 0 they skip
 every matmul that meets it: the state's product with the recurrent weights
@@ -62,9 +62,14 @@ class Layer:
             if not name.rsplit("_", 1)[-1].startswith("b"):
                 value[...] = rng.uniform(-scale, scale, size=value.shape)
 
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+    def bind(self, theta: np.ndarray, grad: np.ndarray, offset: int) -> int:
+        """Replace the entries, in dict order, by views of ``theta``/``grad`` (and
+        so their values) from ``offset`` on; returns the offset after the last."""
+        for name, value in self.params.items():
+            self.params[name] = theta[offset : offset + value.size].reshape(value.shape)
+            self.grads[name] = grad[offset : offset + value.size].reshape(value.shape)
+            offset += value.size
+        return offset
 
 
 class LSTMLayer(Layer):
@@ -150,15 +155,16 @@ class BiLSTMLayer(Layer):
         self.fwd = LSTMLayer(in_dim, hidden)
         self.bwd = LSTMLayer(in_dim, hidden)
         for name in self.fwd.params:
-            self.params[f"fwd_{name}"] = self.fwd.params[name]
-            self.grads[f"fwd_{name}"] = self.fwd.grads[name]
-            self.params[f"bwd_{name}"] = self.bwd.params[name]
-            self.grads[f"bwd_{name}"] = self.bwd.grads[name]
+            for prefix, direction in (("fwd", self.fwd), ("bwd", self.bwd)):
+                self.params[f"{prefix}_{name}"] = direction.params[name]
+                self.grads[f"{prefix}_{name}"] = direction.grads[name]
 
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()
-        # shared buffers: self.grads aliases the direction dicts
+    def bind(self, theta: np.ndarray, grad: np.ndarray, offset: int) -> int:
+        offset = super().bind(theta, grad, offset)  # fwd_wx, bwd_wx, fwd_wh, ...
+        for prefix, direction in (("fwd", self.fwd), ("bwd", self.bwd)):
+            direction.params = {name: self.params[f"{prefix}_{name}"] for name in direction.params}
+            direction.grads = {name: self.grads[f"{prefix}_{name}"] for name in direction.grads}
+        return offset
 
     def forward(self, x: np.ndarray):
         h_fwd, cache_f = self.fwd.forward(x)

@@ -17,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
-from .ensemble import PredictionPanel, WeightFit, combine, fit_intervals, fit_weights, forecast
+from .ensemble import MIN_RESIDUALS, PredictionPanel, TooFewResiduals, WeightFit, combine
+from .ensemble import fit_intervals, fit_weights, forecast
 from .evaluation import PointScores, point_scores
 from .fuzzy_rough import ClusterResult, extract_features
 from .granulation import granulate_series
@@ -90,6 +91,8 @@ def run_forecast(values: np.ndarray, config: RunConfig, solo: str | None = None)
     with intervals from its own validation residuals."""
     _, _, _, parts, bounds = extract_and_split(values, config)
     train_set, val_set, test_set = (make_supervised(part, config.lag) for part in parts)
+    if len(val_set) < MIN_RESIDUALS:  # the intervals need them; fail before any training
+        raise TooFewResiduals(f"need at least {MIN_RESIDUALS} residuals, got {len(val_set)}")
     forecaster, val_panel = fit_forecaster(train_set, val_set, config, solo)
     test_panel = forecaster.panel(test_set)
     offsets = fit_intervals(forecaster.residuals, config.levels)

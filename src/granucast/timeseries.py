@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -121,6 +122,11 @@ def _parse_timestamp(text: str, path: Path, row: int) -> int:
     return int(stamp.timestamp())
 
 
+def is_utf8(text: str) -> bool:
+    """Whether surrogateescape-decoded ``text`` came from UTF-8 (no lone surrogate)."""
+    return re.search("[\udc80-\udcff]", text) is None
+
+
 def load_series(path: str | Path) -> RawSeries:
     """Read a ``timestamp,wind_speed`` CSV into a RawSeries.
 
@@ -180,9 +186,7 @@ def load_series(path: str | Path) -> RawSeries:
                     values.append(value)
                     mask.append(0)
         except MalformedRow:
-            try:
-                "".join(row).encode("utf-8")  # lone surrogates do not encode
-            except UnicodeEncodeError:
+            if not is_utf8("".join(row)):
                 raise MalformedRow(f"{path}: row {row_number}: not UTF-8 text") from None
             raise
     if not timestamps:

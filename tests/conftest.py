@@ -82,37 +82,27 @@ def sequence_batch_loss(model, x_seq, y) -> float:
 
 def numeric_gradient(model, x_seq, y, step: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of the batch loss over all parameters."""
-    theta = model.parameter_vector()
+    theta = model.theta
+    saved = theta.copy()
     grad = np.empty_like(theta)
-    probe = theta.copy()
     for i in range(theta.size):
-        probe[i] = theta[i] + step
-        model.set_parameter_vector(probe)
+        theta[i] = saved[i] + step
         upper = sequence_batch_loss(model, x_seq, y)
-        probe[i] = theta[i] - step
-        model.set_parameter_vector(probe)
+        theta[i] = saved[i] - step
         lower = sequence_batch_loss(model, x_seq, y)
-        probe[i] = theta[i]
+        theta[i] = saved[i]
         grad[i] = (upper - lower) / (2.0 * step)
-    model.set_parameter_vector(theta)
     return grad
-
-
-def gradient_vector(model) -> np.ndarray:
-    """The gradients ``loss_and_grads`` left in the layers, in parameter order."""
-    return np.concatenate(
-        [g.ravel() for layer in model._all_layers for g in layer.grads.values()]
-    )
 
 
 def gradient_rel_err(model_cls, config, rng, record_width: int = 2, lag: int = 4, batch: int = 3) -> float:
     """Relative L2 gap between analytic and numeric gradients on one instance."""
     model = model_cls(config, record_width, lag)
-    model.set_parameter_vector(rng.normal(scale=0.4, size=model.parameter_vector().size))
+    model.theta[...] = rng.normal(scale=0.4, size=model.theta.size)
     x_seq = rng.normal(size=(batch, lag, record_width))
     y = rng.normal(size=batch)
     model.loss_and_grads(x_seq, y)
-    analytic = gradient_vector(model)
+    analytic = model.grad.copy()
     numeric = numeric_gradient(model, x_seq, y)
     scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
     return float(np.linalg.norm(analytic - numeric)) / scale

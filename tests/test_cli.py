@@ -461,18 +461,20 @@ class TestExitCodes:
         assert (tmp_path / "notes.txt").read_text() == "keep\n"
 
     @pytest.mark.parametrize(
-        "argv, where",
+        "argv, text, where",
         [
-            (["granulate", "--data", "BAD"], ": row 2"),
-            (["granulate", "--data", "DATA", "--config", "BAD"], ""),
-            (["evaluate", "--forecast", "BAD"], ""),
+            (["granulate", "--data", "BAD"], b"timestamp,wind_speed\n0,\xff\xfe\n", ": row 2"),
+            (["granulate", "--data", "DATA", "--config", "BAD"], b"lag = 4\n\xff\xfe = 1\n", ":2"),
+            (["evaluate", "--forecast", "BAD"], b"index,actual,point\n\n0\xff,1,1\n", ": row 3"),
         ],
         ids=["data", "config", "forecast"],
     )
-    def test_input_that_is_not_utf8_returns_one(self, cli_env, tmp_path, capsys, argv, where):
-        # a series names the row of the bad byte
+    def test_input_that_is_not_utf8_returns_one(
+        self, cli_env, tmp_path, capsys, argv, text, where
+    ):
+        # each names the file row or line of the bad byte
         bad = tmp_path / "latin1.txt"
-        bad.write_bytes(b"timestamp,wind_speed\n0,\xff\xfe\n")
+        bad.write_bytes(text)
         subs = {"DATA": cli_env.data, "BAD": str(bad)}
         assert main([*(subs.get(arg, arg) for arg in argv), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}{where}: not UTF-8 text")
@@ -738,6 +740,35 @@ class TestExitCodes:
         path.write_text(text)
         assert main(["evaluate", "--forecast", str(path), "--out", str(tmp_path / "m")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"index,actual,point\n0,5.0,5.1\n\n1,6.0\n", "row 4 has 2 fields, expected 3"),
+            (b"index,actual,point\n0,5.0,fast\n", "row 2: unparseable number: could not"),
+            (b"index,actual,point\n0,5.0,nan\n1,6.0\n", "row 2: NaN or infinite value"),
+            (b"index,actual,point\n0,5.0,5.1\n1\xff,6.0,6.1\n", "row 3: not UTF-8 text"),
+            (b"index,actual,p\xffoint\n0,5.0,5.1\n", "row 1: not UTF-8 text"),
+            (b"index,actual,point\n0,5.0\n1,6.0,\xff\n", "row 2 has 2 fields, expected 3"),
+            (b"index,actual,point\n0,5.0,fast\n1,6.0,\xff\n", "row 2: unparseable number"),
+        ],
+        ids=[
+            "short_row_after_a_blank_line",
+            "unparseable_number",
+            "nan_before_a_short_row",
+            "bad_byte_in_the_index",
+            "bad_byte_in_the_header",
+            "short_row_before_a_bad_byte",
+            "bad_number_before_a_bad_byte",
+        ],
+    )
+    def test_forecast_csv_fault_names_the_first_faulty_file_row(
+        self, tmp_path, capsys, data, message
+    ):
+        path = tmp_path / "forecast.csv"
+        path.write_bytes(data)
+        assert main(["evaluate", "--forecast", str(path), "--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 def env_with_package_on_path() -> dict[str, str]:

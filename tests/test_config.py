@@ -52,7 +52,21 @@ class TestParseConfigFile:
     def test_bytes_that_are_not_utf8_are_a_config_error(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_bytes(b"seed = 7\n\xff\xfe = 1\n")
-        with pytest.raises(ConfigError, match=f"{path}: not UTF-8 text"):
+        with pytest.raises(ConfigError, match=f"{path}:2: not UTF-8 text"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            (b"seed = 7\n# caf\xe9\n", ":2: not UTF-8 text"),
+            (b"seed = 7\njust words\n# caf\xe9\n", ":2: expected 'key = value'"),
+        ],
+        ids=["in_a_comment", "after_an_earlier_fault"],
+    )
+    def test_a_bad_byte_is_a_fault_of_its_line(self, tmp_path, text, fault):
+        path = tmp_path / "run.conf"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=f"{path}{fault}"):
             parse_config_file(path)
 
     def test_later_entries_win(self, tmp_path):

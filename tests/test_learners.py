@@ -443,6 +443,23 @@ def test_analytic_gradients_match_finite_differences(model_cls):
         assert gradient_rel_err(model_cls, TINY, rng) < 1e-6
 
 
+@pytest.mark.parametrize("model_cls", [BiLstmRegressor, CnnGruRegressor, LstmRegressor])
+def test_layer_arrays_are_views_of_theta_and_grad(model_cls):
+    model = model_cls(NetConfig(hidden_sizes=(3, 2)), record_width=2, lag=4)
+    model.theta[...] = np.arange(model.theta.size)
+    model.grad[...] = -np.arange(model.grad.size)
+    for vector, attr in ((model.theta, "params"), (model.grad, "grads")):
+        entries = [a for layer in model._all_layers for a in getattr(layer, attr).values()]
+        # layers in turn, each in dict order: the layout of every saved theta
+        assert np.array_equal(np.concatenate([a.ravel() for a in entries]), vector)
+        assert all(np.shares_memory(a, vector) for a in entries)
+        for layer in model.layers:
+            if isinstance(layer, BiLSTMLayer):
+                for prefix in ("fwd", "bwd"):
+                    for name, a in getattr(getattr(layer, prefix), attr).items():
+                        assert a is getattr(layer, attr)[f"{prefix}_{name}"]
+
+
 class TestBoostedTrees:
     def test_constant_targets_never_move(self):
         x = np.random.default_rng(0).normal(size=(20, 3))
@@ -939,6 +956,9 @@ class TestModelLifecycle:
             lambda path, meta, arrays: write_npz(
                 path, json.dumps(meta), {**arrays, "theta": np.append(arrays["theta"], 1.0)}
             ),
+            lambda path, meta, arrays: write_npz(
+                path, json.dumps(meta), {**arrays, "theta": arrays["theta"][:1]}
+            ),
         ],
         ids=[
             "text_file",
@@ -950,6 +970,7 @@ class TestModelLifecycle:
             "config_of_another_kind",
             "no_theta",
             "theta_too_long",
+            "theta_one_entry",
         ],
     )
     def test_load_rejects_files_that_are_not_models(self, damage, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import cheap_pipeline_config
 
-from granucast import ensemble, pipeline, timeseries
+from granucast import cli, ensemble, evaluation, fuzzy_rough, granulation, pipeline, timeseries
 from granucast.config import build_run_config
 from granucast.learners import (
     KINDS,
@@ -21,7 +21,7 @@ from granucast.learners import (
     fit_learner,
     save_model,
 )
-from granucast.learners import nn, trees
+from granucast.learners import models, nn, trees
 from granucast.sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
 from granucast.synth import SynthConfig, write_csv
 
@@ -51,6 +51,18 @@ TRACED_KERNELS = [
     (ensemble, "fit_weights"),
     (ensemble, "fit_intervals"),
     (ensemble, "forecast"),
+    *(
+        (cls, "predict")
+        for cls in (models._SequenceRegressor, models.LstmBoostedRegressor, models.ForestRegressor)
+    ),
+    (models, "fit_learner"),
+    (models, "make_supervised"),
+    (ensemble, "ensemble_objectives"),
+    (fuzzy_rough, "extract_features"),
+    (granulation, "granulate_series"),
+    (cli, "main"),
+    (evaluation, "point_scores"),
+    (evaluation, "interval_scores"),
 ]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import cheap_pipeline_config
 
+from granucast import pipeline
 from granucast.config import build_run_config
 from granucast.ensemble import TooFewResiduals, combine, fit_intervals
 from granucast.evaluation import PointScores, point_scores
@@ -190,15 +191,22 @@ class TestCrossValidation:
         for fold in cv_folds:
             assert all(np.isfinite(fold.scores.as_row()))
 
-    def test_short_series_folds_need_no_intervals(self, tmp_path):
+    def test_short_series_folds_need_no_intervals(self, tmp_path, monkeypatch):
         # 1440 samples leave 40 feature rows: too few validation residuals
-        # for a forecast's intervals, but cv fits none
+        # for a forecast's intervals, which it finds before training any
+        # learner, but cv fits none
         path = tmp_path / "short.csv"
         write_csv(path, SynthConfig(samples=1440, seed=5))
         values = interpolate_gaps(load_series(path))
+
+        def no_training(kind, *_):
+            raise AssertionError(f"trained {kind}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "fit_learner", no_training)
+            with pytest.raises(TooFewResiduals, match="^need at least 20 residuals, got 4$"):
+                run_forecast(values, cheap_pipeline_config())
         folds = run_cv(values, cheap_pipeline_config(), k=5)
         assert [f.fold for f in folds] == [0, 1, 2, 3, 4]
         for fold in folds:
             assert all(np.isfinite(fold.scores.as_row()))
-        with pytest.raises(TooFewResiduals):
-            run_forecast(values, cheap_pipeline_config())
