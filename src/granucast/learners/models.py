@@ -268,8 +268,10 @@ class _SequenceRegressor:
         }
 
     def _load_state(self, extra: dict, arrays):
-        if arrays["theta"].shape != self.theta.shape:
-            raise ValueError(f"theta of shape {arrays['theta'].shape}, expected {self.theta.shape}")
+        width = self.lag * self.record_width
+        for name, shape in (("theta", self.theta.shape), ("x_mean", (width,)), ("x_std", (width,))):
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} of shape {arrays[name].shape}, expected {shape}")
         self.theta[...] = arrays["theta"]
         self.x_mean = arrays["x_mean"]
         self.x_std = arrays["x_std"]
@@ -369,7 +371,8 @@ class LstmBoostedRegressor:
     def _load_state(self, extra: dict, arrays):
         self.stage1._load_state(extra, arrays)
         stage2 = extra["stage2"]
-        self.stage2 = BoostedTrees(**{**stage2, "trees": [Tree(**t) for t in stage2["trees"]]})
+        trees = [Tree.load(t, self.lag * self.record_width + 1) for t in stage2.pop("trees")]
+        self.stage2 = BoostedTrees(**stage2, trees=trees)
 
 
 class ForestRegressor:
@@ -419,7 +422,7 @@ class ForestRegressor:
         return {"trees": [asdict(tree) for tree in self.trees]}, {}
 
     def _load_state(self, extra: dict, arrays):
-        self.trees = [Tree(**t) for t in extra["trees"]]
+        self.trees = [Tree.load(t, self.lag * self.record_width) for t in extra["trees"]]
 
 
 _MODEL_CLASSES = {

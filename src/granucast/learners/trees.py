@@ -53,6 +53,20 @@ class Tree:
     def leaf_values(self) -> np.ndarray:
         return np.array([v for f, v in zip(self.feature, self.value) if f == _LEAF])
 
+    @classmethod
+    def load(cls, state: dict, width: int) -> "Tree":
+        """The tree of an ``asdict`` state; ValueError unless ``predict`` can walk
+        it over rows of ``width`` features: split features in range, and each
+        child after its parent, as the preorder grower puts it."""
+        tree = cls(**state)
+        count = len(tree.feature)
+        if not count or {len(nodes) for nodes in vars(tree).values()} != {count}:
+            raise ValueError("tree node lists are empty or of unequal length")
+        for node, (f, lo, hi) in enumerate(zip(tree.feature, tree.left, tree.right)):
+            if f != _LEAF and not (0 <= f < width and node < lo < count and node < hi < count):
+                raise ValueError(f"tree node {node}: feature {f}, children {lo} and {hi}")
+        return tree
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty(len(x))

@@ -6,13 +6,13 @@ strictly increasing. The form is detected per value: text that ``int()``
 accepts is epoch seconds (so ``20230101`` is a second count, not a date);
 anything else is read by ``datetime.fromisoformat``, and an ISO string
 without an offset is UTC. An empty wind_speed field marks a gap; NaN and
-infinite readings are rejected.
+infinite readings are rejected, so NaN is the only record of a gap.
 
 Rows are numbered as in the file: the header is row 1, and blank lines keep
-their numbers although they hold no sample. A parse fault names the first
-faulty row in file order, and within a row a timestamp fault comes before a
-wind_speed fault; a byte that is not UTF-8 is reported as such, as a fault of
-the row that holds it. Timestamp order is checked once every row has parsed.
+their numbers although they hold no sample. Each row is checked whole as it
+is read, so the fault reported, whatever its kind, is the first in file
+order; within a row, timestamp faults (parse, range, order) come first. A
+byte that is not UTF-8 is reported as such, as a fault of the row holding it.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ class MalformedRow(GranucastError):
 
 
 class NonMonotoneTimestamps(GranucastError):
-    """``index`` is the 0-based sample whose timestamp does not exceed the
-    one before it."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+    pass
 
 
 class EmptyFile(GranucastError):
@@ -65,23 +60,24 @@ class TooFewItems(GranucastError):
 
 @dataclass(frozen=True)
 class RawSeries:
-    """Series as read from disk: gaps still present.
-
-    ``values`` holds NaN wherever ``gap_mask`` is True. Timestamps are epoch
-    seconds, strictly increasing.
-    """
+    """Series as read from disk, gaps still present: a gap is a NaN in
+    ``values`` (no reading is NaN), and timestamps are strictly increasing
+    epoch seconds."""
 
     timestamps: np.ndarray
     values: np.ndarray
-    gap_mask: np.ndarray
 
     def __post_init__(self):
-        if len(self.timestamps) != len(self.values) or len(self.values) != len(self.gap_mask):
-            raise MalformedRow("timestamps, values and gap_mask must have equal length")
+        if len(self.timestamps) != len(self.values):
+            raise MalformedRow("timestamps and values must have equal length")
         diffs = np.diff(self.timestamps)
         if len(diffs) and not np.all(diffs > 0):
             bad = int(np.argmax(diffs <= 0)) + 1
-            raise NonMonotoneTimestamps(f"timestamp at row {bad} does not increase", bad)
+            raise NonMonotoneTimestamps(f"timestamp of sample {bad} does not increase")
+
+    @property
+    def gap_mask(self) -> np.ndarray:
+        return np.isnan(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -137,12 +133,10 @@ def load_series(path: str | Path) -> RawSeries:
     file and the file row.
     """
     path = Path(path)
-    # typed buffers: a decade of rows stays three flat arrays, not millions
-    # of boxed Python objects
+    # typed buffers: a decade of rows is two flat arrays, not boxed objects
     timestamps = array("q")
     values = array("d")
-    mask = bytearray()
-    blank_rows: list[int] = []
+    previous = -math.inf
     # a byte that is not UTF-8 decodes to a lone surrogate, which fails every
     # parse of its row; that row's fault is then reported as the bad byte
     with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
@@ -156,22 +150,25 @@ def load_series(path: str | Path) -> RawSeries:
                 raise MalformedRow(f"{path}: expected header 'timestamp,wind_speed', got {row!r}")
             for row_number, row in enumerate(reader, start=2):
                 if not row:
-                    blank_rows.append(row_number)
                     continue
                 if len(row) != 2:
                     raise MalformedRow(
                         f"{path}: row {row_number} has {len(row)} fields, expected 2"
                     )
                 try:
-                    timestamps.append(_parse_timestamp(row[0], path, row_number))
+                    timestamps.append(stamp := _parse_timestamp(row[0], path, row_number))
                 except OverflowError:
                     raise MalformedRow(
                         f"{path}: row {row_number}: timestamp out of range"
                     ) from None
+                if stamp <= previous:
+                    raise NonMonotoneTimestamps(
+                        f"{path}: row {row_number}: timestamp does not increase"
+                    )
+                previous = stamp
                 raw_value = row[1].strip()
                 if raw_value == "":
                     values.append(math.nan)
-                    mask.append(1)
                 else:
                     try:
                         value = float(raw_value)
@@ -180,33 +177,18 @@ def load_series(path: str | Path) -> RawSeries:
                             f"{path}: row {row_number}: unparseable wind_speed {raw_value!r}"
                         ) from None
                     if not math.isfinite(value):
-                        raise MalformedRow(
-                            f"{path}: row {row_number}: NaN or infinity not allowed"
-                        )
+                        raise MalformedRow(f"{path}: row {row_number}: NaN or infinite value")
                     values.append(value)
-                    mask.append(0)
-        except MalformedRow:
+        except (MalformedRow, NonMonotoneTimestamps):
             if not is_utf8("".join(row)):
                 raise MalformedRow(f"{path}: row {row_number}: not UTF-8 text") from None
             raise
     if not timestamps:
         raise EmptyFile(f"{path}: no data rows")
-    try:
-        return RawSeries(
-            timestamps=np.frombuffer(timestamps, dtype=np.int64),
-            values=np.frombuffer(values, dtype=np.float64),
-            gap_mask=np.frombuffer(mask, dtype=bool),
-        )
-    except NonMonotoneTimestamps as exc:
-        # sample i sits on file row i + 2 plus the blank rows up to it
-        row_number = exc.index + 2
-        for blank in blank_rows:
-            if blank > row_number:
-                break
-            row_number += 1
-        raise NonMonotoneTimestamps(
-            f"{path}: row {row_number}: timestamp does not increase", exc.index
-        ) from None
+    return RawSeries(
+        timestamps=np.frombuffer(timestamps, dtype=np.int64),
+        values=np.frombuffer(values, dtype=np.float64),
+    )
 
 
 def interpolate_gaps(raw: RawSeries) -> np.ndarray:
@@ -219,7 +201,7 @@ def interpolate_gaps(raw: RawSeries) -> np.ndarray:
     observed = ~raw.gap_mask
     if not observed.any():
         raise AllMissing("series has no observed values")
-    if raw.gap_mask[0] or raw.gap_mask[-1]:
+    if not (observed[0] and observed[-1]):
         raise BoundaryGap("first and last values must be observed")
     indices = np.arange(len(raw))
     filled = np.interp(indices, indices[observed], raw.values[observed])

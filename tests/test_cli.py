@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -787,7 +788,6 @@ def test_console_script_entry_point(tmp_path):
     launcher that pip writes does, with the package this suite imported
     first on the path.
     """
-    tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"]["granucast"]

@@ -40,7 +40,7 @@ from granucast.learners import (
 )
 from granucast.learners.models import _MODEL_CLASSES
 from granucast.learners.nn import BiLSTMLayer, Conv1dLayer, GRULayer, LSTMLayer, sigmoid
-from granucast.learners.trees import build_boosted_tree, build_cart
+from granucast.learners.trees import Tree, build_boosted_tree, build_cart
 
 
 def toy_features(count: int) -> np.ndarray:
@@ -55,6 +55,14 @@ def write_npz(path, meta: str | None, arrays: dict) -> None:
     extra = {} if meta is None else {"meta": np.array(meta)}
     with path.open("wb") as fh:
         np.savez(fh, **extra, **arrays)
+
+
+def damage_root(meta: dict, trees: list, key: str, value: int) -> str:
+    """``meta`` as JSON, with entry ``key`` of the first tree's root (a split)
+    set to ``value``."""
+    assert trees[0]["feature"][0] >= 0
+    trees[0][key][0] = value
+    return json.dumps(meta)
 
 
 def toy_supervised(n: int = 30, width: int = 5, lag: int = 4, seed: int = 0) -> SupervisedSet:
@@ -540,6 +548,15 @@ class TestRandomForest:
         tree = build_cart(x, y, np.random.default_rng(0))
         np.testing.assert_array_equal(tree.predict(x), y)
 
+    def test_a_grown_tree_loads_back_whole_and_not_cut(self):
+        rng = np.random.default_rng(5)
+        tree = build_cart(rng.normal(size=(12, 3)), rng.normal(size=12), rng)
+        state = dataclasses.asdict(tree)
+        assert Tree.load(state, 3) == tree
+        for cut in ({**state, "value": state["value"][:-1]}, {key: [] for key in state}):
+            with pytest.raises(ValueError, match="empty or of unequal length"):
+                Tree.load(cut, 3)
+
     def test_prediction_is_the_plain_tree_mean(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(25, 3))
@@ -959,6 +976,15 @@ class TestModelLifecycle:
             lambda path, meta, arrays: write_npz(
                 path, json.dumps(meta), {**arrays, "theta": arrays["theta"][:1]}
             ),
+            lambda path, meta, arrays: write_npz(
+                path, json.dumps(meta), {**arrays, "x_mean": arrays["x_mean"][:3]}
+            ),
+            lambda path, meta, arrays: write_npz(
+                path, damage_root(meta, meta["extra"]["stage2"]["trees"], "feature", 99), arrays
+            ),
+            lambda path, meta, arrays: write_npz(
+                path, damage_root(meta, meta["extra"]["stage2"]["trees"], "left", 0), arrays
+            ),
         ],
         ids=[
             "text_file",
@@ -971,6 +997,9 @@ class TestModelLifecycle:
             "no_theta",
             "theta_too_long",
             "theta_one_entry",
+            "x_mean_short",
+            "tree_feature_out_of_range",
+            "tree_child_loops_back",
         ],
     )
     def test_load_rejects_files_that_are_not_models(self, damage, tmp_path):
@@ -981,6 +1010,16 @@ class TestModelLifecycle:
         meta = json.loads(str(arrays.pop("meta")[()]))
         damage(path, meta, arrays)
         with pytest.raises(ModelFileError, match="model.npz"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, root", [("feature", 99), ("right", 0)])
+    def test_forest_load_checks_its_trees(self, key, root, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(fit_learner("random_forest", toy_supervised(), SMALL["random_forest"]), path)
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"][()]))
+        write_npz(path, damage_root(meta, meta["extra"]["trees"], key, root), {})
+        with pytest.raises(ModelFileError, match="model.npz: .*tree node 0"):
             load_model(path)
 
     def test_save_refuses_kinds_it_cannot_load(self, tmp_path):

@@ -90,8 +90,9 @@ class TestLoadSeries:
     @pytest.mark.parametrize("reading", ["nan", "inf", "-inf"])
     def test_literal_nan_rejected(self, tmp_path, reading):
         path = write(tmp_path, f"timestamp,wind_speed\n0,5.0\n600,{reading}\n")
-        with pytest.raises(MalformedRow, match="NaN"):
+        with pytest.raises(MalformedRow) as exc:
             load_series(path)
+        assert str(exc.value) == f"{path}: row 3: NaN or infinite value"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -131,6 +132,17 @@ class TestLoadSeries:
         with pytest.raises(NonMonotoneTimestamps) as exc:
             load_series(path)
         assert str(exc.value) == f"{path}: row 4: timestamp does not increase"
+
+    def test_an_order_fault_beats_a_later_parse_fault(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n600,5.0\n0,6.0\n1200,abc\n")
+        with pytest.raises(NonMonotoneTimestamps) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 3: timestamp does not increase"
+
+    def test_a_repeated_timestamp_does_not_increase(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed\n0,5.0\n600,6.0\n600,7.0\n")
+        with pytest.raises(NonMonotoneTimestamps, match=re.escape("row 4: timestamp does not")):
+            load_series(path)
 
     def test_quoted_fields(self, tmp_path):
         path = write(tmp_path, 'timestamp,wind_speed\n"0","5.5"\n"600",""\n1200,"7"\n')
@@ -220,6 +232,8 @@ class TestLoadSeries:
             (b"timestamp,wind_speed\r\n0,5.0\r\n600,5\xe9\r\n", 3),
             (b"timestamp,wind_\xffspeed\n0,5.0\n", 1),
             (b"timestamp,wind_speed\n0,5.0\n\xff\n", 3),
+            # the row's timestamp does not increase, but the row holds a bad byte
+            (b"timestamp,wind_speed\n600,5.0\n0,\xff\n", 3),
         ],
     )
     def test_a_lone_bad_byte_names_its_row(self, tmp_path, text, row):
@@ -229,13 +243,27 @@ class TestLoadSeries:
             load_series(path)
 
 
+class TestRawSeries:
+    def test_a_gap_is_nan(self):
+        values = np.array([5.0, np.nan, 7.0, np.nan])
+        raw = RawSeries(timestamps=np.arange(4, dtype=np.int64) * 600, values=values)
+        np.testing.assert_array_equal(raw.gap_mask, np.isnan(values))
+
+    def test_unequal_lengths_are_malformed(self):
+        with pytest.raises(MalformedRow, match="equal length"):
+            RawSeries(timestamps=np.array([0, 600], dtype=np.int64), values=np.array([5.0]))
+
+    def test_order_fault_names_the_sample(self):
+        with pytest.raises(NonMonotoneTimestamps, match="^timestamp of sample 2 does not increase$"):
+            RawSeries(timestamps=np.array([0, 600, 600]), values=np.array([5.0, 6.0, 7.0]))
+
+
 class TestInterpolateGaps:
     def make_raw(self, values):
         arr = np.array([np.nan if v is None else float(v) for v in values])
         return RawSeries(
             timestamps=np.arange(len(arr), dtype=np.int64) * 600,
             values=arr,
-            gap_mask=np.isnan(arr),
         )
 
     def test_single_gap_is_mean_of_neighbors(self):
@@ -261,7 +289,6 @@ class TestInterpolateGaps:
                 RawSeries(
                     timestamps=np.array([0, 600], dtype=np.int64),
                     values=np.array([np.nan, np.nan]),
-                    gap_mask=np.array([True, True]),
                 )
             )
 
@@ -276,7 +303,6 @@ class TestInterpolateGaps:
         raw = RawSeries(
             timestamps=np.arange(len(values), dtype=np.int64),
             values=values.copy(),
-            gap_mask=np.zeros(len(values), dtype=bool),
         )
         assert np.array_equal(interpolate_gaps(raw), values)
 
@@ -294,7 +320,6 @@ class TestInterpolateGaps:
         raw = RawSeries(
             timestamps=np.arange(n, dtype=np.int64),
             values=arr,
-            gap_mask=np.isnan(arr),
         )
         filled = interpolate_gaps(raw)
         observed = np.flatnonzero(~raw.gap_mask)
