@@ -34,7 +34,7 @@ from .evaluation import PointScores, dm_test, interval_scores, point_scores
 from .fuzzy_rough import extract_features
 from .granulation import granulate_series
 from .learners import KINDS, fit_learner, make_supervised, save_model
-from .pipeline import extract_and_split, run_cv, run_forecast
+from .pipeline import check_lag, extract_and_split, run_cv, run_forecast
 from .sunflower import SunflowerOptimizer
 from .synth import SynthConfig, write_csv as write_synth_csv
 from .timeseries import interpolate_gaps, is_utf8, load_series
@@ -144,9 +144,10 @@ def cmd_granulate(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
 
 
 def cmd_train(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
+    kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
+    check_lag(kinds, run.lag)
     _, _, _, parts, _ = extract_and_split(_load_clean_series(args.data), run)
     train_set = make_supervised(parts[0], run.lag)
-    kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
     names = []
     for kind in kinds:
         model = fit_learner(kind, train_set, run.learners[kind])
@@ -204,7 +205,7 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
 
 
 def _parse_forecast_csv(path: str):
-    """Actuals, points and bounds; a fault names the first faulty file row."""
+    """Indices, actuals, points and bounds; a fault names the first faulty file row."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         rows = [(line, row) for line, row in enumerate(csv.reader(handle), start=1) if row]
     if not rows:
@@ -214,7 +215,7 @@ def _parse_forecast_csv(path: str):
         raise GranucastError(f"{path}: row {first}: not UTF-8 text")
     if header[:3] != ["index", "actual", "point"]:
         raise GranucastError(f"{path}: expected forecast columns index,actual,point,...")
-    levels, data = [], []
+    levels, index, data = [], [], []
     for j in range(3, len(header), 2):
         match = re.fullmatch(r"lo(\d+)", header[j])
         if not match or header[j + 1 : j + 2] != [f"hi{match.group(1)}"]:
@@ -232,7 +233,10 @@ def _parse_forecast_csv(path: str):
             raise GranucastError(
                 f"{path}: row {line} has {len(row)} fields, expected {len(header)}"
             )
+        if not re.fullmatch(r"[0-9]+", row[0]):
+            raise GranucastError(f"{path}: row {line}: index {row[0]!r} is not an integer >= 0")
         try:
+            index.append(int(row[0]))
             data.append([float(cell) for cell in row[1:]])
         except ValueError as exc:
             raise GranucastError(f"{path}: row {line}: unparseable number: {exc}") from None
@@ -245,11 +249,11 @@ def _parse_forecast_csv(path: str):
     bounds = {
         level: (data[:, 2 + 2 * k], data[:, 3 + 2 * k]) for k, level in enumerate(levels)
     }
-    return actual, point, bounds
+    return np.array(index), actual, point, bounds
 
 
 def cmd_evaluate(args, run: None, out: Path) -> tuple[str, list[str]]:
-    actual, point, bounds = _parse_forecast_csv(args.forecast)
+    index, actual, point, bounds = _parse_forecast_csv(args.forecast)
     scores = point_scores(actual, point)
     pairs = list(zip(PointScores.COLUMNS, scores.as_row()))
     for level in bounds:
@@ -262,9 +266,17 @@ def cmd_evaluate(args, run: None, out: Path) -> tuple[str, list[str]]:
             (f"AIS_{label}", iv.ais),
         ]
     if args.baseline is not None:
-        base_actual, base_point, _ = _parse_forecast_csv(args.baseline)
+        base_index, base_actual, base_point, _ = _parse_forecast_csv(args.baseline)
         if len(base_actual) != len(actual):
             raise GranucastError("baseline forecast has a different number of rows")
+        differs = (base_index != index) | (base_actual != actual)
+        if differs.any():
+            k = int(np.argmax(differs))
+            raise GranucastError(
+                f"baseline forecast data row {k + 1} (index {base_index[k]}, actual "
+                f"{_fmt(base_actual[k])}) differs from the forecast's (index {index[k]}, "
+                f"actual {_fmt(actual[k])})"
+            )
         dm = dm_test(actual - point, base_actual - base_point)
         pairs += [("DM_STAT", dm.statistic), ("DM_REJECT", float(dm.reject))]
     _write_rows(out / "metrics.csv", ["metric", "value"], ((k, _fmt(v)) for k, v in pairs))

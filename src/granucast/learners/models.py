@@ -1,10 +1,16 @@
 """The four point forecasters behind a single fit/predict interface.
 
-Neural learners (bidirectional LSTM, conv + GRU, LSTM feeding boosted
-trees) train by plain mini-batch SGD on squared loss with gradient
-clipping; inputs and targets are z-scored with training statistics and
-predictions mapped back. Each net keeps its parameters and gradients in two
-vectors, ``theta`` and ``grad``. Tree learners consume raw features.
+Each learner is a ``_Learner``: a config, rows of ``lag`` records of
+``record_width`` features (``width`` in all), and one input rule for
+``predict``: an unfit model raises UntrainedModel, and rows, coerced once to
+2-D float64, must have ``width`` features or raise DimensionMismatch.
+The nets (bidirectional LSTM, conv + GRU, LSTM) are ``_SequenceRegressor``s:
+an optional convolution, a stack of recurrent layers and a dense head,
+trained by plain mini-batch SGD on squared loss with gradient clipping on
+inputs and targets z-scored with training statistics. Each net keeps its
+parameters and gradients in two vectors, ``theta`` and ``grad``. lstm_xgb is
+the LSTM net plus boosted trees, ``stage2``, over (features, LSTM forecast);
+the random forest and the trees consume raw features.
 
 Models serialize to a single ``.npz`` with a JSON metadata entry; round
 trips are bit-exact because parameters travel as raw float64 and tree
@@ -28,6 +34,7 @@ from .nn import (
     BiLSTMLayer,
     Conv1dLayer,
     DenseHead,
+    DimensionMismatch,
     GRULayer,
     LSTMLayer,
     clip_gradients,
@@ -35,8 +42,6 @@ from .nn import (
 from .trees import BoostedTrees, Tree, build_cart
 
 logger = logging.getLogger(__name__)
-
-KINDS = ("bilstm", "cnn_gru", "lstm_xgb", "random_forest")
 
 # stacking-stage shrinkage for the boosted correction trees; the configured
 # learning_rate belongs to the LSTM stage
@@ -157,19 +162,47 @@ def make_supervised(features: np.ndarray, lag: int) -> SupervisedSet:
     )
 
 
-class _SequenceRegressor:
-    """Shared training loop and (de)standardization for the neural learners."""
+class _Learner:
+    """Settings, row layout and input rule of every learner."""
 
     kind = ""
-    config_type = NetConfig
 
-    def __init__(self, config: NetConfig, record_width: int, lag: int):
+    def __init__(self, config, record_width: int, lag: int):
         self.config = config
         self.record_width = record_width
         self.lag = lag
-        self.layers: list = []
-        self.head: DenseHead | None = None
-        self._build()
+        self.width = lag * record_width
+        self.trained = False
+
+    def _input_rows(self, inputs) -> np.ndarray:
+        """``inputs`` as 2-D float64 rows; UntrainedModel before a fit, and
+        DimensionMismatch unless each row has exactly ``width`` features."""
+        if not self.trained:
+            raise UntrainedModel(f"{self.kind} model has not been fit")
+        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        if x.ndim != 2 or x.shape[1] != self.width:
+            raise DimensionMismatch(f"{self.kind} rows need {self.width} features, got {x.shape}")
+        return x
+
+
+class _SequenceRegressor(_Learner):
+    """The nets' one build (each ``cell`` layer ``directions * hidden`` wide) and training loop."""
+
+    config_type = NetConfig
+    cell = None  # the recurrent layer class
+    directions = 1
+    conv_channels = 0  # above 0, a convolution of conv_kernel steps leads the stack
+
+    def __init__(self, config: NetConfig, record_width: int, lag: int):
+        super().__init__(config, record_width, lag)
+        self.layers, width = [], record_width
+        if self.conv_channels:
+            self.layers.append(Conv1dLayer(width, self.conv_channels, self.conv_kernel))
+            width = self.conv_channels
+        for hidden in config.hidden_sizes:
+            self.layers.append(self.cell(width, hidden))
+            width = self.directions * hidden
+        self.head = DenseHead(width)
         # fixed from here on: theta lays the layers out in this order
         self._all_layers = [*self.layers, self.head]
         size = sum(p.size for layer in self._all_layers for p in layer.params.values())
@@ -177,14 +210,6 @@ class _SequenceRegressor:
         offset = 0
         for layer in self._all_layers:
             offset = layer.bind(self.theta, self.grad, offset)
-        self.x_mean: np.ndarray | None = None
-        self.x_std: np.ndarray | None = None
-        self.y_mean = 0.0
-        self.y_std = 1.0
-        self.trained = False
-
-    def _build(self):
-        raise NotImplementedError
 
     def _head_steps(self, width: int) -> np.ndarray:
         """The time step the head reads for each of the last layer's channels."""
@@ -221,11 +246,7 @@ class _SequenceRegressor:
 
     # --- training -----------------------------------------------------------
 
-    def _to_sequences(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        return inputs.reshape(len(inputs), self.lag, self.record_width)
-
-    def fit(self, data: SupervisedSet):
+    def _fit_net(self, data: SupervisedSet):
         cfg = self.config
         rng = np.random.default_rng(cfg.rng_seed)
         for layer in self._all_layers:
@@ -237,7 +258,7 @@ class _SequenceRegressor:
         self.x_std[self.x_std == 0.0] = 1.0
         self.y_mean = float(y.mean())
         self.y_std = float(y.std()) or 1.0
-        x_seq = self._to_sequences((x - self.x_mean) / self.x_std)
+        x_seq = self._to_sequences(x)
         y_n = (y - self.y_mean) / self.y_std
         n = len(y_n)
         for _ in range(cfg.epochs):
@@ -247,15 +268,23 @@ class _SequenceRegressor:
                 self.loss_and_grads(x_seq[batch], y_n[batch])
                 clip_gradients(self._all_layers, _GRAD_CLIP)
                 self.theta -= cfg.learning_rate * self.grad
+
+    def _to_sequences(self, x: np.ndarray) -> np.ndarray:
+        """Standardized (rows, lag, record_width) sequences of 2-D float64 rows."""
+        return ((x - self.x_mean) / self.x_std).reshape(-1, self.lag, self.record_width)
+
+    def _net_predict(self, x: np.ndarray) -> np.ndarray:
+        """The net's forecast for 2-D float64 rows of ``width`` features."""
+        preds, _ = self.forward_sequences(self._to_sequences(x))
+        return preds * self.y_std + self.y_mean
+
+    def fit(self, data: SupervisedSet):
+        self._fit_net(data)
         self.trained = True
         return self
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        if not self.trained:
-            raise UntrainedModel(f"{self.kind} model has not been fit")
-        x = (np.atleast_2d(np.asarray(inputs, dtype=np.float64)) - self.x_mean) / self.x_std
-        preds, _ = self.forward_sequences(self._to_sequences(x))
-        return preds * self.y_std + self.y_mean
+        return self._net_predict(self._input_rows(inputs))
 
     # --- serialization ------------------------------------------------------
 
@@ -268,8 +297,8 @@ class _SequenceRegressor:
         }
 
     def _load_state(self, extra: dict, arrays):
-        width = self.lag * self.record_width
-        for name, shape in (("theta", self.theta.shape), ("x_mean", (width,)), ("x_std", (width,))):
+        shapes = {"theta": self.theta.shape, "x_mean": (self.width,), "x_std": (self.width,)}
+        for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise ValueError(f"{name} of shape {arrays[name].shape}, expected {shape}")
         self.theta[...] = arrays["theta"]
@@ -283,13 +312,8 @@ class BiLstmRegressor(_SequenceRegressor):
     """Stacked bidirectional LSTM; head reads both directions' final states."""
 
     kind = "bilstm"
-
-    def _build(self):
-        width = self.record_width
-        for hidden in self.config.hidden_sizes:
-            self.layers.append(BiLSTMLayer(width, hidden))
-            width = 2 * hidden
-        self.head = DenseHead(width)
+    cell = BiLSTMLayer
+    directions = 2
 
     def _head_steps(self, width: int) -> np.ndarray:
         # forward channels end at the last step, backward ones at the first
@@ -300,53 +324,27 @@ class CnnGruRegressor(_SequenceRegressor):
     """1-D convolution front end feeding a stacked GRU."""
 
     kind = "cnn_gru"
-
+    cell = GRULayer
     conv_channels = 16
     conv_kernel = 3
 
-    def _build(self):
-        self.layers.append(Conv1dLayer(self.record_width, self.conv_channels, self.conv_kernel))
-        width = self.conv_channels
-        for hidden in self.config.hidden_sizes:
-            self.layers.append(GRULayer(width, hidden))
-            width = hidden
-        self.head = DenseHead(width)
-
 
 class LstmRegressor(_SequenceRegressor):
-    """Single-direction stacked LSTM (also the first stacking stage)."""
+    """Single-direction stacked LSTM (also lstm_xgb's net)."""
 
     kind = "lstm"
-
-    def _build(self):
-        width = self.record_width
-        for hidden in self.config.hidden_sizes:
-            self.layers.append(LSTMLayer(width, hidden))
-            width = hidden
-        self.head = DenseHead(width)
+    cell = LSTMLayer
 
 
-class LstmBoostedRegressor:
-    """LSTM point forecast refined by boosted trees over (features, forecast)."""
+class LstmBoostedRegressor(LstmRegressor):
+    """lstm_xgb: the LSTM net, refined by boosted trees (``stage2``) over (features, forecast)."""
 
     kind = "lstm_xgb"
     config_type = StackConfig
 
-    def __init__(self, config: StackConfig, record_width: int, lag: int):
-        self.config = config
-        self.record_width = record_width
-        self.lag = lag
-        self.stage1 = LstmRegressor(config, record_width, lag)
-        self.stage2: BoostedTrees | None = None
-
-    @property
-    def trained(self) -> bool:
-        return self.stage2 is not None
-
     def fit(self, data: SupervisedSet):
-        self.stage1.fit(data)
-        stage1_pred = self.stage1.predict(data.inputs)
-        stacked = np.column_stack([data.inputs, stage1_pred])
+        self._fit_net(data)
+        stacked = np.column_stack([data.inputs, self._net_predict(data.inputs)])
         self.stage2 = BoostedTrees.fit(
             stacked,
             data.targets,
@@ -356,26 +354,25 @@ class LstmBoostedRegressor:
             gamma_reg=self.config.gamma_reg,
             shrinkage=_STACK_SHRINKAGE,
         )
+        self.trained = True
         return self
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        if not self.trained:
-            raise UntrainedModel("lstm_xgb model has not been fit")
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        stage1_pred = self.stage1.predict(inputs)
-        return self.stage2.predict(np.column_stack([inputs, stage1_pred]))
+        # not super().predict: that would be a second traced predict call
+        x = self._input_rows(inputs)
+        return self.stage2.predict(np.column_stack([x, self._net_predict(x)]))
 
     def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        return {"stage2": asdict(self.stage2)}, self.stage1._state()[1]
+        return {"stage2": asdict(self.stage2)}, super()._state()[1]
 
     def _load_state(self, extra: dict, arrays):
-        self.stage1._load_state(extra, arrays)
+        super()._load_state(extra, arrays)
         stage2 = extra["stage2"]
-        trees = [Tree.load(t, self.lag * self.record_width + 1) for t in stage2.pop("trees")]
+        trees = [Tree.load(t, self.width + 1) for t in stage2.pop("trees")]
         self.stage2 = BoostedTrees(**stage2, trees=trees)
 
 
-class ForestRegressor:
+class ForestRegressor(_Learner):
     """Random forest over the flat lagged feature rows.
 
     Bootstrap-aggregated CART trees, each drawing ceil(sqrt(features))
@@ -384,16 +381,6 @@ class ForestRegressor:
 
     kind = "random_forest"
     config_type = ForestConfig
-
-    def __init__(self, config: ForestConfig, record_width: int, lag: int):
-        self.config = config
-        self.record_width = record_width
-        self.lag = lag
-        self.trees: list[Tree] | None = None
-
-    @property
-    def trained(self) -> bool:
-        return self.trees is not None
 
     def fit(self, data: SupervisedSet):
         x = np.asarray(data.inputs, dtype=np.float64)
@@ -410,25 +397,27 @@ class ForestRegressor:
             self.trees.append(
                 build_cart(x[rows], y[rows], rng, self.config.max_depth, features_per_split)
             )
+        self.trained = True
         return self
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        if not self.trained:
-            raise UntrainedModel("random_forest model has not been fit")
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        x = self._input_rows(inputs)
         return np.stack([tree.predict(x) for tree in self.trees]).mean(axis=0)
 
     def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
         return {"trees": [asdict(tree) for tree in self.trees]}, {}
 
     def _load_state(self, extra: dict, arrays):
-        self.trees = [Tree.load(t, self.lag * self.record_width) for t in extra["trees"]]
+        self.trees = [Tree.load(t, self.width) for t in extra["trees"]]
+        self.trained = True
 
 
 _MODEL_CLASSES = {
     cls.kind: cls
     for cls in (BiLstmRegressor, CnnGruRegressor, LstmBoostedRegressor, ForestRegressor)
 }
+
+KINDS = tuple(_MODEL_CLASSES)
 
 CONFIG_TYPES = {kind: cls.config_type for kind, cls in _MODEL_CLASSES.items()}
 

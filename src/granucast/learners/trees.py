@@ -19,6 +19,7 @@ the last bit (ROADMAP item 13).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,19 @@ class Tree:
     @classmethod
     def load(cls, state: dict, width: int) -> "Tree":
         """The tree of an ``asdict`` state; ValueError unless ``predict`` can walk
-        it over rows of ``width`` features: split features in range, and each
-        child after its parent, as the preorder grower puts it."""
+        it over rows of ``width`` features: int split features in range, each
+        int child link after its parent, as the preorder grower puts it, and
+        finite float thresholds and leaf values."""
         tree = cls(**state)
         count = len(tree.feature)
         if not count or {len(nodes) for nodes in vars(tree).values()} != {count}:
             raise ValueError("tree node lists are empty or of unequal length")
+        for name in ("feature", "left", "right"):
+            if not all(type(v) is int for v in getattr(tree, name)):
+                raise ValueError(f"tree {name} entries must be integers")
+        for name in ("threshold", "value"):
+            if not all(isinstance(v, float) and math.isfinite(v) for v in getattr(tree, name)):
+                raise ValueError(f"tree {name} entries must be finite floats")
         for node, (f, lo, hi) in enumerate(zip(tree.feature, tree.left, tree.right)):
             if f != _LEAF and not (0 <= f < width and node < lo < count and node < hi < count):
                 raise ValueError(f"tree node {node}: feature {f}, children {lo} and {hi}")

@@ -22,7 +22,8 @@ from .ensemble import fit_intervals, fit_weights, forecast
 from .evaluation import PointScores, point_scores
 from .fuzzy_rough import ClusterResult, extract_features
 from .granulation import granulate_series
-from .learners import KINDS, SupervisedSet, TooFewRecords, fit_learner, make_supervised
+from .learners import KINDS, CnnGruRegressor, SequenceTooShort, SupervisedSet, TooFewRecords
+from .learners import fit_learner, make_supervised
 from .timeseries import chrono_split, kfold_split
 
 
@@ -66,7 +67,16 @@ def extract_and_split(
     return granules, features, cluster_result, parts, (train_end, val_end)
 
 
+def check_lag(kinds, lag: int) -> None:
+    """SequenceTooShort if ``kinds`` holds cnn_gru and ``lag`` is shorter than its
+    kernel; every path that trains learners calls this before the first fit."""
+    if "cnn_gru" in kinds and lag < CnnGruRegressor.conv_kernel:
+        kernel = CnnGruRegressor.conv_kernel
+        raise SequenceTooShort(f"lag {lag} is shorter than cnn_gru's kernel of {kernel} records")
+
+
 def train_models(train_set: SupervisedSet, config: RunConfig) -> dict[str, object]:
+    check_lag(KINDS, train_set.lag)
     return {kind: fit_learner(kind, train_set, config.learners[kind]) for kind in KINDS}
 
 

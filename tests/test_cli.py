@@ -207,6 +207,43 @@ class TestTrain:
         assert preds.shape == (2,)
 
 
+class TestLagShorterThanTheKernel:
+    """cnn_gru's convolution needs a lag of at least its kernel (3 records)."""
+
+    @pytest.fixture
+    def short_lag(self, cli_env, tmp_path, monkeypatch):
+        conf = tmp_path / "lag2.conf"
+        conf.write_text(QUICK_CONF + "lag = 2\n")
+        fits = []
+
+        def recorded(fit):
+            def fit_and_record(kind, *args):
+                fits.append(kind)
+                return fit(kind, *args)
+
+            return fit_and_record
+
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "fit_learner", recorded(module.fit_learner))
+        return SimpleNamespace(args=["--data", cli_env.data, "--config", str(conf)], fits=fits)
+
+    @pytest.mark.parametrize("command", ["forecast", "train"])
+    def test_fails_before_any_learner_is_fit(self, short_lag, command, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([command, *short_lag.args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: lag 2 is shorter than cnn_gru's kernel of 3 records\n"
+        )
+        assert short_lag.fits == []
+        assert list(out.iterdir()) == []
+
+    def test_random_forest_alone_still_trains(self, short_lag, tmp_path):
+        out = tmp_path / "rf"
+        assert main(["train", *short_lag.args, "--model", "rf", "--out", str(out)]) == 0
+        assert short_lag.fits == ["random_forest"]
+        assert load_model(out / "model_random_forest.npz").lag == 2
+
+
 class TestForecast:
     def test_artifacts_and_prints(self, cli_env, forecast_dir, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -322,6 +359,33 @@ class TestEvaluate:
         metrics = dict(read_rows(out / "metrics.csv")[1:])
         assert "DM_STAT" in metrics and "DM_REJECT" in metrics
         assert float(metrics["DM_REJECT"]) in (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                lambda rows: [[str(int(r[0]) + 1), *r[1:]] for r in rows],
+                "baseline forecast data row 1 (index ",
+            ),
+            (
+                lambda rows: [[r[0], s[1], *r[2:]] for r, s in zip(rows, rows[1:] + rows[:1])],
+                "baseline forecast data row 1 (index ",
+            ),
+            (lambda rows: [[f"zz{k}", *r[1:]] for k, r in enumerate(rows)], "row 2: index 'zz0'"),
+        ],
+        ids=["shifted_index", "other_actuals", "text_index"],
+    )
+    def test_baseline_must_forecast_the_same_rows(
+        self, forecast_dir, solo_dir, tmp_path, capsys, change, message
+    ):
+        header, *rows = read_rows(solo_dir / "forecast.csv")
+        baseline = tmp_path / "baseline.csv"
+        with baseline.open("w", newline="") as handle:
+            csv.writer(handle).writerows([header, *change(rows)])
+        argv = ["evaluate", "--forecast", str(forecast_dir / "forecast.csv")]
+        assert main([*argv, "--baseline", str(baseline), "--out", str(tmp_path / "m")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m" / "metrics.csv").exists()
 
 
 class TestCv:
@@ -752,6 +816,8 @@ class TestExitCodes:
             (b"index,actual,p\xffoint\n0,5.0,5.1\n", "row 1: not UTF-8 text"),
             (b"index,actual,point\n0,5.0\n1,6.0,\xff\n", "row 2 has 2 fields, expected 3"),
             (b"index,actual,point\n0,5.0,fast\n1,6.0,\xff\n", "row 2: unparseable number"),
+            (b"index,actual,point\n0,5.0,5.1\n-1,6.0,6.1\n", "row 3: index '-1' is not"),
+            (b"index,actual,point\n1.0,5.0,5.1\n", "row 2: index '1.0' is not an integer"),
         ],
         ids=[
             "short_row_after_a_blank_line",
@@ -761,6 +827,8 @@ class TestExitCodes:
             "bad_byte_in_the_header",
             "short_row_before_a_bad_byte",
             "bad_number_before_a_bad_byte",
+            "negative_index",
+            "fractional_index",
         ],
     )
     def test_forecast_csv_fault_names_the_first_faulty_file_row(

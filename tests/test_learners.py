@@ -57,7 +57,7 @@ def write_npz(path, meta: str | None, arrays: dict) -> None:
         np.savez(fh, **extra, **arrays)
 
 
-def damage_root(meta: dict, trees: list, key: str, value: int) -> str:
+def damage_root(meta: dict, trees: list, key: str, value) -> str:
     """``meta`` as JSON, with entry ``key`` of the first tree's root (a split)
     set to ``value``."""
     assert trees[0]["feature"][0] >= 0
@@ -924,8 +924,38 @@ class TestModelLifecycle:
 
     def test_predict_before_fit_raises(self):
         for cls in (BiLstmRegressor, CnnGruRegressor, LstmBoostedRegressor, ForestRegressor):
-            with pytest.raises(UntrainedModel):
+            with pytest.raises(UntrainedModel, match=cls.kind):
                 cls(SMALL[cls.kind], 5, 2).predict(np.zeros((1, 10)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "shape", [(3, 21), (3, 19), (3, 4, 5)], ids=["wider", "narrower", "three_dims"]
+    )
+    def test_predict_takes_rows_of_its_own_width_only(self, kind, shape):
+        data = toy_supervised()
+        assert data.inputs.shape[1] == 20
+        model = fit_learner(kind, data, SMALL[kind])
+        with pytest.raises(DimensionMismatch, match=f"{kind} rows need 20 features"):
+            model.predict(np.zeros(shape))
+
+    def test_lstm_xgb_is_the_lstm_net_plus_boosted_trees(self):
+        data = toy_supervised()
+        model = fit_learner("lstm_xgb", data, SMALL["lstm_xgb"])
+        net = LstmRegressor(SMALL_NET, data.record_width, data.lag).fit(data)
+        assert isinstance(model, LstmRegressor) and not hasattr(model, "stage1")
+        np.testing.assert_array_equal(model.theta, net.theta)
+        stacked = np.column_stack([data.inputs, net.predict(data.inputs)])
+        np.testing.assert_array_equal(model.predict(data.inputs), model.stage2.predict(stacked))
+
+    def test_lstm_xgb_is_unfit_until_its_trees_are(self, monkeypatch):
+        def fail(*_, **__):
+            raise RuntimeError("boosting failed")
+
+        monkeypatch.setattr(BoostedTrees, "fit", fail)
+        model = LstmBoostedRegressor(SMALL["lstm_xgb"], 5, 4)
+        with pytest.raises(RuntimeError):
+            model.fit(toy_supervised())
+        assert not model.trained
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -933,7 +963,7 @@ class TestModelLifecycle:
 
     def test_registry_is_the_four_kinds(self):
         assert tuple(_MODEL_CLASSES) == KINDS
-        # lstm_xgb's first stage is not a learner of its own
+        # the plain LSTM net under lstm_xgb is not a learner of its own
         with pytest.raises(ValueError):
             fit_learner("lstm", toy_supervised(), SMALL_NET)
 
@@ -985,6 +1015,17 @@ class TestModelLifecycle:
             lambda path, meta, arrays: write_npz(
                 path, damage_root(meta, meta["extra"]["stage2"]["trees"], "left", 0), arrays
             ),
+            lambda path, meta, arrays: write_npz(
+                path, damage_root(meta, meta["extra"]["stage2"]["trees"], "feature", 2.0), arrays
+            ),
+            lambda path, meta, arrays: write_npz(
+                path, damage_root(meta, meta["extra"]["stage2"]["trees"], "feature", True), arrays
+            ),
+            lambda path, meta, arrays: write_npz(
+                path,
+                damage_root(meta, meta["extra"]["stage2"]["trees"], "threshold", "1.0"),
+                arrays,
+            ),
         ],
         ids=[
             "text_file",
@@ -1000,6 +1041,9 @@ class TestModelLifecycle:
             "x_mean_short",
             "tree_feature_out_of_range",
             "tree_child_loops_back",
+            "tree_feature_a_float",
+            "tree_feature_a_bool",
+            "tree_threshold_text",
         ],
     )
     def test_load_rejects_files_that_are_not_models(self, damage, tmp_path):
@@ -1024,11 +1068,11 @@ class TestModelLifecycle:
 
     def test_save_refuses_kinds_it_cannot_load(self, tmp_path):
         data = toy_supervised()
-        stage1 = LstmRegressor(TINY, data.record_width, data.lag)
-        stage1.fit(data)
+        net = LstmRegressor(TINY, data.record_width, data.lag)
+        net.fit(data)
         path = tmp_path / "lstm.npz"
         with pytest.raises(ModelFileError, match="lstm"):
-            save_model(stage1, path)
+            save_model(net, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("kind", KINDS)
