@@ -3,14 +3,18 @@
 Each learner is a ``_Learner``: a config, rows of ``lag`` records of
 ``record_width`` features (``width`` in all), and one input rule for
 ``predict``: an unfit model raises UntrainedModel, and rows, coerced once to
-2-D float64, must have ``width`` features or raise DimensionMismatch.
+2-D float64, must have ``width`` features or raise DimensionMismatch. ``fit``
+applies the same row rule and also raises DimensionMismatch for a
+``SupervisedSet`` of another lag or record width.
 The nets (bidirectional LSTM, conv + GRU, LSTM) are ``_SequenceRegressor``s:
 an optional convolution, a stack of recurrent layers and a dense head,
 trained by plain mini-batch SGD on squared loss with gradient clipping on
-inputs and targets z-scored with training statistics. Each net keeps its
-parameters and gradients in two vectors, ``theta`` and ``grad``. lstm_xgb is
-the LSTM net plus boosted trees, ``stage2``, over (features, LSTM forecast);
-the random forest and the trees consume raw features.
+inputs and targets z-scored with training statistics. The steps of one fit
+reuse one workspace for their layer caches, dropped when the fit returns
+(see ``nn.buffer``). Each net keeps its parameters and gradients in two
+vectors, ``theta`` and ``grad``. lstm_xgb is the LSTM net plus boosted
+trees, ``stage2``, over (features, LSTM forecast); the random forest and
+the trees consume raw features.
 
 Models serialize to a single ``.npz`` with a JSON metadata entry; round
 trips are bit-exact because parameters travel as raw float64 and tree
@@ -174,15 +178,29 @@ class _Learner:
         self.width = lag * record_width
         self.trained = False
 
-    def _input_rows(self, inputs) -> np.ndarray:
-        """``inputs`` as 2-D float64 rows; UntrainedModel before a fit, and
-        DimensionMismatch unless each row has exactly ``width`` features."""
-        if not self.trained:
-            raise UntrainedModel(f"{self.kind} model has not been fit")
+    def _rows(self, inputs) -> np.ndarray:
+        """``inputs`` as 2-D float64 rows; DimensionMismatch unless each row
+        has exactly ``width`` features."""
         x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if x.ndim != 2 or x.shape[1] != self.width:
             raise DimensionMismatch(f"{self.kind} rows need {self.width} features, got {x.shape}")
         return x
+
+    def _input_rows(self, inputs) -> np.ndarray:
+        """``_rows(inputs)``; UntrainedModel before a fit."""
+        if not self.trained:
+            raise UntrainedModel(f"{self.kind} model has not been fit")
+        return self._rows(inputs)
+
+    def _training_rows(self, data: SupervisedSet) -> np.ndarray:
+        """``_rows(data.inputs)``; DimensionMismatch unless ``data`` has this
+        model's lag and record width."""
+        if (data.lag, data.record_width) != (self.lag, self.record_width):
+            raise DimensionMismatch(
+                f"{self.kind} takes lag {self.lag} records of {self.record_width} features,"
+                f" got a set of lag {data.lag} records of {data.record_width}"
+            )
+        return self._rows(data.inputs)
 
 
 class _SequenceRegressor(_Learner):
@@ -217,12 +235,12 @@ class _SequenceRegressor(_Learner):
 
     # --- forward / backward -------------------------------------------------
 
-    def forward_sequences(self, x_seq: np.ndarray):
+    def forward_sequences(self, x_seq: np.ndarray, workspace: dict | None = None):
         """Predictions in network space for (batch, lag, width) sequences."""
         out = x_seq
         caches = []
         for layer in self.layers:
-            out, cache = layer.forward(out)
+            out, cache = layer.forward(out, workspace)
             caches.append(cache)
         head_index = (slice(None), self._head_steps(out.shape[2]), np.arange(out.shape[2]))
         # the gather comes back column-major, which sends the head's matmul
@@ -231,10 +249,13 @@ class _SequenceRegressor(_Learner):
         preds, head_cache = self.head.forward(feat)
         return preds, (caches, head_cache, out.shape, head_index)
 
-    def loss_and_grads(self, x_seq: np.ndarray, y: np.ndarray) -> float:
-        """Mean squared error over the batch; its gradient lands in ``grad``."""
+    def loss_and_grads(self, x_seq: np.ndarray, y: np.ndarray, workspace: dict | None = None):
+        """Mean squared error over the batch; its gradient lands in ``grad``.
+        ``workspace`` is the fit's store of layer caches (see ``nn.buffer``)."""
         self.grad[...] = 0.0
-        preds, (caches, head_cache, out_shape, head_index) = self.forward_sequences(x_seq)
+        preds, (caches, head_cache, out_shape, head_index) = self.forward_sequences(
+            x_seq, workspace
+        )
         diff = preds - y
         loss = float((diff**2).mean())
         d_pred = 2.0 * diff / len(y)
@@ -246,13 +267,13 @@ class _SequenceRegressor(_Learner):
 
     # --- training -----------------------------------------------------------
 
-    def _fit_net(self, data: SupervisedSet):
+    def _fit_net(self, x: np.ndarray, targets: np.ndarray):
+        """Train on ``_training_rows`` rows ``x`` and their targets."""
         cfg = self.config
         rng = np.random.default_rng(cfg.rng_seed)
         for layer in self._all_layers:
             layer.init_weights(rng)
-        x = np.asarray(data.inputs, dtype=np.float64)
-        y = np.asarray(data.targets, dtype=np.float64)
+        y = np.asarray(targets, dtype=np.float64)
         self.x_mean = x.mean(axis=0)
         self.x_std = x.std(axis=0)
         self.x_std[self.x_std == 0.0] = 1.0
@@ -261,11 +282,13 @@ class _SequenceRegressor(_Learner):
         x_seq = self._to_sequences(x)
         y_n = (y - self.y_mean) / self.y_std
         n = len(y_n)
+        # the steps' layer caches; a local, so it is freed when the fit returns
+        workspace = {}
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                self.loss_and_grads(x_seq[batch], y_n[batch])
+                self.loss_and_grads(x_seq[batch], y_n[batch], workspace)
                 clip_gradients(self._all_layers, _GRAD_CLIP)
                 self.theta -= cfg.learning_rate * self.grad
 
@@ -279,7 +302,7 @@ class _SequenceRegressor(_Learner):
         return preds * self.y_std + self.y_mean
 
     def fit(self, data: SupervisedSet):
-        self._fit_net(data)
+        self._fit_net(self._training_rows(data), data.targets)
         self.trained = True
         return self
 
@@ -343,8 +366,9 @@ class LstmBoostedRegressor(LstmRegressor):
     config_type = StackConfig
 
     def fit(self, data: SupervisedSet):
-        self._fit_net(data)
-        stacked = np.column_stack([data.inputs, self._net_predict(data.inputs)])
+        x = self._training_rows(data)
+        self._fit_net(x, data.targets)
+        stacked = np.column_stack([x, self._net_predict(x)])
         self.stage2 = BoostedTrees.fit(
             stacked,
             data.targets,
@@ -383,7 +407,7 @@ class ForestRegressor(_Learner):
     config_type = ForestConfig
 
     def fit(self, data: SupervisedSet):
-        x = np.asarray(data.inputs, dtype=np.float64)
+        x = self._training_rows(data)
         y = np.asarray(data.targets, dtype=np.float64)
         if np.all(y == y[0]):
             logger.warning("all targets identical; forest degenerates to a constant")

@@ -11,10 +11,26 @@ every matmul that meets it: the state's product with the recurrent weights
 in the forward step, and in the backward step the recurrent-weight gradient
 (``h_prev.T @ da``, which would only add zeros) and the gradient passed to
 the state before t = 0 (``da @ wh.T``, which nothing reads). The LSTM runs
-its three sigmoid gates as one call on the fused pre-activation block and
-caches ``(x_t, h_prev, c_prev, ifo, g, tanh_c)`` per step, ``ifo`` being
-that ``(batch, 3 * hidden)`` block of gate values in (i, f, o) order. These
+its three sigmoid gates as one call on the fused pre-activation block
+``ifo``, the ``(batch, 3 * hidden)`` gate values in (i, f, o) order. These
 rewrites give the same bits as the plain per-gate loops.
+
+A forward pass writes its per-step cache into arrays of shape
+``(steps, batch, ...)``: for the LSTM ``ifo``, ``g``, ``tanh(c)`` and the
+states ``c`` and ``h`` (row t + 1 holding the state after step t), for the
+GRU ``u``, ``r``, ``hr``, ``cand`` and ``h`` side by side. A recurrent
+layer's output sequence is a (batch, steps, hidden) view of its ``h``.
+The convolution keeps
+its windows and output in such arrays, the BiLSTM its joined output.
+``forward`` takes an optional ``workspace``, a dict that a training loop
+keeps for the length of one fit: ``buffer`` hands out the array stored
+under the layer, a name and the shape, so the steps of a fit reuse one set
+of arrays per batch shape, and the allocator no longer hands that memory
+back to the OS and faults it in again at every step. Each ``backward``
+must follow its own ``forward`` before the next ``forward`` on the same
+workspace, and the workspace is dropped when the fit returns. Without one
+(``predict``, direct calls) every array is fresh, so no call's output
+shares memory with another's.
 """
 
 from __future__ import annotations
@@ -32,14 +48,26 @@ class SequenceTooShort(GranucastError):
     pass
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def buffer(workspace: dict | None, key, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: the one ``workspace``
+    keeps under ``(key, shape)``, made on first use, or a fresh one when
+    there is no workspace."""
+    if workspace is None:
+        return np.empty(shape)
+    array = workspace.get((key, shape))
+    if array is None:
+        array = workspace[key, shape] = np.empty(shape)
+    return array
+
+
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # e = exp(-|z|) <= 1 never overflows; the numerator is 1 where z >= 0 and
     # e below, so this is 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on the
     # two sides, operation for operation
     e = np.abs(z, out=np.empty(z.shape))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, z >= 0, out=np.empty(z.shape))
+    out = np.maximum(e, z >= 0, out=np.empty(z.shape) if out is None else out)
     e += 1.0
     out /= e
     return out
@@ -83,30 +111,33 @@ class LSTMLayer(Layer):
         self._register("wh", (hidden, 4 * hidden))
         self._register("b", (4 * hidden,))
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, workspace: dict | None = None):
         if x.shape[2] != self.in_dim:
             raise DimensionMismatch(f"expected input width {self.in_dim}, got {x.shape[2]}")
         batch, steps, _ = x.shape
         hdim = self.hidden
         wx, wh, b = self.params["wx"], self.params["wh"], self.params["b"]
-        h = np.zeros((batch, hdim))
-        c = np.zeros((batch, hdim))
-        h_seq = np.empty((batch, steps, hdim))
-        cache = []
+        ifo = buffer(workspace, (self, "ifo"), (steps, batch, 3 * hdim))
+        g = buffer(workspace, (self, "g"), (steps, batch, hdim))
+        tanh_c = buffer(workspace, (self, "tanh_c"), (steps, batch, hdim))
+        c = buffer(workspace, (self, "c"), (steps + 1, batch, hdim))
+        h = buffer(workspace, (self, "h"), (steps + 1, batch, hdim))
+        c[0] = 0.0
+        h[0] = 0.0
         for t in range(steps):
-            x_t = x[:, t, :]
-            a = x_t @ wx
+            a = x[:, t, :] @ wx
             if t:
-                a += h @ wh
+                a += h[t] @ wh
             a += b
-            ifo = sigmoid(a[:, : 3 * hdim])
-            g = np.tanh(a[:, 3 * hdim :])
-            c_new = ifo[:, hdim : 2 * hdim] * c + ifo[:, :hdim] * g
-            tanh_c = np.tanh(c_new)
-            cache.append((x_t, h, c, ifo, g, tanh_c))
-            h, c = ifo[:, 2 * hdim :] * tanh_c, c_new
-            h_seq[:, t, :] = h
-        return h_seq, cache
+            ifo_t, g_t, tanh_c_t, c_t = ifo[t], g[t], tanh_c[t], c[t + 1]
+            sigmoid(a[:, : 3 * hdim], out=ifo_t)
+            np.tanh(a[:, 3 * hdim :], out=g_t)
+            np.multiply(ifo_t[:, hdim : 2 * hdim], c[t], out=c_t)
+            c_t += ifo_t[:, :hdim] * g_t
+            np.tanh(c_t, out=tanh_c_t)
+            np.multiply(ifo_t[:, 2 * hdim :], tanh_c_t, out=h[t + 1])
+        # the states as a (batch, steps, hidden) view
+        return h[1:].transpose(1, 0, 2), (x, h, c, ifo, g, tanh_c)
 
     def backward(self, d_h_seq: np.ndarray, cache) -> np.ndarray:
         batch, steps, _ = d_h_seq.shape
@@ -118,11 +149,16 @@ class LSTMLayer(Layer):
         # gradient w.r.t. the fused pre-activation, gate order (i, f, o, g)
         da = np.empty((batch, 4 * hdim))
         d_ifo, dg = da[:, : 3 * hdim], da[:, 3 * hdim :]
+        x, h, c, ifo_seq, g_seq, tanh_c_seq = cache
         for t in reversed(range(steps)):
-            x_t, h_prev, c_prev, ifo, g, tanh_c = cache[t]
+            x_t, h_prev, c_prev = x[:, t, :], h[t], c[t]
+            ifo, g, tanh_c = ifo_seq[t], g_seq[t], tanh_c_seq[t]
             i, f, o = ifo[:, :hdim], ifo[:, hdim : 2 * hdim], ifo[:, 2 * hdim :]
-            dh = d_h_seq[:, t, :] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c**2)
+            dh = np.add(d_h_seq[:, t, :], dh_next, out=dh_next)
+            # dc = dc_next + dh * o * (1 - tanh_c**2), the product left to right
+            dc = dh * o
+            dc *= 1.0 - np.square(tanh_c)
+            dc += dc_next
             np.multiply(dc, g, out=d_ifo[:, :hdim])
             np.multiply(dc, c_prev, out=d_ifo[:, hdim : 2 * hdim])
             np.multiply(dh, tanh_c, out=d_ifo[:, 2 * hdim :])
@@ -130,7 +166,7 @@ class LSTMLayer(Layer):
             d_ifo *= 1.0 - ifo
             np.multiply(dc, i, out=dg)
             dg *= 1.0 - g**2
-            dc_next = dc * f
+            np.multiply(dc, f, out=dc_next)
             self.grads["wx"] += x_t.T @ da
             self.grads["b"] += da.sum(axis=0)
             dx[:, t, :] = da @ wx.T
@@ -166,11 +202,12 @@ class BiLSTMLayer(Layer):
             direction.grads = {name: self.grads[f"{prefix}_{name}"] for name in direction.grads}
         return offset
 
-    def forward(self, x: np.ndarray):
-        h_fwd, cache_f = self.fwd.forward(x)
-        h_bwd_rev, cache_b = self.bwd.forward(x[:, ::-1, :])
+    def forward(self, x: np.ndarray, workspace: dict | None = None):
+        h_fwd, cache_f = self.fwd.forward(x, workspace)
+        h_bwd_rev, cache_b = self.bwd.forward(x[:, ::-1, :], workspace)
         h_bwd = h_bwd_rev[:, ::-1, :]
-        return np.concatenate([h_fwd, h_bwd], axis=2), (cache_f, cache_b)
+        out = buffer(workspace, (self, "out"), (*h_fwd.shape[:2], 2 * self.hidden))
+        return np.concatenate([h_fwd, h_bwd], axis=2, out=out), (cache_f, cache_b)
 
     def backward(self, d_h_seq: np.ndarray, cache) -> np.ndarray:
         cache_f, cache_b = cache
@@ -205,34 +242,38 @@ class GRULayer(Layer):
         a += p[f"b{gate}"]
         return a
 
-    def step(self, h_prev: np.ndarray | None, x_t: np.ndarray):
+    def step(self, h_prev: np.ndarray | None, x_t: np.ndarray, out: np.ndarray | None = None):
         """One cell application; returns the new state and a step cache.
 
         ``h_prev=None`` stands for the all-zero initial state, whose matmuls
-        are skipped.
+        are skipped. ``u``, ``r``, ``hr``, ``cand`` and the new state are
+        written into ``out``, a (5, batch, hidden) array, fresh if not given.
         """
-        u = sigmoid(self._pre("u", h_prev, x_t))
-        r = sigmoid(self._pre("r", h_prev, x_t))
+        u, r, hr, cand, h = np.empty((5, len(x_t), self.hidden)) if out is None else out
+        sigmoid(self._pre("u", h_prev, x_t), out=u)
+        sigmoid(self._pre("r", h_prev, x_t), out=r)
         first = h_prev is None
         if first:
             h_prev = np.zeros_like(u)
-        hr = r * h_prev
-        cand = np.tanh(self._pre("c", None if first else hr, x_t))
-        h = (1.0 - u) * h_prev + u * cand
+        np.multiply(r, h_prev, out=hr)
+        np.tanh(self._pre("c", None if first else hr, x_t), out=cand)
+        # h = (1 - u) * h_prev + u * cand, whose two terms add alike in either order
+        np.multiply(u, cand, out=h)
+        h += (1.0 - u) * h_prev
         return h, (x_t, h_prev, u, r, hr, cand)
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, workspace: dict | None = None):
         if x.shape[2] != self.in_dim:
             raise DimensionMismatch(f"expected input width {self.in_dim}, got {x.shape[2]}")
         batch, steps, _ = x.shape
+        cells = buffer(workspace, (self, "cells"), (steps, 5, batch, self.hidden))
         h = None
-        h_seq = np.empty((batch, steps, self.hidden))
         cache = []
         for t in range(steps):
-            h, step_cache = self.step(h, x[:, t, :])
+            h, step_cache = self.step(h, x[:, t, :], cells[t])
             cache.append(step_cache)
-            h_seq[:, t, :] = h
-        return h_seq, cache
+        # the states as a (batch, steps, hidden) view
+        return cells[:, 4].transpose(1, 0, 2), cache
 
     def backward(self, d_h_seq: np.ndarray, cache) -> np.ndarray:
         batch, steps, _ = d_h_seq.shape
@@ -241,11 +282,20 @@ class GRULayer(Layer):
         dh_next = np.zeros((batch, self.hidden))
         for t in reversed(range(steps)):
             x_t, h_prev, u, r, hr, cand = cache[t]
-            dh = d_h_seq[:, t, :] + dh_next
-            dcin = dh * u * (1.0 - cand**2)
+            dh = np.add(d_h_seq[:, t, :], dh_next, out=dh_next)
+            # dcin = dh * u * (1 - cand**2), drin = dhr * h_prev * r * (1 - r) and
+            # duin = dh * (cand - h_prev) * u * (1 - u), each product taken left
+            # to right in place, so that few (batch, hidden) temporaries coexist
+            dcin = dh * u
+            dcin *= 1.0 - np.square(cand)
             dhr = dcin @ p["wch"].T
-            drin = dhr * h_prev * r * (1.0 - r)
-            duin = dh * (cand - h_prev) * u * (1.0 - u)
+            drin = dhr * h_prev
+            drin *= r
+            drin *= 1.0 - r
+            duin = np.subtract(cand, h_prev)
+            duin *= dh
+            duin *= u
+            duin *= 1.0 - u
             for gate, d_in in (("c", dcin), ("r", drin), ("u", duin)):
                 g[f"w{gate}x"] += x_t.T @ d_in
                 g[f"b{gate}"] += d_in.sum(axis=0)
@@ -254,7 +304,12 @@ class GRULayer(Layer):
                 g["wch"] += hr.T @ dcin
                 g["wrh"] += h_prev.T @ drin
                 g["wuh"] += h_prev.T @ duin
-                dh_next = dh * (1.0 - u) + dhr * r + drin @ p["wrh"].T + duin @ p["wuh"].T
+                # dh * (1 - u) + dhr * r + drin @ wrh.T + duin @ wuh.T, summed
+                # left to right in place
+                dh_next = dh * (1.0 - u)
+                dh_next += dhr * r
+                dh_next += drin @ p["wrh"].T
+                dh_next += duin @ p["wuh"].T
         return dx
 
 
@@ -269,18 +324,24 @@ class Conv1dLayer(Layer):
         self._register("k", (kernel, in_dim, channels))
         self._register("b", (channels,))
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, workspace: dict | None = None):
         batch, steps, width = x.shape
         if width != self.in_dim:
             raise DimensionMismatch(f"expected input width {self.in_dim}, got {width}")
         if steps < self.kernel:
             raise SequenceTooShort(f"sequence length {steps} < kernel size {self.kernel}")
         out_steps = steps - self.kernel + 1
+        windows = np.stack(
+            [x[:, tau : tau + out_steps, :] for tau in range(self.kernel)],
+            axis=2,
+            out=buffer(workspace, (self, "windows"), (batch, out_steps, self.kernel, width)),
+        )
         # (batch, out_steps, kernel*in_dim) view of the sliding windows
-        windows = np.stack([x[:, tau : tau + out_steps, :] for tau in range(self.kernel)], axis=2)
         flat = windows.reshape(batch, out_steps, self.kernel * self.in_dim)
-        pre = flat @ self.params["k"].reshape(-1, self.channels) + self.params["b"]
-        out = np.tanh(pre)
+        out = buffer(workspace, (self, "out"), (batch, out_steps, self.channels))
+        np.matmul(flat, self.params["k"].reshape(-1, self.channels), out=out)
+        out += self.params["b"]
+        np.tanh(out, out=out)
         return out, (flat, out, steps)
 
     def backward(self, d_out: np.ndarray, cache) -> np.ndarray:

@@ -5,6 +5,7 @@ differences, the tree learners, and the fit/save/load lifecycle."""
 import dataclasses
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from granucast.learners import (
     make_supervised,
     save_model,
 )
+from granucast.learners import nn
 from granucast.learners.models import _MODEL_CLASSES
 from granucast.learners.nn import BiLSTMLayer, Conv1dLayer, GRULayer, LSTMLayer, sigmoid
 from granucast.learners.trees import Tree, build_boosted_tree, build_cart
@@ -303,6 +305,44 @@ def test_recurrent_kernels_match_the_plain_loops_bit_for_bit(layer_cls, referenc
         assert_same_bits(grad, ref_grads[name])
 
 
+def forward_backward(layer, x, d_out, workspace=None):
+    """Output, input gradient and parameter gradients of one pass from zero
+    gradients, copied out of any workspace array."""
+    for grad in layer.grads.values():
+        grad[...] = 0.0
+    out, cache = layer.forward(x, workspace)
+    out = out.copy()
+    dx = layer.backward(d_out, cache)
+    return out, dx, {name: grad.copy() for name, grad in layer.grads.items()}
+
+
+@pytest.mark.parametrize(
+    ("layer_cls", "reference"),
+    [(LSTMLayer, reference_lstm), (GRULayer, reference_gru), (Conv1dLayer, None)],
+)
+def test_a_shared_workspace_changes_no_bits(layer_cls, reference):
+    # batch 5, then 2, then 5 again: the second 5 reuses the first one's arrays
+    rng = np.random.default_rng(12)
+    steps, width, hidden = 4, 3, 4
+    layer = random_layer(layer_cls, width, hidden, rng)
+    # the convolution's kernel of 3 drops two steps
+    out_steps = steps - 2 if layer_cls is Conv1dLayer else steps
+    workspace = {}
+    for batch in (5, 2, 5):
+        x = rng.normal(size=(batch, steps, width))
+        d_out = rng.normal(size=(batch, out_steps, hidden))
+        out, dx, grads = forward_backward(layer, x, d_out, workspace)
+        expected = [forward_backward(layer, x, d_out)]
+        if reference is not None:
+            expected.append(reference(layer.params, x, d_out))
+        for ref_out, ref_dx, ref_grads in expected:
+            assert_same_bits(out, ref_out)
+            assert_same_bits(dx, ref_dx)
+            for name, grad in grads.items():
+                assert_same_bits(grad, ref_grads[name])
+    assert workspace
+
+
 class TestLstmLayer:
     def test_forward_matches_reference_loop(self):
         rng = np.random.default_rng(3)
@@ -449,6 +489,44 @@ def test_analytic_gradients_match_finite_differences(model_cls):
     rng = np.random.default_rng(7)
     for _ in range(3):
         assert gradient_rel_err(model_cls, TINY, rng) < 1e-6
+
+
+@pytest.mark.parametrize("model_cls", [BiLstmRegressor, CnnGruRegressor])
+def test_a_workspace_leaves_the_same_gradient(model_cls):
+    rng = np.random.default_rng(6)
+    model = model_cls(NetConfig(hidden_sizes=(4, 3)), record_width=3, lag=4)
+    model.theta[...] = rng.normal(scale=0.5, size=model.theta.size)
+    workspace = {}
+    for batch in (5, 2, 5):
+        x_seq, y = rng.normal(size=(batch, 4, 3)), rng.normal(size=batch)
+        loss = model.loss_and_grads(x_seq, y, workspace)
+        grad = model.grad.copy()
+        assert model.loss_and_grads(x_seq, y) == loss
+        assert_same_bits(model.grad, grad)
+    assert workspace
+
+
+@pytest.mark.parametrize("kind", ["bilstm", "cnn_gru", "lstm_xgb"])
+def test_a_fit_drops_its_workspace(kind, monkeypatch):
+    # arrays a fit keeps past its return grow with each predict batch size
+    # and raise a forecast's peak memory
+    handed_out = []
+
+    def recording_buffer(workspace, key, shape):
+        array = original(workspace, key, shape)
+        if workspace is not None:
+            handed_out.append(weakref.ref(array))
+        return array
+
+    original = nn.buffer
+    monkeypatch.setattr(nn, "buffer", recording_buffer)
+    data = toy_supervised()
+    model = fit_learner(kind, data, SMALL[kind])
+    assert handed_out
+    # freed on return, without waiting for a garbage collection
+    assert all(ref() is None for ref in handed_out)
+    first, second = model.predict(data.inputs), model.predict(data.inputs)
+    assert not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("model_cls", [BiLstmRegressor, CnnGruRegressor, LstmRegressor])
@@ -937,6 +1015,22 @@ class TestModelLifecycle:
         model = fit_learner(kind, data, SMALL[kind])
         with pytest.raises(DimensionMismatch, match=f"{kind} rows need 20 features"):
             model.predict(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        ("lag", "record_width", "columns"),
+        [(5, 6, 30), (6, 4, 24), (4, 6, 30)],
+        ids=["longer_lag", "same_width_other_layout", "rows_wider_than_the_set_says"],
+    )
+    def test_fit_takes_sets_of_its_own_layout_only(self, kind, lag, record_width, columns):
+        model = _MODEL_CLASSES[kind](SMALL[kind], 6, 4)
+        data = dataclasses.replace(
+            toy_supervised(width=6, lag=5), lag=lag, record_width=record_width
+        )
+        data = dataclasses.replace(data, inputs=data.inputs[:, :columns])
+        with pytest.raises(DimensionMismatch, match=kind):
+            model.fit(data)
+        assert not model.trained
 
     def test_lstm_xgb_is_the_lstm_net_plus_boosted_trees(self):
         data = toy_supervised()

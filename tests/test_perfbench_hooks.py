@@ -143,6 +143,44 @@ def test_tracer_counts_one_objective_call_per_sweep(monkeypatch):
     assert fit.archive.is_sound()
 
 
+def test_tracer_times_the_net_kernels_and_counts_every_sigmoid(monkeypatch):
+    # the layers must reach sigmoid through the module attribute the tracer
+    # replaces, or learners.nn.sigmoid_calls silently reads 0
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    rng = np.random.default_rng(3)
+    lag, width, rows = 4, 3, 10
+    data = SupervisedSet(
+        inputs=rng.normal(size=(rows, lag * width)),
+        targets=rng.normal(size=rows),
+        lag=lag,
+        record_width=width,
+        target_indices=np.arange(rows),
+    )
+    config = NetConfig(hidden_sizes=(3, 2), epochs=2, batch_size=4)
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder)
+        # through the module attribute, which the tracer replaces
+        for kind in ("bilstm", "cnn_gru"):
+            models.fit_learner(kind, data, config)
+    finally:
+        recorder.restore()
+    summary = recorder.summary()
+    sgd_steps = config.epochs * -(-rows // config.batch_size)
+    layers = len(config.hidden_sizes)
+    per_step = {"lstm": 2 * layers, "gru": layers, "conv": 1}
+    for label, calls in per_step.items():
+        for part in ("forward", "backward"):
+            span = f"learners.nn.{label}_{part}"
+            assert summary["calls"][span] == calls * sgd_steps
+            assert summary["self_s"][span] > 0
+    # one call per LSTM step, direction and layer, two per GRU step
+    gru_steps = lag - models.CnnGruRegressor.conv_kernel + 1
+    expected = sgd_steps * layers * (2 * lag + 2 * gru_steps)
+    assert summary["calls"]["learners.nn.sigmoid"] == expected
+
+
 def test_tracer_sees_two_predicts_per_learner_in_a_forecast(monkeypatch, synth_series):
     # one on the calibration rows, one on the test rows
     monkeypatch.syspath_prepend(str(PERFBENCH))
