@@ -511,6 +511,7 @@ def test_a_fit_drops_its_workspace(kind, monkeypatch):
     # arrays a fit keeps past its return grow with each predict batch size
     # and raise a forecast's peak memory
     handed_out = []
+    original = nn.buffer
 
     def recording_buffer(workspace, key, shape):
         array = original(workspace, key, shape)
@@ -518,7 +519,6 @@ def test_a_fit_drops_its_workspace(kind, monkeypatch):
             handed_out.append(weakref.ref(array))
         return array
 
-    original = nn.buffer
     monkeypatch.setattr(nn, "buffer", recording_buffer)
     data = toy_supervised()
     model = fit_learner(kind, data, SMALL[kind])
@@ -1024,10 +1024,10 @@ class TestModelLifecycle:
     )
     def test_fit_takes_sets_of_its_own_layout_only(self, kind, lag, record_width, columns):
         model = _MODEL_CLASSES[kind](SMALL[kind], 6, 4)
+        data = toy_supervised(width=6, lag=5)
         data = dataclasses.replace(
-            toy_supervised(width=6, lag=5), lag=lag, record_width=record_width
+            data, inputs=data.inputs[:, :columns], lag=lag, record_width=record_width
         )
-        data = dataclasses.replace(data, inputs=data.inputs[:, :columns])
         with pytest.raises(DimensionMismatch, match=kind):
             model.fit(data)
         assert not model.trained
