@@ -2,10 +2,11 @@
 
 Subcommands wire the library end to end over plain files: ``synth`` makes
 a seeded benchmark series, ``granulate`` writes granule and feature CSVs,
-``train`` fits and saves the four learners, ``forecast`` runs the full
-ensemble pipeline, ``evaluate`` scores a forecast CSV, ``cv`` runs the
-contiguous k-fold harness, and ``benchmark-opt`` exercises the optimizer
-on analytic two-objective problems.
+``train`` fits and saves the run's learners, ``forecast`` runs the full
+pipeline with them (all four, or X alone under ``--model X`` in either),
+``evaluate`` scores a forecast CSV, ``cv`` runs the contiguous k-fold
+harness, and ``benchmark-opt`` exercises the optimizer on analytic
+two-objective problems.
 
 ``main`` does the work the commands share: it checks the input files,
 resolves the run configuration, creates ``--out``, and afterwards writes
@@ -33,8 +34,8 @@ from .errors import GranucastError
 from .evaluation import PointScores, dm_test, interval_scores, point_scores
 from .fuzzy_rough import extract_features
 from .granulation import granulate_series
-from .learners import KINDS, fit_learner, make_supervised, save_model
-from .pipeline import check_lag, extract_and_split, run_cv, run_forecast
+from .learners import KINDS, make_supervised, save_model
+from .pipeline import extract_and_split, run_cv, run_forecast, train_models
 from .sunflower import SunflowerOptimizer
 from .synth import SynthConfig, write_csv as write_synth_csv
 from .timeseries import interpolate_gaps, is_utf8, load_series
@@ -86,6 +87,10 @@ def _write_archive(path: Path, archive, header: list[str]) -> None:
 
 def _level_label(level: float) -> str:
     return f"{round(level * 100):d}"
+
+
+def _kinds(args) -> tuple[str, ...]:
+    return (_MODEL_ALIASES[args.model],) if args.model else KINDS
 
 
 # --- subcommands ------------------------------------------------------------
@@ -144,13 +149,10 @@ def cmd_granulate(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
 
 
 def cmd_train(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
-    kinds = [_MODEL_ALIASES[args.model]] if args.model else list(KINDS)
-    check_lag(kinds, run.lag)
     _, _, _, parts, _ = extract_and_split(_load_clean_series(args.data), run)
-    train_set = make_supervised(parts[0], run.lag)
+    models = train_models(make_supervised(parts[0], run.lag), run, _kinds(args))
     names = []
-    for kind in kinds:
-        model = fit_learner(kind, train_set, run.learners[kind])
+    for kind, model in models.items():
         name = f"model_{kind}.npz"
         save_model(model, out / name)
         names.append(name)
@@ -159,8 +161,7 @@ def cmd_train(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
 
 
 def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
-    solo = _MODEL_ALIASES[args.model] if args.model else None
-    result = run_forecast(_load_clean_series(args.data), run, solo=solo)
+    result = run_forecast(_load_clean_series(args.data), run, _kinds(args))
 
     levels = list(result.intervals)
     header = ["index", "actual", "point"]
@@ -182,16 +183,17 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
     names = ["forecast.csv"]
     print(f"forecast rows: {len(rows)}")
 
+    kinds = list(result.forecaster.models)
     fit = result.forecaster.weight_fit
     if fit is not None:
-        lines = [f"chosen {kind} = {_fmt(w)}" for kind, w in zip(KINDS, fit.chosen)]
+        lines = [f"chosen {kind} = {_fmt(w)}" for kind, w in zip(kinds, fit.chosen)]
         lines.append(f"validation mape = {_fmt(fit.chosen_objectives[0])}")
         lines.append(f"validation mse = {_fmt(fit.chosen_objectives[1])}")
         lines.append(f"excluded from mape = {fit.excluded_from_mape}")
         lines.append(f"archive size = {len(fit.archive)}")
         (out / "weights.txt").write_text("\n".join(lines) + "\n")
         _write_archive(
-            out / "archive.csv", fit.archive, ["mape", "mse", *(f"weight_{k}" for k in KINDS)]
+            out / "archive.csv", fit.archive, ["mape", "mse", *(f"weight_{k}" for k in kinds)]
         )
         names += ["weights.txt", "archive.csv"]
         print(
@@ -199,7 +201,7 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
             f"{_fmt(fit.chosen_objectives[0])} mse={_fmt(fit.chosen_objectives[1])}"
         )
     else:
-        print(f"solo model: {solo}")
+        print(f"single learner: {kinds[0]}")
     print(f"test mape = {_fmt(point_scores(result.test_panel.actuals, result.point).mape)}")
     return run.describe(), names
 
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="dump per-iteration centers")
     p.set_defaults(func=cmd_granulate)
 
-    p = sub.add_parser("train", parents=[common], help="fit and save the four learners")
+    p = sub.add_parser("train", parents=[common], help="fit and save the learners")
     p.add_argument("--data", required=True, metavar="PATH")
     p.add_argument("--model", choices=sorted(_MODEL_ALIASES), help="train this learner only")
     p.set_defaults(func=cmd_train)

@@ -1,6 +1,6 @@
-"""Weighted combination of the four learners plus prediction intervals.
+"""Weighted combination of a run's k learners plus prediction intervals.
 
-Weights live in the box [-2, 2]^4 (no sum-to-one constraint, so negative
+Weights live in the box [-2, 2]^k (no sum-to-one constraint, so negative
 and non-affine combinations are allowed) and are searched by the
 multi-objective optimizer under (MAPE, MSE) on a validation panel. The
 returned front is reduced to a single compromise: the member closest to
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import GranucastError
 from .evaluation import _SMALL_ACTUAL, LengthMismatch, ZeroActual, mape_excluding_small
-from .learners import KINDS
 from .sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
 
 WEIGHT_LOW = -2.0
@@ -44,10 +43,6 @@ class PredictionPanel:
     def __post_init__(self):
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
         actuals = np.asarray(self.actuals, dtype=np.float64)
-        if matrix.shape[0] != len(KINDS):
-            raise LengthMismatch(
-                f"panel has {matrix.shape[0]} prediction rows for {len(KINDS)} learners"
-            )
         if matrix.shape[1] != len(actuals):
             raise LengthMismatch(
                 f"{matrix.shape[1]} predictions per learner vs {len(actuals)} actuals"
@@ -71,7 +66,7 @@ def combine(panel: PredictionPanel, weights) -> np.ndarray:
 
 def ensemble_objectives(weights, panel: PredictionPanel) -> np.ndarray:
     """(MAPE, MSE) of each weight row's combined prediction, both to be
-    minimized: an (n, 4) weight matrix gives an (n, 2) objective matrix.
+    minimized: an (n, k) weight matrix gives an (n, 2) objective matrix.
 
     Each row equals ``mape_excluding_small`` and ``mse`` of ``combine(panel,
     w)`` to the last bit. That takes one vector-matrix product per row (one

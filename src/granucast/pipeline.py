@@ -27,10 +27,16 @@ from .learners import fit_learner, make_supervised
 from .timeseries import chrono_split, kfold_split
 
 
+def predict_panel(models: dict[str, object], data: SupervisedSet) -> PredictionPanel:
+    """One prediction row per model of ``models``, in its order."""
+    matrix = np.stack([model.predict(data.inputs) for model in models.values()])
+    return PredictionPanel(matrix=matrix, actuals=data.targets)
+
+
 @dataclass(frozen=True)
 class Forecaster:
-    """Trained learners, their weights (``weight_fit`` is None for a solo
-    learner) and the calibration actuals minus the combined forecast."""
+    """Trained learners in fit order, their weights (the weight 1 and no
+    ``weight_fit`` for one learner) and the calibration residuals."""
 
     models: dict[str, object]
     weight_fit: WeightFit | None
@@ -38,8 +44,7 @@ class Forecaster:
     residuals: np.ndarray
 
     def panel(self, data: SupervisedSet) -> PredictionPanel:
-        matrix = np.stack([self.models[kind].predict(data.inputs) for kind in KINDS])
-        return PredictionPanel(matrix=matrix, actuals=data.targets)
+        return predict_panel(self.models, data)
 
 
 @dataclass(frozen=True)
@@ -67,43 +72,38 @@ def extract_and_split(
     return granules, features, cluster_result, parts, (train_end, val_end)
 
 
-def check_lag(kinds, lag: int) -> None:
-    """SequenceTooShort if ``kinds`` holds cnn_gru and ``lag`` is shorter than its
-    kernel; every path that trains learners calls this before the first fit."""
-    if "cnn_gru" in kinds and lag < CnnGruRegressor.conv_kernel:
-        kernel = CnnGruRegressor.conv_kernel
+def train_models(train_set: SupervisedSet, config: RunConfig, kinds=KINDS) -> dict[str, object]:
+    """One model per kind of ``kinds``, in order. A bad set (empty, unknown
+    or repeated kinds) or a lag below cnn_gru's kernel fails before any fit."""
+    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(KINDS):
+        raise ValueError(f"learner set {kinds!r} must name distinct learners of {KINDS}")
+    lag, kernel = train_set.lag, CnnGruRegressor.conv_kernel
+    if "cnn_gru" in kinds and lag < kernel:
         raise SequenceTooShort(f"lag {lag} is shorter than cnn_gru's kernel of {kernel} records")
-
-
-def train_models(train_set: SupervisedSet, config: RunConfig) -> dict[str, object]:
-    check_lag(KINDS, train_set.lag)
-    return {kind: fit_learner(kind, train_set, config.learners[kind]) for kind in KINDS}
+    return {kind: fit_learner(kind, train_set, config.learners[kind]) for kind in kinds}
 
 
 def fit_forecaster(
-    train_set: SupervisedSet, calib_set: SupervisedSet, config: RunConfig, solo: str | None = None
+    train_set: SupervisedSet, calib_set: SupervisedSet, config: RunConfig, kinds=KINDS
 ) -> tuple[Forecaster, PredictionPanel]:
-    """Learners trained on ``train_set``, weights searched on their
-    ``calib_set`` panel (one-hot for ``solo``), and that panel."""
-    if solo is not None and solo not in KINDS:
-        raise ValueError(f"unknown learner {solo!r}, expected one of {KINDS}")
-    untuned = Forecaster(train_models(train_set, config), None, np.empty(0), np.empty(0))
-    calib_panel = untuned.panel(calib_set)
-    weight_fit = fit_weights(calib_panel, config.optimizer) if solo is None else None
-    weights = np.eye(len(KINDS))[KINDS.index(solo)] if weight_fit is None else weight_fit.chosen
+    """The ``kinds`` learners trained on ``train_set``, their weights searched
+    on their ``calib_set`` panel (no search for one learner), and that panel."""
+    models = train_models(train_set, config, kinds)
+    calib_panel = predict_panel(models, calib_set)
+    weight_fit = fit_weights(calib_panel, config.optimizer) if len(models) > 1 else None
+    weights = np.ones(1) if weight_fit is None else weight_fit.chosen
     residuals = calib_panel.actuals - combine(calib_panel, weights)
-    return Forecaster(untuned.models, weight_fit, weights, residuals), calib_panel
+    return Forecaster(models, weight_fit, weights, residuals), calib_panel
 
 
-def run_forecast(values: np.ndarray, config: RunConfig, solo: str | None = None) -> ForecastRun:
-    """Full pipeline on one series; ``solo`` names one learner whose
-    predictions stand alone (a one-hot weight vector, no weight search),
-    with intervals from its own validation residuals."""
+def run_forecast(values: np.ndarray, config: RunConfig, kinds=KINDS) -> ForecastRun:
+    """Full pipeline on one series with the ``kinds`` learners; the
+    intervals come from the validation residuals of their combination."""
     _, _, _, parts, bounds = extract_and_split(values, config)
     train_set, val_set, test_set = (make_supervised(part, config.lag) for part in parts)
     if len(val_set) < MIN_RESIDUALS:  # the intervals need them; fail before any training
         raise TooFewResiduals(f"need at least {MIN_RESIDUALS} residuals, got {len(val_set)}")
-    forecaster, val_panel = fit_forecaster(train_set, val_set, config, solo)
+    forecaster, val_panel = fit_forecaster(train_set, val_set, config, kinds)
     test_panel = forecaster.panel(test_set)
     offsets = fit_intervals(forecaster.residuals, config.levels)
     point, intervals = forecast(test_panel, forecaster.weights, offsets)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import granucast
-from granucast import cli, pipeline
+from granucast import pipeline
 from granucast.cli import main
 from granucast.config import build_run_config
 from granucast.evaluation import PointScores, point_scores
@@ -64,6 +64,20 @@ def forecast_dir(cli_env, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The kind of every learner fit, in call order."""
+    kinds = []
+    fit = pipeline.fit_learner
+
+    def fit_and_record(kind, *args):
+        kinds.append(kind)
+        return fit(kind, *args)
+
+    monkeypatch.setattr(pipeline, "fit_learner", fit_and_record)
+    return kinds
 
 
 @pytest.fixture(scope="module")
@@ -211,37 +225,32 @@ class TestLagShorterThanTheKernel:
     """cnn_gru's convolution needs a lag of at least its kernel (3 records)."""
 
     @pytest.fixture
-    def short_lag(self, cli_env, tmp_path, monkeypatch):
+    def short_lag(self, cli_env, tmp_path):
         conf = tmp_path / "lag2.conf"
         conf.write_text(QUICK_CONF + "lag = 2\n")
-        fits = []
-
-        def recorded(fit):
-            def fit_and_record(kind, *args):
-                fits.append(kind)
-                return fit(kind, *args)
-
-            return fit_and_record
-
-        for module in (cli, pipeline):
-            monkeypatch.setattr(module, "fit_learner", recorded(module.fit_learner))
-        return SimpleNamespace(args=["--data", cli_env.data, "--config", str(conf)], fits=fits)
+        return ["--data", cli_env.data, "--config", str(conf)]
 
     @pytest.mark.parametrize("command", ["forecast", "train"])
-    def test_fails_before_any_learner_is_fit(self, short_lag, command, tmp_path, capsys):
+    def test_fails_before_any_learner_is_fit(self, short_lag, fits, command, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main([command, *short_lag.args, "--out", str(out)]) == 1
+        assert main([command, *short_lag, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: lag 2 is shorter than cnn_gru's kernel of 3 records\n"
         )
-        assert short_lag.fits == []
+        assert fits == []
         assert list(out.iterdir()) == []
 
-    def test_random_forest_alone_still_trains(self, short_lag, tmp_path):
+    def test_random_forest_alone_still_trains(self, short_lag, fits, tmp_path):
         out = tmp_path / "rf"
-        assert main(["train", *short_lag.args, "--model", "rf", "--out", str(out)]) == 0
-        assert short_lag.fits == ["random_forest"]
+        assert main(["train", *short_lag, "--model", "rf", "--out", str(out)]) == 0
+        assert fits == ["random_forest"]
         assert load_model(out / "model_random_forest.npz").lag == 2
+
+    def test_random_forest_alone_still_forecasts(self, short_lag, fits, tmp_path):
+        out = tmp_path / "rf"
+        assert main(["forecast", *short_lag, "--model", "rf", "--out", str(out)]) == 0
+        assert fits == ["random_forest"]
+        assert len(read_rows(out / "forecast.csv")) > 1
 
 
 class TestForecast:
@@ -314,7 +323,12 @@ class TestForecast:
             ]
         )
         assert code == 0
-        assert "solo model: cnn_gru" in capsys.readouterr().out
+        assert "single learner: cnn_gru" in capsys.readouterr().out
+
+    def test_solo_fits_only_its_learner(self, cli_env, fits, tmp_path):
+        argv = ["forecast", "--data", cli_env.data, "--config", cli_env.conf]
+        assert main([*argv, "--out", str(tmp_path / "rf"), "--model", "rf"]) == 0
+        assert fits == ["random_forest"]
 
 
 class TestEvaluate:
@@ -673,10 +687,7 @@ class TestExitCodes:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_negative_seed_is_a_usage_error(self, cli_env, tmp_path, capsys, monkeypatch, argv):
-        fitted = []
-        for module in (pipeline, cli):
-            monkeypatch.setattr(module, "fit_learner", lambda kind, *_: fitted.append(kind))
+    def test_negative_seed_is_a_usage_error(self, cli_env, fits, tmp_path, capsys, argv):
         out = tmp_path / "out"
         argv = [cli_env.data if arg == "DATA" else arg for arg in argv]
         with pytest.raises(SystemExit) as exc:
@@ -684,20 +695,16 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--seed must be at least 0" in err and "Traceback" not in err
-        assert fitted == [] and not out.exists()
+        assert fits == [] and not out.exists()
 
-    def test_negative_seed_in_a_config_file_returns_one(
-        self, cli_env, tmp_path, capsys, monkeypatch
-    ):
-        fitted = []
-        monkeypatch.setattr(pipeline, "fit_learner", lambda kind, *_: fitted.append(kind))
+    def test_negative_seed_in_a_config_file_returns_one(self, cli_env, fits, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("preset = desk\nseed = -2\n")
         out = tmp_path / "f"
         code = main(["forecast", "--data", cli_env.data, "--config", str(conf), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0")
-        assert fitted == [] and not out.exists()
+        assert fits == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -711,11 +718,8 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_rejected_config_creates_no_output_directory(
-        self, cli_env, tmp_path, capsys, monkeypatch, argv
+        self, cli_env, fits, tmp_path, capsys, argv
     ):
-        fitted = []
-        for module in (pipeline, cli):
-            monkeypatch.setattr(module, "fit_learner", lambda kind, *_: fitted.append(kind))
         conf = tmp_path / "bad.conf"
         conf.write_text("preset = desk\nno_such_key = 1\n")
         out = tmp_path / "nested" / "out"
@@ -723,7 +727,7 @@ class TestExitCodes:
         code = main([*argv, "--config", str(conf), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: unknown setting no_such_key\n"
-        assert fitted == [] and not out.parent.exists()
+        assert fits == [] and not out.parent.exists()
 
     def test_synth_config_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):

@@ -1,6 +1,7 @@
 """Ensemble tests: panel validation, weighted combination and its
-objectives, compromise selection, the weight search contract, and the
-residual-quantile interval machinery."""
+objectives, compromise selection, the weight search contract (each over
+two, three and four learners), and the residual-quantile interval
+machinery."""
 
 import hashlib
 
@@ -33,7 +34,12 @@ from granucast.learners import KINDS
 from granucast.sunflower import OptimizerConfig, ParetoArchive, dominates
 
 
-def square_panel() -> PredictionPanel:
+# the ensemble takes any number of learners; its tests run on 2, 3 and 4
+over_learner_counts = pytest.mark.parametrize("k", [2, 3, 4])
+
+
+def square_panel(k: int = 4) -> PredictionPanel:
+    """The first ``k`` of four learners over four samples; learner 1 is exact."""
     matrix = np.array(
         [
             [11.0, 9.0, 10.0, 20.0],
@@ -42,44 +48,44 @@ def square_panel() -> PredictionPanel:
             [5.0, 5.0, 5.0, 10.0],
         ]
     )
-    return PredictionPanel(matrix=matrix, actuals=np.array([10.0, 10.0, 10.0, 20.0]))
+    return PredictionPanel(matrix=matrix[:k], actuals=np.array([10.0, 10.0, 10.0, 20.0]))
 
 
 class TestPredictionPanel:
-    def test_row_count_must_match_learners(self):
-        with pytest.raises(LengthMismatch):
-            PredictionPanel(matrix=np.zeros((3, 5)), actuals=np.zeros(5))
-
     def test_column_count_must_match_actuals(self):
         with pytest.raises(LengthMismatch):
             PredictionPanel(matrix=np.zeros((4, 5)), actuals=np.zeros(4))
 
-    def test_len_and_custom_order(self):
-        panel = PredictionPanel(matrix=np.zeros((len(KINDS), 7)), actuals=np.zeros(7))
+    @over_learner_counts
+    def test_len_and_custom_order(self, k):
+        panel = PredictionPanel(matrix=np.zeros((k, 7)), actuals=np.zeros(7))
         assert len(panel) == 7
 
 
+@over_learner_counts
 class TestCombine:
-    def test_unit_vector_picks_one_learner(self):
-        panel = square_panel()
-        np.testing.assert_array_equal(combine(panel, [0.0, 1.0, 0.0, 0.0]), panel.matrix[1])
+    def test_unit_vector_picks_one_learner(self, k):
+        panel = square_panel(k)
+        np.testing.assert_array_equal(combine(panel, np.eye(k)[1]), panel.matrix[1])
 
-    def test_zero_weights_give_zero(self):
-        np.testing.assert_array_equal(combine(square_panel(), np.zeros(4)), np.zeros(4))
+    def test_zero_weights_give_zero(self, k):
+        np.testing.assert_array_equal(combine(square_panel(k), np.zeros(k)), np.zeros(4))
 
-    def test_sum_of_rows(self):
-        panel = square_panel()
-        np.testing.assert_array_equal(combine(panel, np.ones(4)), panel.matrix.sum(axis=0))
+    def test_sum_of_rows(self, k):
+        panel = square_panel(k)
+        np.testing.assert_array_equal(combine(panel, np.ones(k)), panel.matrix.sum(axis=0))
 
-    def test_negative_weights_allowed(self):
-        panel = square_panel()
+    def test_negative_weights_allowed(self, k):
+        panel = square_panel(k)
         np.testing.assert_array_equal(
-            combine(panel, [2.0, -1.0, 0.0, 0.0]), 2.0 * panel.matrix[0] - panel.matrix[1]
+            combine(panel, np.eye(k)[0] * 2.0 - np.eye(k)[1]),
+            2.0 * panel.matrix[0] - panel.matrix[1],
         )
 
-    def test_wrong_weight_length(self):
-        with pytest.raises(LengthMismatch):
-            combine(square_panel(), [1.0, 2.0])
+    def test_wrong_weight_length(self, k):
+        for length in (k - 1, k + 1):
+            with pytest.raises(LengthMismatch):
+                combine(square_panel(k), np.ones(length))
 
 
 def per_row_objectives(weights, panel: PredictionPanel) -> np.ndarray:
@@ -103,11 +109,12 @@ def weights_and_panels(draw):
         masked = rng.random(columns) < 0.3
         masked[rng.integers(columns)] = False
         actuals[masked] = rng.choice([0.0, -0.0, 1e-12, -5e-9], size=int(masked.sum()))
-    matrix = actuals + rng.normal(0.0, 2.0, size=(len(KINDS), columns))
+    learners = draw(st.integers(2, 4))
+    matrix = actuals + rng.normal(0.0, 2.0, size=(learners, columns))
     weights = draw(
         npst.arrays(
             np.float64,
-            (draw(st.integers(1, 40)), len(KINDS)),
+            (draw(st.integers(1, 40)), learners),
             elements=st.floats(-2.0, 2.0, allow_nan=False),
         )
     )
@@ -115,32 +122,38 @@ def weights_and_panels(draw):
 
 
 class TestEnsembleObjectives:
-    def test_hand_computed_values(self):
+    @over_learner_counts
+    def test_hand_computed_values(self, k):
         # combined = (11, 9, 10, 20): two 10% errors over four samples
-        [[mape_value, mse_value]] = ensemble_objectives([[1.0, 0.0, 0.0, 0.0]], square_panel())
+        [[mape_value, mse_value]] = ensemble_objectives(np.eye(k)[:1], square_panel(k))
         assert mape_value == pytest.approx(5.0, abs=1e-12)
         assert mse_value == pytest.approx(0.5, abs=1e-12)
 
-    def test_perfect_weights_score_zero(self):
-        objectives = ensemble_objectives([[0.0, 1.0, 0.0, 0.0]], square_panel())
+    @over_learner_counts
+    def test_perfect_weights_score_zero(self, k):
+        objectives = ensemble_objectives(np.eye(k)[1:2], square_panel(k))
         assert objectives.tolist() == [[0.0, 0.0]]
 
-    def test_one_row_per_weight_row(self):
-        weights = np.vstack([np.eye(4), np.full(4, 0.25)])
-        objectives = ensemble_objectives(weights, square_panel())
-        assert objectives.shape == (5, 2)
+    @over_learner_counts
+    def test_one_row_per_weight_row(self, k):
+        weights = np.vstack([np.eye(k), np.full(k, 1.0 / k)])
+        objectives = ensemble_objectives(weights, square_panel(k))
+        assert objectives.shape == (k + 1, 2)
         assert objectives[1].tolist() == [0.0, 0.0]
 
-    def test_weight_matrix_shape_checked(self):
+    @over_learner_counts
+    def test_weight_matrix_shape_checked(self, k):
         with pytest.raises(LengthMismatch):
-            ensemble_objectives([1.0, 0.0, 0.0, 0.0], square_panel())
-        with pytest.raises(LengthMismatch):
-            ensemble_objectives([[1.0, 0.0]], square_panel())
+            ensemble_objectives(np.eye(k)[0], square_panel(k))
+        for length in (k - 1, k + 1):
+            with pytest.raises(LengthMismatch):
+                ensemble_objectives(np.ones((1, length)), square_panel(k))
 
-    def test_all_small_actuals_rejected(self):
-        panel = PredictionPanel(matrix=np.ones((4, 3)), actuals=np.array([0.0, 1e-12, -1e-9]))
+    @over_learner_counts
+    def test_all_small_actuals_rejected(self, k):
+        panel = PredictionPanel(matrix=np.ones((k, 3)), actuals=np.array([0.0, 1e-12, -1e-9]))
         with pytest.raises(ZeroActual):
-            ensemble_objectives([[1.0, 0.0, 0.0, 0.0]], panel)
+            ensemble_objectives(np.eye(k)[:1], panel)
         with pytest.raises(ZeroActual):
             fit_weights(panel, OptimizerConfig(population=3, iterations=1))
 
@@ -182,16 +195,18 @@ class TestSelectCompromise:
 
 
 class TestBaselineCandidates:
-    def test_layout(self):
-        candidates = baseline_candidates(4)
-        assert candidates.shape == (5, 4)
-        np.testing.assert_array_equal(candidates[:4], np.eye(4))
-        np.testing.assert_array_equal(candidates[4], np.full(4, 0.25))
+    @over_learner_counts
+    def test_layout(self, k):
+        candidates = baseline_candidates(k)
+        assert candidates.shape == (k + 1, k)
+        np.testing.assert_array_equal(candidates[:k], np.eye(k))
+        np.testing.assert_array_equal(candidates[k], np.full(k, 1.0 / k))
 
 
 class TestFitWeights:
     @staticmethod
-    def noisy_panel(seed: int = 0) -> PredictionPanel:
+    def noisy_panel(k: int = 4, seed: int = 0) -> PredictionPanel:
+        """The first ``k`` of four learners of differing skill."""
         rng = np.random.default_rng(seed)
         actual = 5.0 + np.sin(np.linspace(0.0, 6.0, 30))
         matrix = np.stack(
@@ -202,31 +217,36 @@ class TestFitWeights:
                 0.5 * actual,
             ]
         )
-        return PredictionPanel(matrix=matrix, actuals=actual)
+        return PredictionPanel(matrix=matrix[:k], actuals=actual)
 
     SMALL_SEARCH = OptimizerConfig(population=24, iterations=20, rng_seed=3)
 
-    def test_chosen_never_dominated_by_a_baseline(self):
-        panel = self.noisy_panel()
+    @over_learner_counts
+    def test_chosen_never_dominated_by_a_baseline(self, k):
+        panel = self.noisy_panel(k)
         fit = fit_weights(panel, self.SMALL_SEARCH)
         assert isinstance(fit, WeightFit)
         assert fit.archive.is_sound()
-        for candidate_obj in ensemble_objectives(baseline_candidates(4), panel):
+        assert fit.chosen.shape == (k,)
+        for candidate_obj in ensemble_objectives(baseline_candidates(k), panel):
             assert not dominates(candidate_obj, fit.chosen_objectives)
 
-    def test_deterministic(self):
-        panel = self.noisy_panel()
+    @over_learner_counts
+    def test_deterministic(self, k):
+        panel = self.noisy_panel(k)
         first = fit_weights(panel, self.SMALL_SEARCH)
         second = fit_weights(panel, self.SMALL_SEARCH)
         np.testing.assert_array_equal(first.chosen, second.chosen)
         assert first.chosen_objectives == second.chosen_objectives
 
-    def test_weights_stay_in_the_box(self):
-        fit = fit_weights(self.noisy_panel(), self.SMALL_SEARCH)
+    @over_learner_counts
+    def test_weights_stay_in_the_box(self, k):
+        fit = fit_weights(self.noisy_panel(k), self.SMALL_SEARCH)
         assert np.all(fit.chosen >= -2.0) and np.all(fit.chosen <= 2.0)
 
-    def test_excluded_from_mape_reported(self):
-        panel = self.noisy_panel()
+    @over_learner_counts
+    def test_excluded_from_mape_reported(self, k):
+        panel = self.noisy_panel(k)
         assert fit_weights(panel, self.SMALL_SEARCH).excluded_from_mape == 0
         actual = panel.actuals.copy()
         actual[3] = 1e-12
@@ -284,10 +304,11 @@ class TestFitIntervals:
 
 
 class TestForecast:
-    def test_offsets_applied_per_level(self):
-        panel = square_panel()
+    @over_learner_counts
+    def test_offsets_applied_per_level(self, k):
+        panel = square_panel(k)
         offsets = {0.9: (-1.0, 2.0), 0.5: (-0.5, 0.5)}
-        point, intervals = forecast(panel, [0.0, 1.0, 0.0, 0.0], offsets)
+        point, intervals = forecast(panel, np.eye(k)[1], offsets)
         np.testing.assert_array_equal(point, panel.matrix[1])
         lo, up = intervals[0.9]
         np.testing.assert_array_equal(lo, panel.matrix[1] - 1.0)

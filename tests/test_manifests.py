@@ -1,4 +1,4 @@
-"""Golden manifests: five CLI runs whose every output must keep its bytes.
+"""Golden manifests: six CLI runs whose every output must keep its bytes.
 
 A refactor that claims to change no output proves it here. Each run goes
 through ``cli.main`` on a 5,400-sample synthetic series (seed 5) with
@@ -45,6 +45,10 @@ GOLDEN = {
             "forecast.csv": "54531588ea1e9211ace800cf33522a212181b729db62c5f0c8222dee7e3f167b",
             "weights.txt": "012830c5b0912fa4197a47f7eba8617b1e34f49a5c534c8c55b1feb78722d862",
         },
+    ),
+    "forecast_random_forest": (
+        ["forecast", "--model", "rf"],
+        {"forecast.csv": "54531588ea1e9211ace800cf33522a212181b729db62c5f0c8222dee7e3f167b"},
     ),
     "forecast_lstm_xgb": (
         ["forecast", "--model", "lstm-xgb"],

@@ -3,6 +3,7 @@ full forecast run, the single-learner path, and the contiguous k-fold
 harness."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -134,17 +135,26 @@ class TestForecastRunStructure:
 
 class TestSoloPath:
     def test_solo_uses_one_learner(self, synth_series):
-        run = run_forecast(synth_series, cheap_pipeline_config(), solo="random_forest")
-        assert run.forecaster.weight_fit is None
-        k = KINDS.index("random_forest")
-        np.testing.assert_array_equal(run.point, run.test_panel.matrix[k])
+        run = run_forecast(synth_series, cheap_pipeline_config(), kinds=("random_forest",))
+        forecaster = run.forecaster
+        assert list(forecaster.models) == ["random_forest"]
+        assert forecaster.weight_fit is None
+        np.testing.assert_array_equal(forecaster.weights, [1.0])
+        assert run.test_panel.matrix.shape[0] == run.val_panel.matrix.shape[0] == 1
+        np.testing.assert_array_equal(run.point, run.test_panel.matrix[0])
         assert set(run.intervals) == {0.95, 0.85}
-        own = fit_intervals(run.val_panel.actuals - run.val_panel.matrix[k], (0.95, 0.85))
+        own = fit_intervals(run.val_panel.actuals - run.val_panel.matrix[0], (0.95, 0.85))
         assert run.offsets == own
 
-    def test_unknown_solo_kind(self, synth_series):
-        with pytest.raises(ValueError):
-            run_forecast(synth_series, cheap_pipeline_config(), solo="mlp")
+    @pytest.mark.parametrize("kinds", [(), ("mlp",), ("random_forest", "random_forest")])
+    def test_bad_learner_set_fails_before_any_fit(self, kinds, monkeypatch):
+        def no_fit(*_):
+            raise AssertionError("a learner was fit")
+
+        monkeypatch.setattr(pipeline, "fit_learner", no_fit)
+        data = make_supervised(indexed_features(20), 4)
+        with pytest.raises(ValueError, match=re.escape(f"learner set {kinds!r}")):
+            pipeline.train_models(data, cheap_pipeline_config(), kinds)
 
 
 def samples_inside(count: int, rows, lag: int = 2):
