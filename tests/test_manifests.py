@@ -1,10 +1,14 @@
-"""Golden manifests: six CLI runs whose every output must keep its bytes.
+"""Golden manifests: seven CLI runs whose every output must keep its bytes.
 
 A refactor that claims to change no output proves it here. Each run goes
 through ``cli.main`` on a 5,400-sample synthetic series (seed 5) with
 ``--preset desk --seed 5`` and the cheap settings of
 ``perfbench/selfcheck.py``, and its ``manifest.txt`` (config hash plus one
-SHA-256 per artifact) must match the digests below.
+SHA-256 per artifact) must match the digests below. The series has
+``synth``'s default 1% of gaps, mostly isolated, except for the run that
+names its own ``synth`` options: at ``--gap-fraction 0.4`` the series has
+1,306 gap runs of up to 15 samples, 495 of them split by a single observed
+sample.
 
 The digests belong to one numpy build: scipy-openblas 0.3.31 with
 DYNAMIC_ARCH, on x86-64. Another BLAS or kernel choice may move the last bit
@@ -36,6 +40,13 @@ GOLDEN = {
         {
             "features.csv": "2241768cd3c9b2e8ab3d2cff28827d7bc540d8c0967512e4b4b3065650a7b7f6",
             "granules.csv": "16d685874289c34282062bae0879d0e806f429b062cc6390b20e2e85db2de545",
+        },
+    ),
+    "granulate_dense_gaps": (
+        ["granulate"],
+        {
+            "features.csv": "1fa6614e42ed225593622c7065203d506a82ffb3d6a8234c34c36270ff21cd47",
+            "granules.csv": "59d2369739d1edc59b4cb2ed6401d6380196288105f65a6332417e90434bf57d",
         },
     ),
     "forecast": (
@@ -71,19 +82,29 @@ GOLDEN = {
     ),
 }
 
+# run name -> extra ``synth`` options for its input series
+SYNTH_OPTIONS = {"granulate_dense_gaps": ("--gap-fraction", "0.4")}
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
+    """The series each set of ``synth`` options makes, and the cheap config."""
     root = tmp_path_factory.mktemp("golden")
-    assert main(["synth", "--samples", str(SAMPLES), "--seed", str(SEED), "--out", str(root)]) == 0
     conf = root / "cheap.conf"
     conf.write_text(CHEAP_CONFIG)
-    return root / "data.csv", conf
+    series = {}
+    for options in {(), *SYNTH_OPTIONS.values()}:
+        out = root / f"series{len(series)}"
+        base = ["synth", "--samples", str(SAMPLES), "--seed", str(SEED), "--out", str(out)]
+        assert main([*base, *options]) == 0
+        series[options] = out / "data.csv"
+    return series, conf
 
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_manifest_matches_the_recorded_digests(name, inputs, tmp_path):
-    data, conf = inputs
+    series, conf = inputs
+    data = series[SYNTH_OPTIONS.get(name, ())]
     argv, artifacts = GOLDEN[name]
     common = ["--preset", "desk", "--seed", str(SEED), "--config", str(conf)]
     assert main([*argv, *common, "--data", str(data), "--out", str(tmp_path)]) == 0

@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestLoadSeries:
         assert raw.timestamps.tolist() == [-120, 0, 20230101]
         assert raw.timestamps.dtype == np.int64
 
+    def test_timestamps_more_than_2_pow_63_apart_load(self, tmp_path):
+        # their int64 difference would wrap negative
+        path = write(
+            tmp_path,
+            "timestamp,wind_speed\n-9000000000000000000,1.0\n9000000000000000000,2.0\n",
+        )
+        raw = load_series(path)
+        assert raw.timestamps.tolist() == [-9_000_000_000_000_000_000, 9_000_000_000_000_000_000]
+        assert raw.values.tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize("stamp", ["99999999999999999999", "-9223372036854775809"])
     def test_epoch_outside_int64_is_malformed(self, tmp_path, stamp):
         path = write(tmp_path, f"timestamp,wind_speed\n0,5.0\n{stamp},abc\n")
@@ -243,6 +254,59 @@ class TestLoadSeries:
             load_series(path)
 
 
+def long_gappy_series():
+    """200,000 ten-minute timestamps and readings, 1% of them isolated interior gaps."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.0, 25.0, n)
+    values[rng.choice(np.arange(1, n - 1), n // 100, replace=False)] = np.nan
+    return np.arange(n, dtype=np.int64) * 600, values
+
+
+def traced_peak(call):
+    """Peak bytes numpy and Python allocate while ``call()`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def whole_series_interpolation(raw):
+    """The reference rule: interpolate every index over all observed
+    samples, then copy the observed samples back."""
+    observed = ~raw.gap_mask
+    indices = np.arange(len(raw))
+    filled = np.interp(indices, indices[observed], raw.values[observed])
+    filled[observed] = raw.values[observed]
+    return filled
+
+
+@st.composite
+def gappy_values(draw):
+    """Interior gap runs of 1-20 samples between observed stretches of 1-4
+    (so runs split by one observed sample and runs from index 1 or to index
+    n-2 are common), on values with many equal neighbours, scaled to
+    magnitudes from 1e-3 to 1e6."""
+    n = draw(st.integers(3, 200))
+    mask = []
+    while len(mask) < n - 1:
+        mask += [False] * draw(st.integers(1, 4)) + [True] * draw(st.integers(1, 20))
+    mask = np.array(mask[: n - 1] + [False])
+    scale = draw(st.floats(1e-3, 1e6))
+    units = draw(
+        st.lists(
+            st.integers(-3, 3) | st.floats(-1, 1, allow_nan=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    values = np.array(units, dtype=np.float64) * scale
+    values[mask] = np.nan
+    return values
+
+
 class TestRawSeries:
     def test_a_gap_is_nan(self):
         values = np.array([5.0, np.nan, 7.0, np.nan])
@@ -256,6 +320,15 @@ class TestRawSeries:
     def test_order_fault_names_the_sample(self):
         with pytest.raises(NonMonotoneTimestamps, match="^timestamp of sample 2 does not increase$"):
             RawSeries(timestamps=np.array([0, 600, 600]), values=np.array([5.0, 6.0, 7.0]))
+
+    def test_timestamps_more_than_2_pow_63_apart_increase(self):
+        stamps = np.array([-9_000_000_000_000_000_000, 9_000_000_000_000_000_000])
+        assert len(RawSeries(timestamps=stamps, values=np.array([1.0, 2.0]))) == 2
+
+    def test_order_check_needs_no_copy_of_the_timestamps(self):
+        timestamps, values = long_gappy_series()
+        peak = traced_peak(lambda: RawSeries(timestamps=timestamps, values=values))
+        assert peak < 0.5 * timestamps.nbytes
 
 
 class TestInterpolateGaps:
@@ -305,6 +378,23 @@ class TestInterpolateGaps:
             values=values.copy(),
         )
         assert np.array_equal(interpolate_gaps(raw), values)
+
+    @given(
+        values=gappy_values()
+        | npst.arrays(np.int64, st.integers(3, 200), elements=st.integers(-(10**6), 10**6))
+    )
+    def test_bit_identical_to_whole_series_interpolation(self, values):
+        raw = RawSeries(timestamps=np.arange(len(values), dtype=np.int64), values=values)
+        filled = interpolate_gaps(raw)
+        assert filled.dtype == np.float64
+        np.testing.assert_array_equal(
+            filled.view(np.int64), whole_series_interpolation(raw).view(np.int64)
+        )
+
+    def test_filling_holds_little_more_than_one_copy_of_the_values(self):
+        timestamps, values = long_gappy_series()
+        raw = RawSeries(timestamps=timestamps, values=values)
+        assert traced_peak(lambda: interpolate_gaps(raw)) < 1.5 * values.nbytes
 
     @given(data=st.data())
     def test_imputed_values_bounded_by_bracketing_observations(self, data):
