@@ -31,7 +31,7 @@ import numpy as np
 from .benchmarks import front_quality, zdt1_front, zdt2_front, zdt3_front, zdt_evaluate
 from .config import PRESETS, RunConfig, build_run_config
 from .errors import GranucastError
-from .evaluation import PointScores, dm_test, interval_scores, point_scores
+from .evaluation import PointScores, dm_test, interval_scores, mape, point_scores
 from .fuzzy_rough import extract_features
 from .granulation import granulate_series
 from .learners import KINDS, make_supervised, save_model
@@ -202,7 +202,7 @@ def cmd_forecast(args, run: RunConfig, out: Path) -> tuple[str, list[str]]:
         )
     else:
         print(f"single learner: {kinds[0]}")
-    print(f"test mape = {_fmt(point_scores(result.test_panel.actuals, result.point).mape)}")
+    print(f"test mape = {_fmt(mape(result.test_panel.actuals, result.point))}")
     return run.describe(), names
 
 

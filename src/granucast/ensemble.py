@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GranucastError
-from .evaluation import _SMALL_ACTUAL, LengthMismatch, ZeroActual, mape_excluding_small
+from .evaluation import MAPE_CUTOFF, LengthMismatch, ZeroActual
 from .sunflower import OptimizerConfig, ParetoArchive, SunflowerOptimizer
 
 WEIGHT_LOW = -2.0
@@ -68,11 +68,11 @@ def ensemble_objectives(weights, panel: PredictionPanel) -> np.ndarray:
     """(MAPE, MSE) of each weight row's combined prediction, both to be
     minimized: an (n, k) weight matrix gives an (n, 2) objective matrix.
 
-    Each row equals ``mape_excluding_small`` and ``mse`` of ``combine(panel,
-    w)`` to the last bit. That takes one vector-matrix product per row (one
-    matrix product for all rows rounds differently) and contiguous rows for
-    the row means (``compress``, not a fancy index, which returns them
-    column-major).
+    Each row equals ``mape`` and ``mse`` of ``combine(panel, w)`` to the
+    last bit, but logs no skipped actual (``fit_weights`` counts them). One
+    GEMV per row (one GEMM for all rows rounds differently) and contiguous
+    rows for the row means (``compress``, not a fancy index, which returns
+    them column-major) keep the bits.
     """
     weights = np.asarray(weights, dtype=np.float64)
     learners = panel.matrix.shape[0]
@@ -84,7 +84,7 @@ def ensemble_objectives(weights, panel: PredictionPanel) -> np.ndarray:
     for row, w in zip(combined, weights):
         np.matmul(w, panel.matrix, out=row)
     actuals = panel.actuals
-    keep = np.abs(actuals) >= _SMALL_ACTUAL
+    keep = np.abs(actuals) >= MAPE_CUTOFF
     if not keep.any():
         raise ZeroActual("all actuals below the MAPE cutoff")
     kept = actuals[keep]
@@ -138,7 +138,6 @@ def fit_weights(panel: PredictionPanel, config: OptimizerConfig = OptimizerConfi
     archive after the search, so the chosen combination is never dominated
     by a single learner on the fitting data.
     """
-    _, excluded = mape_excluding_small(panel.actuals, panel.actuals)
     k = panel.matrix.shape[0]
     archive = SunflowerOptimizer(
         lambda w: ensemble_objectives(w, panel), k, WEIGHT_LOW, WEIGHT_HIGH, config
@@ -151,7 +150,7 @@ def fit_weights(panel: PredictionPanel, config: OptimizerConfig = OptimizerConfi
         archive=archive,
         chosen=archive.positions[pick].copy(),
         chosen_objectives=(float(mape_value), float(mse_value)),
-        excluded_from_mape=excluded,
+        excluded_from_mape=int((np.abs(panel.actuals) < MAPE_CUTOFF).sum()),
     )
 
 

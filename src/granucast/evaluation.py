@@ -2,13 +2,15 @@
 
 Point metrics cover the usual battery (MAPE, MSE, MAE, RMSE, NMSE, Theil's
 U1, Willmott's index of agreement, R²) with NMSE normalized by the centered
-actual sum of squares so that r2 + nmse = 1 holds exactly. Interval metrics
+actual sum of squares so that r2 + nmse = 1 holds exactly. MAPE, here and
+in the weight search, skips actuals below ``MAPE_CUTOFF``. Interval metrics
 are coverage (PICP), range-normalized width (PINAW) and the
 range-normalized mean Winkler score (AIS, lower is better).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -16,11 +18,15 @@ import numpy as np
 
 from .errors import GranucastError
 
+logger = logging.getLogger(__name__)
+
 # two-sided 5% normal critical value, fixed to six decimals for
 # cross-implementation agreement
 Z_CRITICAL = 1.959964
 
-_SMALL_ACTUAL = 1e-8
+# MAPE is undefined at a zero actual, and a real feed reads 0 m/s in calm
+# spells, so actuals below this magnitude are skipped
+MAPE_CUTOFF = 1e-8
 
 
 class LengthMismatch(GranucastError):
@@ -79,21 +85,16 @@ class PointScores:
 
 
 def mape(actual, predicted) -> float:
-    """Mean absolute percentage error; rejects (near-)zero actuals."""
+    """Mean absolute percentage error over the actuals of magnitude at
+    least ``MAPE_CUTOFF``; warns with the count of the others, and raises
+    ``ZeroActual`` only when none is left."""
     a, p = _paired(actual, predicted)
-    if np.any(np.abs(a) < _SMALL_ACTUAL):
-        raise ZeroActual("MAPE undefined for zero actual values")
-    return float(100.0 * np.mean(np.abs(a - p) / np.abs(a)))
-
-
-def mape_excluding_small(actual, predicted, cutoff: float = _SMALL_ACTUAL) -> tuple[float, int]:
-    """MAPE over samples with |actual| >= cutoff; also reports how many were dropped."""
-    a, p = _paired(actual, predicted)
-    keep = np.abs(a) >= cutoff
-    excluded = int((~keep).sum())
+    keep = np.abs(a) >= MAPE_CUTOFF
     if not keep.any():
-        raise ZeroActual("all actuals below the MAPE cutoff")
-    return float(100.0 * np.mean(np.abs(a[keep] - p[keep]) / np.abs(a[keep]))), excluded
+        raise ZeroActual(f"MAPE undefined: all {len(a)} actuals lie below {MAPE_CUTOFF:g}")
+    if not keep.all():
+        logger.warning("MAPE skips %d of %d actuals below %g", (~keep).sum(), len(a), MAPE_CUTOFF)
+    return float(100.0 * np.mean(np.abs(a[keep] - p[keep]) / np.abs(a[keep])))
 
 
 def mse(actual, predicted) -> float:

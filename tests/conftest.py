@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: one moderately sized end-to-end run reused
-by every test that needs trained models, finite-difference gradient
-utilities, and a hypothesis profile without deadlines (numpy-heavy bodies
-have noisy timings)."""
+by every test that needs trained models, the shipped desk preset on three
+seeds for the defect gates, finite-difference gradient utilities, and a
+hypothesis profile without deadlines (numpy-heavy bodies have noisy
+timings)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from granucast.config import RunConfig, build_run_config
-from granucast.pipeline import run_cv, run_forecast
+from granucast.evaluation import interval_scores
+from granucast.learners import make_supervised
+from granucast.pipeline import extract_and_split, run_cv, run_forecast
 from granucast.synth import SynthConfig, write_csv
 from granucast.timeseries import interpolate_gaps, load_series
 
@@ -26,6 +29,7 @@ settings.load_profile("granucast")
 
 
 SYNTH_SEED = 5
+DEFECT_SEEDS = (1, 2, 5)
 
 
 def _desk_config(seed: int, population: int, iterations: int, **learner_fields) -> RunConfig:
@@ -133,3 +137,41 @@ def forecast_run(synth_series, pipeline_config):
 @pytest.fixture(scope="session")
 def cv_folds(synth_series):
     return run_cv(synth_series, cheap_pipeline_config(), k=5)
+
+
+@dataclasses.dataclass(frozen=True)
+class DeskRun:
+    """What the defect gates read from one run of the shipped desk preset."""
+
+    converged: bool  # the clustering reached its fixed point
+    val_mse_ratios: dict[str, float]  # validation MSE over the train-mean predictor's
+    picp: dict[float, float]  # test coverage per interval level
+
+
+@pytest.fixture(scope="session")
+def desk_runs(tmp_path_factory) -> dict[int, DeskRun]:
+    """The shipped desk preset on 7,200 samples at each of DEFECT_SEEDS,
+    through the CLI's data path: a ``synth`` CSV, loaded and gap-filled."""
+    runs = {}
+    for seed in DEFECT_SEEDS:
+        path = tmp_path_factory.mktemp("desk") / "data.csv"
+        write_csv(path, SynthConfig(samples=7200, seed=seed))
+        values = interpolate_gaps(load_series(path))
+        config = build_run_config(preset="desk", seed=seed)
+        _, _, cluster, parts, _ = extract_and_split(values, config)
+        run = run_forecast(values, config)
+        val = run.val_panel
+        train_mean = make_supervised(parts[0], config.lag).targets.mean()
+        mean_mse = float(np.mean((val.actuals - train_mean) ** 2))
+        runs[seed] = DeskRun(
+            converged=cluster.converged,
+            val_mse_ratios={
+                kind: float(np.mean((val.actuals - row) ** 2)) / mean_mse
+                for kind, row in zip(run.forecaster.models, val.matrix)
+            },
+            picp={
+                level: interval_scores(run.test_panel.actuals, *bounds, level).picp
+                for level, bounds in run.intervals.items()
+            },
+        )
+    return runs

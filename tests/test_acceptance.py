@@ -305,3 +305,38 @@ def test_cross_validation_folds(cv_folds):
         ok,
         "5 disjoint test folds cover all 200 windows; per-fold score columns complete",
     )
+
+
+class TestDefectGates:
+    """Known defects of the shipped desk preset, one gate each over the
+    seeds of ``desk_runs``. Each is a strict xfail until the change that
+    fixes its ROADMAP item removes the marker."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_nets_beat_the_train_mean_tenfold(self, desk_runs):
+        ratios = {
+            (seed, kind): run.val_mse_ratios[kind]
+            for seed, run in desk_runs.items()
+            for kind in ("bilstm", "cnn_gru", "lstm_xgb")
+        }
+        worst = max(ratios, key=ratios.get)
+        report(
+            "nets beat the train-mean predictor 10x on validation MSE",
+            ratios[worst] <= 0.1,
+            f"worst ratio {ratios[worst]:.3f} (seed {worst[0]}, {worst[1]})",
+        )
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_clustering_converges(self, desk_runs):
+        stuck = [seed for seed, run in desk_runs.items() if not run.converged]
+        report("clustering converges", not stuck, f"not converged on seeds {stuck}")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+    def test_coverage_near_nominal(self, desk_runs):
+        picp = {level: [run.picp[level] for run in desk_runs.values()] for level in (0.95, 0.85)}
+        gaps = {level: abs(float(np.median(values)) - level) for level, values in picp.items()}
+        report(
+            "test PICP near nominal",
+            max(gaps.values()) <= 0.05 and min(picp[0.95]) >= 0.75,
+            f"PICP {picp}, median gaps {gaps}",
+        )

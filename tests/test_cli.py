@@ -4,6 +4,7 @@ reruns, manifest integrity, exit codes, and the console entry point."""
 import csv
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import granucast
 from granucast import pipeline
 from granucast.cli import main
 from granucast.config import build_run_config
-from granucast.evaluation import PointScores, point_scores
+from granucast.evaluation import PointScores, mape, point_scores
 from granucast.learners import load_model
 from granucast.sunflower import ParetoArchive
 from granucast.synth import SynthConfig
@@ -425,6 +426,74 @@ class TestCv:
         assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4", "mean"]
         fold_mapes = [float(r[1]) for r in rows[1:6]]
         assert float(rows[6][1]) == pytest.approx(np.mean(fold_mapes), rel=1e-12)
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m granucast`` in a fresh interpreter, whose log lines
+    reach a real stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "granucast", *argv],
+        capture_output=True,
+        text=True,
+        env=env_with_package_on_path(),
+    )
+
+
+@pytest.fixture(scope="module")
+def calm_data(cli_env):
+    """The test series with a calm spell: window 170, in the test split,
+    reads 0 m/s for all its 36 readings."""
+    header, *rows = read_rows(cli_env.data)
+    for row in rows[170 * 36 : 171 * 36]:
+        row[1] = "0.0"
+    path = cli_env.root / "calm.csv"
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def calm_forecast(cli_env, calm_data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("calm") / "fc"
+    argv = ["--data", calm_data, "--config", cli_env.conf, "--out", str(out)]
+    return out, run_module("forecast", *argv)
+
+
+class TestCalmWindow:
+    """Every MAPE skips the calm window's zero actual, names the count on
+    stderr, and the run finishes with its manifest."""
+
+    def test_forecast_finishes(self, calm_forecast):
+        out, result = calm_forecast
+        assert result.returncode == 0, result.stderr
+        assert (out / "manifest.txt").exists()
+        assert result.stderr.count("MAPE skips 1 of 36 actuals below 1e-08") == 1
+        rows = read_rows(out / "forecast.csv")[1:]
+        assert ["170", "0.0"] in [row[:2] for row in rows]
+        # the validation split holds no calm reading
+        assert "excluded from mape = 0" in (out / "weights.txt").read_text()
+        [printed] = [line for line in result.stdout.splitlines() if line.startswith("test mape")]
+        actual = [float(row[1]) for row in rows]
+        point = [float(row[2]) for row in rows]
+        assert printed == f"test mape = {mape(actual, point)!r}"
+
+    def test_evaluate_finishes(self, calm_forecast, tmp_path):
+        fc, _ = calm_forecast
+        out = tmp_path / "m"
+        result = run_module("evaluate", "--forecast", str(fc / "forecast.csv"), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert (out / "manifest.txt").exists()
+        assert "MAPE skips 1 of 36 actuals below 1e-08" in result.stderr
+        metrics = dict(read_rows(out / "metrics.csv")[1:])
+        assert f"test mape = {metrics['MAPE']}" in calm_forecast[1].stdout
+
+    def test_cv_finishes(self, cli_env, calm_data, tmp_path):
+        out = tmp_path / "cv"
+        argv = ["--data", calm_data, "--config", cli_env.conf, "--folds", "3"]
+        result = run_module("cv", *argv, "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert (out / "manifest.txt").exists()
+        assert re.search(r"MAPE skips 1 of \d+ actuals below 1e-08", result.stderr)
 
 
 class TestBenchmarkOpt:

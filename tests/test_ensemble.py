@@ -23,13 +23,7 @@ from granucast.ensemble import (
     forecast,
     select_compromise,
 )
-from granucast.evaluation import (
-    _SMALL_ACTUAL,
-    LengthMismatch,
-    ZeroActual,
-    mape_excluding_small,
-    mse,
-)
+from granucast.evaluation import MAPE_CUTOFF, LengthMismatch, ZeroActual, mape, mse
 from granucast.learners import KINDS
 from granucast.sunflower import OptimizerConfig, ParetoArchive, dominates
 
@@ -94,8 +88,7 @@ def per_row_objectives(weights, panel: PredictionPanel) -> np.ndarray:
     rows = []
     for w in weights:
         combined = combine(panel, w)
-        mape_value, _ = mape_excluding_small(panel.actuals, combined)
-        rows.append((mape_value, mse(panel.actuals, combined)))
+        rows.append((mape(panel.actuals, combined), mse(panel.actuals, combined)))
     return np.array(rows)
 
 
@@ -260,7 +253,7 @@ class TestFitWeights:
         rng = np.random.default_rng(3)
         actual = np.exp(rng.normal(1.0, 1.0, size=48))
         actual[[5, 21, 40]] = (1e-12, 0.0, -3e-9)
-        assert (np.abs(actual) < _SMALL_ACTUAL).sum() == 3
+        assert (np.abs(actual) < MAPE_CUTOFF).sum() == 3
         matrix = np.stack(
             [
                 actual * (1.0 + 0.3 * rng.normal(size=48)),

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from granucast.evaluation import (
+    MAPE_CUTOFF,
     Z_CRITICAL,
     CrossedBounds,
     LengthMismatch,
@@ -22,7 +23,6 @@ from granucast.evaluation import (
     interval_scores,
     iri,
     mape,
-    mape_excluding_small,
     mse,
     point_scores,
 )
@@ -56,10 +56,6 @@ class TestPointMetrics:
         assert scores.ia == 1.0
         assert scores.u1 == 0.0
 
-    def test_zero_actual_rejected(self):
-        with pytest.raises(ZeroActual):
-            mape([0.0, 1.0], [1.0, 1.0])
-
     def test_constant_actuals_rejected(self):
         with pytest.raises(ZeroVariance):
             point_scores([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
@@ -87,20 +83,30 @@ class TestPointMetrics:
         assert 0.0 <= scores.u1 <= 1.0
 
 
-class TestMapeExcludingSmall:
-    def test_drops_tiny_actuals(self):
-        value, excluded = mape_excluding_small([10.0, 1e-12, 20.0], [11.0, 5.0, 18.0])
-        assert excluded == 1
+class TestMapeCutoff:
+    def test_skips_tiny_actuals_and_warns_with_the_count(self, caplog):
+        value = mape([10.0, 1e-12, 20.0, 0.0], [11.0, 5.0, 18.0, 3.0])
         assert value == pytest.approx(100.0 * (0.1 + 0.1) / 2.0, abs=1e-12)
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert record.getMessage() == "MAPE skips 2 of 4 actuals below 1e-08"
 
-    def test_custom_cutoff(self):
-        value, excluded = mape_excluding_small([10.0, 2.0], [11.0, 4.0], cutoff=5.0)
-        assert excluded == 1
-        assert value == pytest.approx(10.0, abs=1e-12)
+    def test_cutoff_is_on_the_magnitude(self, caplog):
+        actual = [MAPE_CUTOFF, -MAPE_CUTOFF / 2, -10.0]
+        assert mape(actual, [0.0, 1.0, -9.0]) == pytest.approx(55.0, abs=1e-12)
+        assert "skips 1 of 3" in caplog.text
+
+    def test_no_warning_without_tiny_actuals(self, caplog):
+        mape([10.0, -20.0], [11.0, -18.0])
+        assert caplog.records == []
 
     def test_all_tiny_rejected(self):
-        with pytest.raises(ZeroActual):
-            mape_excluding_small([1e-12, 1e-13], [1.0, 1.0])
+        with pytest.raises(ZeroActual, match="all 3 actuals"):
+            mape([1e-12, 0.0, -1e-13], [1.0, 1.0, 1.0])
+
+    def test_point_scores_follow_the_rule(self):
+        actual, predicted = [10.0, 0.0, 20.0], [11.0, 0.5, 18.0]
+        assert point_scores(actual, predicted).mape == mape(actual, predicted)
 
 
 class TestIntervalScores:
