@@ -30,7 +30,8 @@ class ConfigError(GranucastError):
 
 def _preset_learners(seed: int, preset: str) -> dict[str, NetConfig | ForestConfig]:
     """Per-learner settings that differ from the config defaults; the desk
-    preset shrinks the nets' hidden sizes and epochs only."""
+    preset shrinks the nets' hidden sizes and epochs and raises their
+    learning rate to 0.01, which its few Adam steps need."""
     configs = {
         "bilstm": NetConfig(rng_seed=seed + 1),
         "cnn_gru": NetConfig(batch_size=150, rng_seed=seed + 2),
@@ -39,7 +40,9 @@ def _preset_learners(seed: int, preset: str) -> dict[str, NetConfig | ForestConf
     }
     if preset == "desk":
         configs = {
-            kind: dataclasses.replace(cfg, hidden_sizes=(16, 8), epochs=min(cfg.epochs, 60))
+            kind: dataclasses.replace(
+                cfg, hidden_sizes=(16, 8), epochs=min(cfg.epochs, 60), learning_rate=0.01
+            )
             if isinstance(cfg, NetConfig) else cfg
             for kind, cfg in configs.items()
         }

@@ -8,17 +8,19 @@ applies the same row rule and also raises DimensionMismatch for a
 ``SupervisedSet`` of another lag or record width.
 The nets (bidirectional LSTM, conv + GRU, LSTM) are ``_SequenceRegressor``s:
 an optional convolution, a stack of recurrent layers and a dense head,
-trained by plain mini-batch SGD on squared loss with gradient clipping on
-inputs and targets z-scored with training statistics. The steps of one fit
-reuse one workspace for their layer caches, dropped when the fit returns
-(see ``nn.buffer``). Each net keeps its parameters and gradients in two
-vectors, ``theta`` and ``grad``. lstm_xgb is the LSTM net plus boosted
+trained in float32 (``nn.DTYPE``) by mini-batch Adam on squared loss with
+gradient clipping, on inputs and targets z-scored in float64 with training
+statistics and then cast once; predictions come back as float64. The steps
+of one fit reuse one workspace for their layer caches, dropped when the fit
+returns (see ``nn.buffer``). Each net keeps its parameters and gradients in
+two vectors, ``theta`` and ``grad``. lstm_xgb is the LSTM net plus boosted
 trees, ``stage2``, over (features, LSTM forecast); the random forest and
 the trees consume raw features.
 
 Models serialize to a single ``.npz`` with a JSON metadata entry; round
-trips are bit-exact because parameters travel as raw float64 and tree
-structure as repr-exact JSON floats.
+trips are bit-exact because parameters travel as raw float32, the
+standardization statistics as raw float64 and tree structure as repr-exact
+JSON floats.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from ..errors import GranucastError, require_int
 from ..fuzzy_rough import PEAK_COLUMN
+from . import nn
 from .nn import (
     BiLSTMLayer,
     Conv1dLayer,
@@ -52,8 +55,12 @@ logger = logging.getLogger(__name__)
 _STACK_SHRINKAGE = 0.3
 
 _GRAD_CLIP = 5.0
+# Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
-_FORMAT = 2
+_FORMAT = 3
 
 
 class TooFewRecords(GranucastError):
@@ -203,6 +210,27 @@ class _Learner:
         return self._rows(data.inputs)
 
 
+def _adam_step(theta, grad, m, v, scratch, step: int, learning_rate: float):
+    """Adam's bias-corrected update of ``theta`` at 1-based ``step``, in place:
+    the moments ``m`` and ``v`` advance, and ``scratch``, theta-sized like
+    them, takes every intermediate, so no theta-sized array is allocated."""
+    m *= _ADAM_BETA1
+    np.multiply(grad, 1.0 - _ADAM_BETA1, out=scratch)
+    m += scratch
+    v *= _ADAM_BETA2
+    np.square(grad, out=scratch)
+    scratch *= 1.0 - _ADAM_BETA2
+    v += scratch
+    # theta -= lr * m_hat / (sqrt(v_hat) + eps), m_hat and v_hat the moments
+    # over their bias corrections
+    np.sqrt(v, out=scratch)
+    scratch /= math.sqrt(1.0 - _ADAM_BETA2**step)
+    scratch += _ADAM_EPS
+    np.divide(m, scratch, out=scratch)
+    scratch *= learning_rate / (1.0 - _ADAM_BETA1**step)
+    theta -= scratch
+
+
 class _SequenceRegressor(_Learner):
     """The nets' one build (each ``cell`` layer ``directions * hidden`` wide) and training loop."""
 
@@ -224,7 +252,7 @@ class _SequenceRegressor(_Learner):
         # fixed from here on: theta lays the layers out in this order
         self._all_layers = [*self.layers, self.head]
         size = sum(p.size for layer in self._all_layers for p in layer.params.values())
-        self.theta, self.grad = np.zeros(size), np.zeros(size)
+        self.theta, self.grad = np.zeros(size, nn.DTYPE), np.zeros(size, nn.DTYPE)
         offset = 0
         for layer in self._all_layers:
             offset = layer.bind(self.theta, self.grad, offset)
@@ -259,7 +287,7 @@ class _SequenceRegressor(_Learner):
         diff = preds - y
         loss = float((diff**2).mean())
         d_pred = 2.0 * diff / len(y)
-        d_out = np.zeros(out_shape)
+        d_out = np.zeros(out_shape, nn.DTYPE)
         d_out[head_index] = self.head.backward(d_pred, head_cache)
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             d_out = layer.backward(d_out, cache)
@@ -280,26 +308,32 @@ class _SequenceRegressor(_Learner):
         self.y_mean = float(y.mean())
         self.y_std = float(y.std()) or 1.0
         x_seq = self._to_sequences(x)
-        y_n = (y - self.y_mean) / self.y_std
+        y_n = ((y - self.y_mean) / self.y_std).astype(nn.DTYPE)
         n = len(y_n)
-        # the steps' layer caches; a local, so it is freed when the fit returns
+        # the steps' layer caches and Adam's two moments and scratch; locals,
+        # so they are freed when the fit returns
         workspace = {}
+        m, v, scratch = (np.zeros_like(self.theta) for _ in range(3))
+        step = 0
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 self.loss_and_grads(x_seq[batch], y_n[batch], workspace)
                 clip_gradients(self._all_layers, _GRAD_CLIP)
-                self.theta -= cfg.learning_rate * self.grad
+                step += 1
+                _adam_step(self.theta, self.grad, m, v, scratch, step, cfg.learning_rate)
 
     def _to_sequences(self, x: np.ndarray) -> np.ndarray:
-        """Standardized (rows, lag, record_width) sequences of 2-D float64 rows."""
-        return ((x - self.x_mean) / self.x_std).reshape(-1, self.lag, self.record_width)
+        """(rows, lag, record_width) ``nn.DTYPE`` sequences of 2-D float64 rows,
+        standardized in float64 and then cast."""
+        z = (x - self.x_mean) / self.x_std
+        return z.astype(nn.DTYPE).reshape(-1, self.lag, self.record_width)
 
     def _net_predict(self, x: np.ndarray) -> np.ndarray:
-        """The net's forecast for 2-D float64 rows of ``width`` features."""
+        """The net's float64 forecast for 2-D float64 rows of ``width`` features."""
         preds, _ = self.forward_sequences(self._to_sequences(x))
-        return preds * self.y_std + self.y_mean
+        return preds.astype(np.float64) * self.y_std + self.y_mean
 
     def fit(self, data: SupervisedSet):
         self._fit_net(self._training_rows(data), data.targets)
@@ -324,6 +358,8 @@ class _SequenceRegressor(_Learner):
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise ValueError(f"{name} of shape {arrays[name].shape}, expected {shape}")
+        if arrays["theta"].dtype != self.theta.dtype:
+            raise ValueError(f"theta of dtype {arrays['theta'].dtype}, expected {self.theta.dtype}")
         self.theta[...] = arrays["theta"]
         self.x_mean = arrays["x_mean"]
         self.x_std = arrays["x_std"]
@@ -416,7 +452,7 @@ class ForestRegressor(_Learner):
         self.trees = []
         for index in range(self.config.tree_count):
             # derived per-tree seed keeps parallel and serial builds identical
-            rng = np.random.default_rng(self.config.rng_seed + index)
+            rng = np.random.default_rng((self.config.rng_seed, index))
             rows = rng.integers(0, n, size=n)
             self.trees.append(
                 build_cart(x[rows], y[rows], rng, self.config.max_depth, features_per_split)

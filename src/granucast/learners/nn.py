@@ -1,7 +1,9 @@
 """Recurrent and convolutional building blocks with hand-written backprop.
 
-Everything runs in float64 numpy. A layer owns its parameter and gradient
-arrays alone; inside a net they are views of the net's ``theta``/``grad``.
+Everything runs in float32, the dtype ``DTYPE`` names: parameters,
+gradients, workspace arrays and the temporaries of a pass. A layer owns its
+parameter and gradient arrays alone; inside a net they are views of the
+net's ``theta``/``grad``.
 ``forward`` returns the output sequence plus a cache, and ``backward`` takes
 the gradient w.r.t. that sequence, accumulates parameter gradients and
 returns the gradient w.r.t. the input. Shapes are (batch, time, features).
@@ -48,15 +50,20 @@ class SequenceTooShort(GranucastError):
     pass
 
 
+# the nets' one floating dtype; read at call time, so that a test can swap in
+# float64
+DTYPE = np.float32
+
+
 def buffer(workspace: dict | None, key, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array of ``shape``: the one ``workspace``
+    """An uninitialised ``DTYPE`` array of ``shape``: the one ``workspace``
     keeps under ``(key, shape)``, made on first use, or a fresh one when
     there is no workspace."""
     if workspace is None:
-        return np.empty(shape)
+        return np.empty(shape, DTYPE)
     array = workspace.get((key, shape))
     if array is None:
-        array = workspace[key, shape] = np.empty(shape)
+        array = workspace[key, shape] = np.empty(shape, DTYPE)
     return array
 
 
@@ -64,10 +71,10 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # e = exp(-|z|) <= 1 never overflows; the numerator is 1 where z >= 0 and
     # e below, so this is 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) on the
     # two sides, operation for operation
-    e = np.abs(z, out=np.empty(z.shape))
+    e = np.abs(z, out=np.empty(z.shape, z.dtype))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, z >= 0, out=np.empty(z.shape) if out is None else out)
+    out = np.maximum(e, z >= 0, out=np.empty(z.shape, z.dtype) if out is None else out)
     e += 1.0
     out /= e
     return out
@@ -81,8 +88,8 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
 
     def _register(self, name: str, shape: tuple[int, ...]):
-        self.params[name] = np.zeros(shape, dtype=np.float64)
-        self.grads[name] = np.zeros(shape, dtype=np.float64)
+        self.params[name] = np.zeros(shape, DTYPE)
+        self.grads[name] = np.zeros(shape, DTYPE)
 
     def init_weights(self, rng: np.random.Generator, scale: float = 0.08):
         """Uniform(-scale, scale) weights; bias vectors stay zero."""
@@ -143,11 +150,11 @@ class LSTMLayer(Layer):
         batch, steps, _ = d_h_seq.shape
         hdim = self.hidden
         wx, wh = self.params["wx"], self.params["wh"]
-        dx = np.empty((batch, steps, self.in_dim))
-        dh_next = np.zeros((batch, hdim))
-        dc_next = np.zeros((batch, hdim))
+        dx = np.empty((batch, steps, self.in_dim), DTYPE)
+        dh_next = np.zeros((batch, hdim), DTYPE)
+        dc_next = np.zeros((batch, hdim), DTYPE)
         # gradient w.r.t. the fused pre-activation, gate order (i, f, o, g)
-        da = np.empty((batch, 4 * hdim))
+        da = np.empty((batch, 4 * hdim), DTYPE)
         d_ifo, dg = da[:, : 3 * hdim], da[:, 3 * hdim :]
         x, h, c, ifo_seq, g_seq, tanh_c_seq = cache
         for t in reversed(range(steps)):
@@ -249,7 +256,7 @@ class GRULayer(Layer):
         are skipped. ``u``, ``r``, ``hr``, ``cand`` and the new state are
         written into ``out``, a (5, batch, hidden) array, fresh if not given.
         """
-        u, r, hr, cand, h = np.empty((5, len(x_t), self.hidden)) if out is None else out
+        u, r, hr, cand, h = np.empty((5, len(x_t), self.hidden), DTYPE) if out is None else out
         sigmoid(self._pre("u", h_prev, x_t), out=u)
         sigmoid(self._pre("r", h_prev, x_t), out=r)
         first = h_prev is None
@@ -278,8 +285,8 @@ class GRULayer(Layer):
     def backward(self, d_h_seq: np.ndarray, cache) -> np.ndarray:
         batch, steps, _ = d_h_seq.shape
         p, g = self.params, self.grads
-        dx = np.empty((batch, steps, self.in_dim))
-        dh_next = np.zeros((batch, self.hidden))
+        dx = np.empty((batch, steps, self.in_dim), DTYPE)
+        dh_next = np.zeros((batch, self.hidden), DTYPE)
         for t in reversed(range(steps)):
             x_t, h_prev, u, r, hr, cand = cache[t]
             dh = np.add(d_h_seq[:, t, :], dh_next, out=dh_next)
@@ -355,7 +362,7 @@ class Conv1dLayer(Layer):
         self.grads["b"] += dpre.sum(axis=(0, 1))
         dflat = dpre @ kmat.T
         dwindows = dflat.reshape(batch, out_steps, self.kernel, self.in_dim)
-        dx = np.zeros((batch, steps, self.in_dim))
+        dx = np.zeros((batch, steps, self.in_dim), DTYPE)
         for tau in range(self.kernel):
             dx[:, tau : tau + out_steps, :] += dwindows[:, :, tau, :]
         return dx

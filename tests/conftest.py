@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from granucast.config import RunConfig, build_run_config
-from granucast.evaluation import interval_scores
-from granucast.learners import make_supervised
+from granucast.evaluation import interval_scores, point_scores
+from granucast.learners import make_supervised, nn
 from granucast.pipeline import extract_and_split, run_cv, run_forecast
 from granucast.synth import SynthConfig, write_csv
 from granucast.timeseries import interpolate_gaps, load_series
@@ -112,6 +112,13 @@ def gradient_rel_err(model_cls, config, rng, record_width: int = 2, lag: int = 4
     return float(np.linalg.norm(analytic - numeric)) / scale
 
 
+@pytest.fixture
+def float64_nets(monkeypatch):
+    """Nets built while this fixture is active run in float64, where finite
+    differences and hand-summed references can be held to tight tolerances."""
+    monkeypatch.setattr(nn, "DTYPE", np.float64)
+
+
 @pytest.fixture(scope="session")
 def synth_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "synthetic.csv"
@@ -145,6 +152,7 @@ class DeskRun:
 
     converged: bool  # the clustering reached its fixed point
     val_mse_ratios: dict[str, float]  # validation MSE over the train-mean predictor's
+    test_r2: dict[str, float]  # each learner's r2 on the test set
     picp: dict[float, float]  # test coverage per interval level
 
 
@@ -168,6 +176,10 @@ def desk_runs(tmp_path_factory) -> dict[int, DeskRun]:
             val_mse_ratios={
                 kind: float(np.mean((val.actuals - row) ** 2)) / mean_mse
                 for kind, row in zip(run.forecaster.models, val.matrix)
+            },
+            test_r2={
+                kind: point_scores(run.test_panel.actuals, row).r2
+                for kind, row in zip(run.forecaster.models, run.test_panel.matrix)
             },
             picp={
                 level: interval_scores(run.test_panel.actuals, *bounds, level).picp

@@ -297,7 +297,7 @@ class TestDescribe:
         [
             (
                 {"preset": "desk", "seed": 5},
-                "c171cf9fc67082d3e0fad621ae45c0673fc72c77fa3f7dbd93c659bc07a2c6f4",
+                "bb5d6daec9c79b63afae6ac74c66aa33cd30634561bd3da39cf5712a34169530",
             ),
             ({}, "64e43af1cc6ef7685445a2cc1919c4d466ded7195bf7a8fc847418210ca649c5"),
         ],

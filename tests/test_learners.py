@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from granucast.config import build_run_config
 from granucast.evaluation import point_scores
 from granucast.fuzzy_rough import PEAK_COLUMN
 from granucast.learners import (
@@ -156,9 +157,9 @@ def reference_lstm(params, x, d_h_seq):
     wx, wh, b = params["wx"], params["wh"], params["b"]
     batch, steps, _ = x.shape
     hdim = wh.shape[0]
-    h = np.zeros((batch, hdim))
-    c = np.zeros((batch, hdim))
-    h_seq = np.empty((batch, steps, hdim))
+    h = np.zeros((batch, hdim), x.dtype)
+    c = np.zeros((batch, hdim), x.dtype)
+    h_seq = np.empty((batch, steps, hdim), x.dtype)
     cache = []
     for t in range(steps):
         a = x[:, t, :] @ wx + h @ wh + b
@@ -175,8 +176,8 @@ def reference_lstm(params, x, d_h_seq):
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     dx = np.empty_like(x)
-    dh_next = np.zeros((batch, hdim))
-    dc_next = np.zeros((batch, hdim))
+    dh_next = np.zeros((batch, hdim), x.dtype)
+    dc_next = np.zeros((batch, hdim), x.dtype)
     for t in reversed(range(steps)):
         x_t, h_prev, c_prev, i, f, o, g, tanh_c = cache[t]
         dh = d_h_seq[:, t, :] + dh_next
@@ -202,8 +203,8 @@ def reference_gru(p, x, d_h_seq):
     """GRU forward and backward with every matmul; returns (h_seq, dx, grads)."""
     batch, steps, _ = x.shape
     hdim = p["wuh"].shape[0]
-    h = np.zeros((batch, hdim))
-    h_seq = np.empty((batch, steps, hdim))
+    h = np.zeros((batch, hdim), x.dtype)
+    h_seq = np.empty((batch, steps, hdim), x.dtype)
     cache = []
     for t in range(steps):
         x_t, h_prev = x[:, t, :], h
@@ -217,7 +218,7 @@ def reference_gru(p, x, d_h_seq):
 
     g = {name: np.zeros_like(value) for name, value in p.items()}
     dx = np.empty_like(x)
-    dh_next = np.zeros((batch, hdim))
+    dh_next = np.zeros((batch, hdim), x.dtype)
     for t in reversed(range(steps)):
         x_t, h_prev, u, r, hr, cand = cache[t]
         dh = d_h_seq[:, t, :] + dh_next
@@ -251,7 +252,14 @@ def reference_gru(p, x, d_h_seq):
 
 def assert_same_bits(actual, expected):
     assert actual.shape == expected.shape
-    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+    assert actual.dtype == expected.dtype
+    bits = f"i{actual.itemsize}"
+    np.testing.assert_array_equal(actual.view(bits), expected.view(bits))
+
+
+def normal32(rng, size) -> np.ndarray:
+    """Standard normal draws cast to float32, the nets' dtype."""
+    return rng.normal(size=size).astype(np.float32)
 
 
 SPECIAL_INPUTS = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
@@ -276,6 +284,7 @@ KERNEL_SHAPES = [(1, 1, 3), (3, 4, 3), (100, 4, 3)]
 
 
 def random_layer(layer_cls, width, hidden, rng):
+    """A float32 layer with standard-normal parameters times 0.5."""
     layer = layer_cls(width, hidden)
     for value in layer.params.values():
         value[...] = rng.normal(scale=0.5, size=value.shape)
@@ -293,8 +302,8 @@ def test_recurrent_kernels_match_the_plain_loops_bit_for_bit(layer_cls, referenc
     batch, steps, width = shape
     hidden = 4
     layer = random_layer(layer_cls, width, hidden, rng)
-    x = rng.normal(size=shape)
-    d_h_seq = rng.normal(size=(batch, steps, hidden))
+    x = normal32(rng, shape)
+    d_h_seq = normal32(rng, (batch, steps, hidden))
     h_seq, cache = layer.forward(x)
     dx = layer.backward(d_h_seq, cache)
     ref_h_seq, ref_dx, ref_grads = reference(layer.params, x, d_h_seq)
@@ -329,8 +338,8 @@ def test_a_shared_workspace_changes_no_bits(layer_cls, reference):
     out_steps = steps - 2 if layer_cls is Conv1dLayer else steps
     workspace = {}
     for batch in (5, 2, 5):
-        x = rng.normal(size=(batch, steps, width))
-        d_out = rng.normal(size=(batch, out_steps, hidden))
+        x = normal32(rng, (batch, steps, width))
+        d_out = normal32(rng, (batch, out_steps, hidden))
         out, dx, grads = forward_backward(layer, x, d_out, workspace)
         expected = [forward_backward(layer, x, d_out)]
         if reference is not None:
@@ -344,7 +353,7 @@ def test_a_shared_workspace_changes_no_bits(layer_cls, reference):
 
 
 class TestLstmLayer:
-    def test_forward_matches_reference_loop(self):
+    def test_forward_matches_reference_loop(self, float64_nets):
         rng = np.random.default_rng(3)
         layer = LSTMLayer(2, 3)
         for p in layer.params.values():
@@ -411,8 +420,10 @@ class TestGruLayer:
         layer = GRULayer(2, 3)
         layer.params["bu"][...] = 1000.0
         layer.params["bc"][...] = 0.3
-        h, _ = layer.step(np.array([[1.0, -2.0, 4.0]]), np.array([[0.3, 0.7]]))
-        np.testing.assert_array_equal(h, np.full((1, 3), np.tanh(0.3)))
+        h, _ = layer.step(
+            np.array([[1.0, -2.0, 4.0]], np.float32), np.array([[0.3, 0.7]], np.float32)
+        )
+        np.testing.assert_array_equal(h, np.full((1, 3), np.tanh(np.float32(0.3))))
 
     def test_forward_matches_step_loop(self):
         rng = np.random.default_rng(4)
@@ -450,11 +461,11 @@ class TestConv1dLayer:
     def test_center_tap_identity_kernel(self):
         layer = Conv1dLayer(2, 2, kernel=3)
         layer.params["k"][1] = np.eye(2)
-        x = np.random.default_rng(8).normal(size=(2, 5, 2))
+        x = normal32(np.random.default_rng(8), (2, 5, 2))
         out, _ = layer.forward(x)
         np.testing.assert_array_equal(out, np.tanh(x[:, 1:4, :]))
 
-    def test_matches_naive_convolution(self):
+    def test_matches_naive_convolution(self, float64_nets):
         rng = np.random.default_rng(9)
         layer = Conv1dLayer(3, 2, kernel=2)
         for p in layer.params.values():
@@ -485,10 +496,70 @@ TINY = NetConfig(hidden_sizes=(3,), epochs=1, batch_size=4, learning_rate=0.01)
 
 
 @pytest.mark.parametrize("model_cls", [BiLstmRegressor, CnnGruRegressor, LstmRegressor])
-def test_analytic_gradients_match_finite_differences(model_cls):
+def test_analytic_gradients_match_finite_differences(model_cls, float64_nets):
     rng = np.random.default_rng(7)
     for _ in range(3):
         assert gradient_rel_err(model_cls, TINY, rng) < 1e-6
+
+
+@pytest.mark.parametrize("model_cls", [BiLstmRegressor, CnnGruRegressor, LstmRegressor])
+def test_float32_gradients_match_float64_ones(model_cls, monkeypatch):
+    # the same float32-representable parameters and batch in both dtypes; the
+    # float32 gradient's relative L2 error, about 3e-7 at these shapes, is held
+    # under 1e-5
+    config = NetConfig(hidden_sizes=(16, 8))
+    rng = np.random.default_rng(8)
+    model = model_cls(config, record_width=5, lag=4)
+    model.theta[...] = rng.uniform(-0.3, 0.3, size=model.theta.size)
+    x_seq, y = normal32(rng, (100, 4, 5)), normal32(rng, 100)
+    model.loss_and_grads(x_seq, y)
+    assert model.grad.dtype == np.float32
+    monkeypatch.setattr(nn, "DTYPE", np.float64)
+    wide = model_cls(config, record_width=5, lag=4)
+    wide.theta[...] = model.theta
+    wide.loss_and_grads(x_seq.astype(np.float64), y.astype(np.float64))
+    assert wide.grad.dtype == np.float64
+    error = np.linalg.norm(model.grad - wide.grad) / np.linalg.norm(wide.grad)
+    assert error < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["bilstm", "cnn_gru", "lstm_xgb"])
+def test_a_fit_runs_in_float32_and_predicts_float64(kind, monkeypatch):
+    # one stray np.empty(shape) or np.zeros(shape) in a pass would upcast the
+    # arrays after it to float64 without failing anything else
+    # (what, array): workspace arrays, and each layer pass's input and output
+    # (for backward, the gradient it is handed and its dx)
+    seen = []
+    original = nn.buffer
+
+    def recording_buffer(workspace, key, shape):
+        array = original(workspace, key, shape)
+        if workspace is not None:
+            seen.append((f"workspace {key[1]}", array))
+        return array
+
+    def recording(method, name):
+        def wrapper(self, given, *args, **kwargs):
+            result = method(self, given, *args, **kwargs)
+            seen.append((f"{name} input", given))
+            seen.append((name, result[0] if name.endswith("forward") else result))
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(nn, "buffer", recording_buffer)
+    for cls in (LSTMLayer, BiLSTMLayer, GRULayer, Conv1dLayer, nn.DenseHead):
+        for method in ("forward", "backward"):
+            name = f"{cls.__name__}.{method}"
+            monkeypatch.setattr(cls, method, recording(getattr(cls, method), name))
+    data = toy_supervised()
+    model = fit_learner(kind, data, SMALL[kind])
+    names = {name for name, _ in seen}
+    assert {"DenseHead.forward", "DenseHead.backward"} <= names
+    assert any(name.startswith("workspace") for name in names)
+    assert [name for name, array in seen if array.dtype != np.float32] == []
+    assert model.theta.dtype == model.grad.dtype == np.float32
+    assert model.predict(data.inputs).dtype == np.float64
 
 
 @pytest.mark.parametrize("model_cls", [BiLstmRegressor, CnnGruRegressor])
@@ -498,7 +569,7 @@ def test_a_workspace_leaves_the_same_gradient(model_cls):
     model.theta[...] = rng.normal(scale=0.5, size=model.theta.size)
     workspace = {}
     for batch in (5, 2, 5):
-        x_seq, y = rng.normal(size=(batch, 4, 3)), rng.normal(size=batch)
+        x_seq, y = normal32(rng, (batch, 4, 3)), normal32(rng, batch)
         loss = model.loss_and_grads(x_seq, y, workspace)
         grad = model.grad.copy()
         assert model.loss_and_grads(x_seq, y) == loss
@@ -642,6 +713,29 @@ class TestRandomForest:
         forest = fit_forest(x, y, tree_count=10, seed=0)
         manual = np.stack([tree.predict(x) for tree in forest.trees]).mean(axis=0)
         np.testing.assert_array_equal(forest.predict(x), manual)
+
+    def test_no_tree_shares_a_seed_with_another_or_the_optimizer(self, monkeypatch):
+        # at --seed 5 a tree seeded with rng_seed + index drew the optimizer's
+        # stream: tree 6 of the forest's 9 hit the optimizer's 15
+        config = build_run_config(preset="desk", seed=5)
+        forest_config = config.learners["random_forest"]
+        data = toy_supervised()
+        seeds = []
+        original = np.random.default_rng
+
+        def recording(seed=None):
+            seeds.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        fit_learner("random_forest", data, forest_config)
+        monkeypatch.undo()
+        assert len(seeds) == forest_config.tree_count
+        streams = {
+            tuple(np.random.SeedSequence(seed).generate_state(4))
+            for seed in [*seeds, config.optimizer.rng_seed]
+        }
+        assert len(streams) == len(seeds) + 1
 
     def test_same_seed_same_forest(self):
         rng = np.random.default_rng(7)
@@ -1076,6 +1170,23 @@ class TestModelLifecycle:
             np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(ModelFileError):
             load_model(path)
+
+    def test_load_names_an_old_format_and_a_float64_theta(self, tmp_path):
+        path = tmp_path / "model.npz"
+        model = fit_learner("bilstm", toy_supervised(), SMALL["bilstm"])
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays.pop("meta")[()]))
+        assert meta["format"] == 3 and arrays["theta"].dtype == np.float32
+        write_npz(path, json.dumps({**meta, "format": 2}), arrays)
+        with pytest.raises(ModelFileError, match="model format 2, expected 3"):
+            load_model(path)
+        write_npz(path, json.dumps(meta), {**arrays, "theta": arrays["theta"].astype(np.float64)})
+        with pytest.raises(ModelFileError, match="theta of dtype float64, expected float32"):
+            load_model(path)
+        write_npz(path, json.dumps(meta), arrays)
+        assert_same_bits(load_model(path).theta, model.theta)
 
     @pytest.mark.parametrize(
         "damage",

@@ -31,7 +31,7 @@ optimizer.population = 16
 optimizer.iterations = 10
 """
 
-CONFIG = "2ee2a47ae116449b75fc9b2eccd5e8493ce58a1c903911759da4693b958986fd"
+CONFIG = "2114fdad757bec1835a3bfdf18805e3e47a5621b9e5da56ae58eb41cb0022eeb"
 
 # run name -> (command arguments, {artifact: sha256})
 GOLDEN = {
@@ -52,33 +52,33 @@ GOLDEN = {
     "forecast": (
         ["forecast"],
         {
-            "archive.csv": "2c7a452b87bd22b5793786f09b1f2cbd2db7467f9cca5213705a6190c5cc0370",
-            "forecast.csv": "54531588ea1e9211ace800cf33522a212181b729db62c5f0c8222dee7e3f167b",
-            "weights.txt": "012830c5b0912fa4197a47f7eba8617b1e34f49a5c534c8c55b1feb78722d862",
+            "archive.csv": "908fc2d6ebe3156779fb0cfe9665843edea5dc73c46ff3545e4d6b8acf130b91",
+            "forecast.csv": "03e47076f7b82ec99c15b9f41f6d7ec80d26ba1f82ae831ad6763e8a3abf94bd",
+            "weights.txt": "e615b332068d8491b2c8806df72981deb5d2741ae5074a5244f2522795b0d1a1",
         },
     ),
     "forecast_random_forest": (
         ["forecast", "--model", "rf"],
-        {"forecast.csv": "54531588ea1e9211ace800cf33522a212181b729db62c5f0c8222dee7e3f167b"},
+        {"forecast.csv": "03e47076f7b82ec99c15b9f41f6d7ec80d26ba1f82ae831ad6763e8a3abf94bd"},
     ),
     "forecast_lstm_xgb": (
         ["forecast", "--model", "lstm-xgb"],
-        {"forecast.csv": "c6ecf79d7caadc7e49b53a90fe1b2c162a9d44e74fae1ad2f8c8d6245d12dd6d"},
+        {"forecast.csv": "d710f0f9aab1248cf6f520d44c817c31eab3af0735c9fcbfdeb7e45ddd531dd9"},
     ),
     "train": (
         ["train"],
         {
-            "model_bilstm.npz": "e5f640f2788fc952537aedf03ae32e3beb971dc3d3df92dcb5c0f706634625e9",
-            "model_cnn_gru.npz": "e7fae7f27c0fba47903ecdaef2b6c211bd41d42a417a8ae5dc4432d259055152",
-            "model_lstm_xgb.npz": "de2955156e7f5c145847bca1696f945bbc2c702bdf0c0fff0b056aae1292d129",
+            "model_bilstm.npz": "638b042eff53a59ff7da928dbf9ba28728b00c21299bb13389b34cb6819ad4e9",
+            "model_cnn_gru.npz": "3bd7a6c2119fb0b979f8a947e89ae60600c0d0fc5f5e64ec451353fccf82c4a3",
+            "model_lstm_xgb.npz": "e5a0b60e16325db61a5d99efbf9cb0f245e4c726a8213c8416435b4e5a885b78",
             "model_random_forest.npz": (
-                "00a588839829c30025cfc03603b4281865ab91b2abe61b46d61289a6c0ca413e"
+                "1d4e93a21f5e2cee5c3fd0eda668596ef416146b817d44c47223a7527ddf4b80"
             ),
         },
     ),
     "cv": (
         ["cv", "--folds", "3"],
-        {"cv_scores.csv": "864662377e8d174f95e8a77d056752efbf26104473a3eaf2162a756079690220"},
+        {"cv_scores.csv": "babbb2ec07cfae6feff0ec2883bc97e36e50e2e754663d70813743fe79afa8a5"},
     ),
 }
 

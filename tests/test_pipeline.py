@@ -43,12 +43,13 @@ class TestDefaultLearnerConfigs:
         seeds = [configs[kind].rng_seed for kind in KINDS]
         assert seeds == [11, 12, 13, 14]
 
-    def test_desk_scale_shrinks_only_size_and_epochs(self):
+    def test_desk_scale_shrinks_size_and_epochs_and_raises_the_rate(self):
         desk = build_run_config(preset="desk", seed=0).learners
         assert desk["bilstm"].hidden_sizes == (16, 8)
         assert desk["bilstm"].epochs == 60
         assert desk["lstm_xgb"].epochs == 60
-        assert desk["bilstm"].learning_rate == 0.001
+        for kind in ("bilstm", "cnn_gru", "lstm_xgb"):
+            assert desk[kind].learning_rate == 0.01
         assert desk["cnn_gru"].batch_size == 150
 
 
