@@ -423,7 +423,8 @@ class LstmBoostedRegressor(LstmRegressor):
         return self.stage2.predict(np.column_stack([x, self._net_predict(x)]))
 
     def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        return {"stage2": asdict(self.stage2)}, super()._state()[1]
+        trees = [tree.state() for tree in self.stage2.trees]
+        return {"stage2": {**vars(self.stage2), "trees": trees}}, super()._state()[1]
 
     def _load_state(self, extra: dict, arrays):
         super()._load_state(extra, arrays)
@@ -465,7 +466,7 @@ class ForestRegressor(_Learner):
         return np.stack([tree.predict(x) for tree in self.trees]).mean(axis=0)
 
     def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        return {"trees": [asdict(tree) for tree in self.trees]}, {}
+        return {"trees": [tree.state() for tree in self.trees]}, {}
 
     def _load_state(self, extra: dict, arrays):
         self.trees = [Tree.load(t, self.width) for t in extra["trees"]]

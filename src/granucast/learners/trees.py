@@ -2,9 +2,11 @@
 
 ``build_cart`` grows the random forest's trees (the bagging lives in
 ``models.ForestRegressor``); ``BoostedTrees`` is lstm_xgb's second stage.
-Both grow a flat array-of-nodes tree, which serializes to plain lists, with
-one preorder grower; they differ only in the leaf value, the cut score and
-one extra stop rule.
+Both grow a ``Tree``, five numpy node arrays in preorder, with one preorder
+grower; they differ only in the leaf value, the cut score and one extra stop
+rule. ``Tree.predict`` is the one way to route rows: all rows go down
+together, one level a pass. A model file stores a tree as the JSON lists of
+``Tree.state``.
 
 Split search is exact and sorts once: ``presort`` orders each feature's rows
 by (value, row) once per tree (once per fit for boosting), and every node
@@ -29,64 +31,58 @@ logger = logging.getLogger(__name__)
 _LEAF = -1
 
 
-@dataclass
+@dataclass(eq=False)
 class Tree:
-    """Binary regression tree as parallel node arrays."""
+    """Binary regression tree as five parallel node arrays, in preorder: a
+    leaf has feature -1, and a split sends a row to ``left`` when its
+    feature is at most ``threshold``."""
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    def add_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for f in self.feature if f == _LEAF)
-
-    def leaf_values(self) -> np.ndarray:
-        return np.array([v for f, v in zip(self.feature, self.value) if f == _LEAF])
+    def state(self) -> dict:
+        """The tree as JSON-ready lists, one per array, in field order."""
+        return {name: nodes.tolist() for name, nodes in vars(self).items()}
 
     @classmethod
     def load(cls, state: dict, width: int) -> "Tree":
-        """The tree of an ``asdict`` state; ValueError unless ``predict`` can walk
-        it over rows of ``width`` features: int split features in range, each
-        int child link after its parent, as the preorder grower puts it, and
-        finite float thresholds and leaf values."""
-        tree = cls(**state)
-        count = len(tree.feature)
-        if not count or {len(nodes) for nodes in vars(tree).values()} != {count}:
+        """The tree of a ``state()``; ValueError unless ``predict`` can route
+        rows of ``width`` features through it: int split features in range,
+        each int child link after its parent, as the preorder grower puts it,
+        every link an int64, and finite float thresholds and leaf values."""
+        lists = vars(cls(**state))  # TypeError unless the keys are the five fields
+        count = len(lists["feature"])
+        if not count or {len(nodes) for nodes in lists.values()} != {count}:
             raise ValueError("tree node lists are empty or of unequal length")
+        arrays = {}
         for name in ("feature", "left", "right"):
-            if not all(type(v) is int for v in getattr(tree, name)):
-                raise ValueError(f"tree {name} entries must be integers")
+            if not all(type(v) is int and -(2**63) <= v < 2**63 for v in lists[name]):
+                raise ValueError(f"tree {name} entries must be int64 integers")
+            arrays[name] = np.array(lists[name], dtype=np.int64)
         for name in ("threshold", "value"):
-            if not all(isinstance(v, float) and math.isfinite(v) for v in getattr(tree, name)):
+            if not all(isinstance(v, float) and math.isfinite(v) for v in lists[name]):
                 raise ValueError(f"tree {name} entries must be finite floats")
-        for node, (f, lo, hi) in enumerate(zip(tree.feature, tree.left, tree.right)):
+            arrays[name] = np.array(lists[name], dtype=np.float64)
+        for node, (f, lo, hi) in enumerate(zip(lists["feature"], lists["left"], lists["right"])):
             if f != _LEAF and not (0 <= f < width and node < lo < count and node < hi < count):
                 raise ValueError(f"tree node {node}: feature {f}, children {lo} and {hi}")
-        return tree
+        return cls(**arrays)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Each row's leaf value; all rows descend together, one level a pass."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.empty(len(x))
-        for row, sample in enumerate(x):
-            node = 0
-            while self.feature[node] != _LEAF:
-                if sample[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[row] = self.value[node]
-        return out
+        node = np.zeros(len(x), dtype=np.int64)
+        rows = np.arange(len(x))
+        while len(rows):
+            at = node[rows]
+            split = self.feature[at] != _LEAF
+            rows, at = rows[split], at[split]
+            goes_left = x[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(goes_left, self.left[at], self.right[at])
+        return self.value[node]
 
 
 def presort(x: np.ndarray) -> np.ndarray:
@@ -94,9 +90,7 @@ def presort(x: np.ndarray) -> np.ndarray:
     return np.argsort(x.T, axis=1, kind="stable")
 
 
-def _grow(
-    x, y, order, max_depth, leaf_value, cut_scores, candidates, min_score, leaf=None
-) -> Tree:
+def _grow(x, y, order, max_depth, leaf_value, cut_scores, candidates, min_score) -> Tree:
     """Greedy preorder tree growth shared by both learners, from ``presort(x)``.
 
     A node holds its m rows as a (features + 1, m) matrix: row f lists them
@@ -107,22 +101,21 @@ def _grow(
     or its best cut scores no more than ``min_score``. ``cut_scores(cuts,
     sum)`` scores cutting after each of the first m - 1 candidate rows,
     given as a C-ordered (m, k) array, each column in its feature's order.
-    When ``leaf`` is given, an int array with one slot per row, each row's
-    slot receives the node number of the leaf that holds it.
     """
     xt = np.ascontiguousarray(x.T)
-    tree = Tree()
-    # (ranked rows, depth, parent, parent's link list); the left child pops first
+    # every cut leaves rows on both sides, so a tree has at most one leaf per row
+    size = 2 * len(y) - 1
+    tree = Tree(*(np.full(size, blank) for blank in (_LEAF, 0.0, _LEAF, _LEAF, 0.0)))
+    # (ranked rows, depth, parent, parent's link array); the left child pops first
     stack = [(np.vstack([order, np.arange(len(y))]), 0, _LEAF, tree.left)]
+    count = 0
     while stack:
         ranked, depth, parent, link = stack.pop()
-        node = tree.add_node()
+        node, count = count, count + 1
         if parent != _LEAF:
             link[parent] = node
         rows = ranked[-1]
         m = len(rows)
-        if leaf is not None:
-            leaf[rows] = node  # a child overwrites its parent
         if m == 1:
             # numpy's sum adds a lone value to 0.0, which turns -0.0 into 0.0
             tree.value[node] = leaf_value(y[rows[0]] + 0.0, 1)
@@ -130,7 +123,7 @@ def _grow(
         targets = y[rows]
         total = np.add.reduce(targets)
         tree.value[node] = leaf_value(total, m)
-        if m < 2 or (max_depth is not None and depth >= max_depth):
+        if max_depth is not None and depth >= max_depth:
             continue
         features = candidates(targets)
         if features is None:
@@ -152,7 +145,7 @@ def _grow(
         goes_left = (xt[feature][keep] <= threshold).ravel()
         for part, link in ((~goes_left, tree.right), (goes_left, tree.left)):
             stack.append((keep.compress(part).reshape(len(keep), -1), depth + 1, node, link))
-    return tree
+    return Tree(*(nodes[:count].copy() for nodes in vars(tree).values()))
 
 
 def build_cart(
@@ -207,14 +200,13 @@ def build_boosted_tree(
     gamma_reg: float,
     max_depth: int,
     order: np.ndarray | None = None,
-    leaf: np.ndarray | None = None,
 ) -> Tree:
     """One boosting round's tree on gradients of squared loss (hessian 1).
 
     Leaf weight is -G / (H + lambda) with H = member count; a cut scores
     its second-order gain over keeping the node whole, and is kept only
     when that gain exceeds gamma. ``order`` is ``presort(x)``, sorted here
-    unless given; ``leaf``, when given, receives each row's leaf node.
+    unless given.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(residual_grad, dtype=np.float64)
@@ -235,9 +227,7 @@ def build_boosted_tree(
         return float(-total_g / (m + lambda_reg))
 
     order = presort(x) if order is None else order
-    return _grow(
-        x, g, order, max_depth, leaf_weight, gain, lambda _: all_features, gamma_reg, leaf
-    )
+    return _grow(x, g, order, max_depth, leaf_weight, gain, lambda _: all_features, gamma_reg)
 
 
 @dataclass
@@ -273,18 +263,17 @@ class BoostedTrees:
             gamma_reg=gamma_reg,
         )
         order = presort(x)
-        leaf = np.empty(len(y), dtype=np.intp)
         pred = np.full(len(y), model.base_score)
         penalty = 0.0
         model.objective_history.append(model._objective(y, pred, penalty))
         for _ in range(rounds):
             grad = pred - y
-            tree = build_boosted_tree(x, grad, lambda_reg, gamma_reg, max_depth, order, leaf)
+            tree = build_boosted_tree(x, grad, lambda_reg, gamma_reg, max_depth, order)
             model.trees.append(tree)
-            # the grower routes rows as predict does, so this is tree.predict(x)
-            pred += shrinkage * np.array(tree.value)[leaf]
-            shrunk = shrinkage * tree.leaf_values()
-            penalty += gamma_reg * tree.leaf_count + (lambda_reg / 2.0) * float(
+            pred += shrinkage * tree.predict(x)
+            leaves = tree.feature == _LEAF
+            shrunk = shrinkage * tree.value[leaves]
+            penalty += gamma_reg * np.count_nonzero(leaves) + (lambda_reg / 2.0) * float(
                 (shrunk**2).sum()
             )
             model.objective_history.append(model._objective(y, pred, penalty))

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, settings
 
 from granucast.config import RunConfig, build_run_config
 from granucast.evaluation import interval_scores, point_scores
+from granucast.fuzzy_rough import ClusterResult
 from granucast.learners import make_supervised, nn
 from granucast.pipeline import extract_and_split, run_cv, run_forecast
 from granucast.synth import SynthConfig, write_csv
@@ -150,7 +151,8 @@ def cv_folds(synth_series):
 class DeskRun:
     """What the defect gates read from one run of the shipped desk preset."""
 
-    converged: bool  # the clustering reached its fixed point
+    granules: np.ndarray  # (low, peak, up) of each window
+    cluster: ClusterResult  # centers, memberships and whether the clustering converged
     val_mse_ratios: dict[str, float]  # validation MSE over the train-mean predictor's
     test_r2: dict[str, float]  # each learner's r2 on the test set
     picp: dict[float, float]  # test coverage per interval level
@@ -166,13 +168,14 @@ def desk_runs(tmp_path_factory) -> dict[int, DeskRun]:
         write_csv(path, SynthConfig(samples=7200, seed=seed))
         values = interpolate_gaps(load_series(path))
         config = build_run_config(preset="desk", seed=seed)
-        _, _, cluster, parts, _ = extract_and_split(values, config)
+        granules, _, cluster, parts, _ = extract_and_split(values, config)
         run = run_forecast(values, config)
         val = run.val_panel
         train_mean = make_supervised(parts[0], config.lag).targets.mean()
         mean_mse = float(np.mean((val.actuals - train_mean) ** 2))
         runs[seed] = DeskRun(
-            converged=cluster.converged,
+            granules=granules,
+            cluster=cluster,
             val_mse_ratios={
                 kind: float(np.mean((val.actuals - row) ** 2)) / mean_mse
                 for kind, row in zip(run.forecaster.models, val.matrix)

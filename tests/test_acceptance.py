@@ -328,7 +328,7 @@ class TestDefectGates:
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
     def test_clustering_converges(self, desk_runs):
-        stuck = [seed for seed, run in desk_runs.items() if not run.converged]
+        stuck = [seed for seed, run in desk_runs.items() if not run.cluster.converged]
         report("clustering converges", not stuck, f"not converged on seeds {stuck}")
 
     def test_every_learner_tracks_the_test_set(self, desk_runs):

@@ -5,6 +5,7 @@ differences, the tree learners, and the fit/save/load lifecycle."""
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -624,7 +625,7 @@ class TestBoostedTrees:
         model = BoostedTrees.fit(x, y, rounds=10)
         assert model.base_score == 3.25
         np.testing.assert_array_equal(model.predict(x), y)
-        assert all(tree.leaf_count == 1 for tree in model.trees)
+        assert all(len(tree.feature) == 1 for tree in model.trees)
         assert model.objective_history == [0.0] * 11
 
     def test_huge_gamma_freezes_at_the_base_score(self):
@@ -633,7 +634,7 @@ class TestBoostedTrees:
         x = np.arange(8.0).reshape(-1, 1)
         y = np.array([1.0, 3.0] * 4)
         model = BoostedTrees.fit(x, y, rounds=5, gamma_reg=1e12)
-        assert all(tree.leaf_count == 1 for tree in model.trees)
+        assert all(len(tree.feature) == 1 for tree in model.trees)
         np.testing.assert_array_equal(model.predict(x), np.full(8, 2.0))
 
     def test_huge_lambda_stays_near_the_base_score(self):
@@ -664,8 +665,8 @@ class TestBoostedTrees:
 
     def test_training_predictions_match_the_recorded_digest(self):
         """The fit's running prediction, which sets every gradient and
-        objective, was recorded when it came from ``Tree.predict``; reading
-        it from the grower's leaves must not move a bit."""
+        objective, was recorded when ``Tree.predict`` walked one row at a
+        time; routing all rows together must not move a bit."""
         rng = np.random.default_rng(8)
         x = np.round(rng.normal(size=(120, 5)), 1)
         y = np.round(x[:, 0] - x[:, 2] ** 2 + rng.normal(size=120), 1)
@@ -700,8 +701,8 @@ class TestRandomForest:
     def test_a_grown_tree_loads_back_whole_and_not_cut(self):
         rng = np.random.default_rng(5)
         tree = build_cart(rng.normal(size=(12, 3)), rng.normal(size=12), rng)
-        state = dataclasses.asdict(tree)
-        assert Tree.load(state, 3) == tree
+        state = tree.state()
+        assert Tree.load(state, 3).state() == state
         for cut in ({**state, "value": state["value"][:-1]}, {key: [] for key in state}):
             with pytest.raises(ValueError, match="empty or of unequal length"):
                 Tree.load(cut, 3)
@@ -744,6 +745,29 @@ class TestRandomForest:
         a = fit_forest(x, y, tree_count=5, seed=9).predict(x)
         b = fit_forest(x, y, tree_count=5, seed=9).predict(x)
         np.testing.assert_array_equal(a, b)
+
+    def test_a_fitted_forest_holds_its_trees_in_compact_arrays(self):
+        # 100 trees of about 145 nodes: five 8-byte entries a node, plus
+        # each tree's array headers; per-node Python lists held about 82
+        # bytes a node
+        config = build_run_config(preset="desk", seed=5).learners["random_forest"]
+        data = toy_supervised(n=116, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forest = fit_learner("random_forest", data, config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        nodes = 0
+        for tree in forest.trees:
+            count = len(tree.feature)
+            for name, array in vars(tree).items():
+                expected = np.float64 if name in ("threshold", "value") else np.int64
+                assert array.dtype == expected and array.shape == (count,)
+                assert array.base is None
+            nodes += count
+        assert held / nodes < 60, f"{held} bytes over {nodes} nodes"
 
     def test_bagging_beats_the_median_tree_out_of_sample(self):
         rng = np.random.default_rng(8)
@@ -875,7 +899,7 @@ def golden_sample() -> tuple[np.ndarray, np.ndarray]:
 
 
 def sha256_of(tree) -> str:
-    return hashlib.sha256(json.dumps(dataclasses.asdict(tree)).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(tree.state()).encode()).hexdigest()
 
 
 class TestGoldenTrees:
@@ -926,6 +950,69 @@ class TestGoldenTrees:
         )
 
 
+class TestLevelWisePredict:
+    """``Tree.predict`` moves all rows down one level a pass; each case holds
+    it bit for bit to ``reference_predict``, the per-row walk."""
+
+    @staticmethod
+    def golden_trees():
+        x, y = golden_sample()
+        g = np.round(y - y.mean(), 1)
+        cart = build_cart(x, y, np.random.default_rng(3), features_per_split=3)
+        return x, (cart, build_boosted_tree(x, g, 1.0, gamma_reg=0.5, max_depth=3))
+
+    def test_golden_trees_on_their_rows_and_on_new_ones(self):
+        x, trees = self.golden_trees()
+        fresh = np.random.default_rng(11).normal(size=(200, x.shape[1]))
+        for tree in trees:
+            assert_routes_as_the_walk(tree, x)
+            assert_routes_as_the_walk(tree, fresh)
+
+    def test_rows_on_a_threshold(self):
+        x, trees = self.golden_trees()
+        for tree in trees:
+            # each row takes, on its way down, the threshold of every split
+            # whose feature it has not met yet
+            rows = x.copy()
+            for sample in rows:
+                node, met = 0, set()
+                while tree.feature[node] != -1:
+                    feature = tree.feature[node]
+                    if feature not in met:
+                        sample[feature] = tree.threshold[node]
+                        met.add(feature)
+                    go_left = sample[feature] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+            assert_routes_as_the_walk(tree, rows)
+
+    def test_a_nan_feature_goes_right(self):
+        x, trees = self.golden_trees()
+        rows = x[:40].copy()
+        rows[np.random.default_rng(12).random(rows.shape) < 0.3] = np.nan
+        for tree in trees:
+            assert_routes_as_the_walk(tree, rows)
+            node = 0
+            while tree.feature[node] != -1:
+                node = tree.right[node]
+            assert tree.predict(np.full(x.shape[1], np.nan)) == tree.value[node]
+
+    def test_a_single_leaf_tree(self):
+        x = np.random.default_rng(13).normal(size=(10, 3))
+        tree = build_cart(x, np.full(10, 2.5), np.random.default_rng(0))
+        assert len(tree.feature) == 1
+        assert_routes_as_the_walk(tree, x)
+        np.testing.assert_array_equal(tree.predict(x), np.full(10, 2.5))
+
+    def test_no_rows_and_one_flat_row(self):
+        x, trees = self.golden_trees()
+        for tree in trees:
+            empty = tree.predict(np.empty((0, x.shape[1])))
+            assert empty.shape == (0,) and empty.dtype == np.float64
+            assert_routes_as_the_walk(tree, np.empty((0, x.shape[1])))
+            assert tree.predict(x[7]).shape == (1,)
+            assert_routes_as_the_walk(tree, x[7])
+
+
 # --- frozen reference: the grower that sorted each node's columns afresh
 
 
@@ -963,6 +1050,28 @@ def reference_tree(x, y, max_depth, leaf_value, cut_scores, candidates, min_scor
 
     grow(np.arange(len(y)), 0)
     return tree
+
+
+def reference_predict(tree, x) -> np.ndarray:
+    """The per-row walk that ``Tree.predict`` did before it routed all rows
+    together; the level-wise predict must return its bits."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = np.empty(len(x))
+    for row, sample in enumerate(x):
+        node = 0
+        while tree.feature[node] != -1:
+            if sample[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        out[row] = tree.value[node]
+    return out
+
+
+def assert_routes_as_the_walk(tree, x) -> None:
+    np.testing.assert_array_equal(
+        tree.predict(x).view(np.int64), reference_predict(tree, x).view(np.int64)
+    )
 
 
 def reference_negative_sse(ys, _y):
@@ -1021,15 +1130,9 @@ def test_presorted_growth_matches_per_node_sorting(seed):
         reference_cart_candidates(np.random.default_rng(seed), f, per_split),
         -np.inf,
     )
-    assert json.dumps(dataclasses.asdict(cart)) == json.dumps(expected)
+    assert json.dumps(cart.state()) == json.dumps(expected)
 
-    leaf = np.empty(n, dtype=np.intp)
-    boosted = build_boosted_tree(x, y, lambda_reg, gamma_reg, depth or 4, leaf=leaf)
-    # each row's recorded node is the leaf that predict routes it to
-    assert all(boosted.feature[node] == -1 for node in leaf)
-    np.testing.assert_array_equal(
-        np.array(boosted.value)[leaf].view(np.int64), boosted.predict(x).view(np.int64)
-    )
+    boosted = build_boosted_tree(x, y, lambda_reg, gamma_reg, depth or 4)
     expected = reference_tree(
         x,
         y,
@@ -1039,7 +1142,9 @@ def test_presorted_growth_matches_per_node_sorting(seed):
         lambda _: np.arange(f),
         gamma_reg,
     )
-    assert json.dumps(dataclasses.asdict(boosted)) == json.dumps(expected)
+    assert json.dumps(boosted.state()) == json.dumps(expected)
+    for tree in (cart, boosted):
+        assert_routes_as_the_walk(tree, x)
 
 
 SMALL_NET = NetConfig(hidden_sizes=(6,), epochs=8, batch_size=8, learning_rate=0.05, rng_seed=3)
@@ -1261,14 +1366,26 @@ class TestModelLifecycle:
         with pytest.raises(ModelFileError, match="model.npz"):
             load_model(path)
 
-    @pytest.mark.parametrize("key, root", [("feature", 99), ("right", 0)])
-    def test_forest_load_checks_its_trees(self, key, root, tmp_path):
+    @pytest.mark.parametrize(
+        "key, node, value, message",
+        [
+            pytest.param("feature", 0, 99, "tree node 0", id="feature-99"),
+            pytest.param("right", 0, 0, "tree node 0", id="right-0"),
+            # predict never follows a leaf's links, but they must fit the arrays
+            pytest.param("left", -1, 2**63, "int64", id="leaf_link_past_int64"),
+        ],
+    )
+    def test_forest_load_checks_its_trees(self, key, node, value, message, tmp_path):
         path = tmp_path / "model.npz"
         save_model(fit_learner("random_forest", toy_supervised(), SMALL["random_forest"]), path)
         with np.load(path) as data:
             meta = json.loads(str(data["meta"][()]))
-        write_npz(path, damage_root(meta, meta["extra"]["trees"], key, root), {})
-        with pytest.raises(ModelFileError, match="model.npz: .*tree node 0"):
+        tree = meta["extra"]["trees"][0]
+        # the root splits, and the last node in preorder is a leaf
+        assert tree["feature"][0] >= 0 and tree["feature"][-1] == -1
+        tree[key][node] = value
+        write_npz(path, json.dumps(meta), {})
+        with pytest.raises(ModelFileError, match=f"model.npz: .*{message}"):
             load_model(path)
 
     def test_save_refuses_kinds_it_cannot_load(self, tmp_path):

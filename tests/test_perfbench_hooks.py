@@ -117,8 +117,8 @@ def test_tracer_counts_tree_building(monkeypatch):
     assert summary["counters"]["learners.trees.cart_nodes"] == nodes
     assert summary["calls"]["learners.trees.build_cart"] == 3
     assert summary["calls"]["learners.trees.boosted_tree"] == 3
-    # boosting reads its training predictions from the grower's leaves
-    assert "learners.trees.tree_predict" not in summary["calls"]
+    # each boosting round routes its training rows through its new tree
+    assert summary["calls"]["learners.trees.tree_predict"] == 3
 
 
 def test_tracer_counts_one_objective_call_per_sweep(monkeypatch):
