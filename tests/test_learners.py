@@ -41,7 +41,7 @@ from granucast.learners import (
     make_supervised,
     save_model,
 )
-from granucast.learners import nn
+from granucast.learners import nn, trees
 from granucast.learners.models import _MODEL_CLASSES
 from granucast.learners.nn import BiLSTMLayer, Conv1dLayer, GRULayer, LSTMLayer, sigmoid
 from granucast.learners.trees import Tree, build_boosted_tree, build_cart
@@ -907,6 +907,8 @@ class TestGoldenTrees:
 
     ROADMAP item 13 (ties decided by last-bit noise) will change these
     digests on purpose; a change that only speeds growth up must not.
+    ``cart_sqrt_features`` was re-recorded when the feature draw became one
+    ``rng.random`` per depth.
     """
 
     @pytest.mark.parametrize(
@@ -914,8 +916,8 @@ class TestGoldenTrees:
         [
             (
                 lambda x, y, g: build_cart(x, y, np.random.default_rng(3), features_per_split=3),
-                183,
-                "226d08457d163c732afbffe20fef83fcf92b638e91fcdf28f6d509603048fd82",
+                177,
+                "ed6be7be6aa508b5784b40a543e82dee0d6f8f3d3119b90565afafd93d339392",
             ),
             (
                 lambda x, y, g: build_cart(x, y, np.random.default_rng(3), max_depth=3),
@@ -1013,42 +1015,115 @@ class TestLevelWisePredict:
             assert_routes_as_the_walk(tree, x[7])
 
 
+class TestLevelWiseGrowth:
+    """The grower scores all nodes of one depth together; no node may feel
+    the others."""
+
+    def test_an_empty_training_set_is_named(self):
+        x, y = np.empty((0, 3)), np.empty(0)
+        with pytest.raises(ValueError, match="empty training set"):
+            build_cart(x, y, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty training set"):
+            build_boosted_tree(x, y, 1.0, 0.0, max_depth=2)
+
+    def test_a_nodes_subtree_depends_only_on_its_rows(self):
+        # grown alone on a node's rows (kept ascending), CART rebuilds the
+        # node's subtree bit for bit: no prefix sum runs across nodes
+        x, y = golden_sample()
+        tree = build_cart(x, y, np.random.default_rng(3))
+        state = tree.state()
+        members, ends = {0: np.arange(len(y))}, {}
+        for node in range(len(tree.feature)):  # preorder: parents first
+            if tree.feature[node] != -1:
+                rows = members[node]
+                left = x[rows, tree.feature[node]] <= tree.threshold[node]
+                members[tree.left[node]], members[tree.right[node]] = rows[left], rows[~left]
+        for node in reversed(range(len(tree.feature))):
+            ends[node] = node + 1 if tree.feature[node] == -1 else ends[tree.right[node]]
+        internal = np.flatnonzero(tree.feature != -1)
+        assert len(internal) > 50
+        for node in internal.tolist():
+            rows = members[node]
+            alone = build_cart(x[rows], y[rows], np.random.default_rng(0))
+            span = slice(node, ends[node])
+            expected = {key: values[span] for key, values in state.items()}
+            for key in ("left", "right"):
+                expected[key] = [-1 if link == -1 else link - node for link in expected[key]]
+            assert json.dumps(alone.state()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("cells", [1, 1 << 20], ids=["one_node_a_block", "one_block_a_depth"])
+    def test_the_block_width_changes_no_tree(self, monkeypatch, cells):
+        x, y = golden_sample()
+        g = np.round(y - y.mean(), 1)
+
+        def grow():
+            return [
+                json.dumps(tree.state())
+                for tree in (
+                    build_cart(x, y, np.random.default_rng(3), features_per_split=3),
+                    build_cart(x, y, np.random.default_rng(3)),
+                    build_boosted_tree(x, g, 1.0, gamma_reg=0.0, max_depth=6),
+                )
+            ]
+
+        default = grow()
+        monkeypatch.setattr(trees, "_BLOCK_CELLS", cells)
+        assert grow() == default
+
+
 # --- frozen reference: the grower that sorted each node's columns afresh
 
 
 def reference_tree(x, y, max_depth, leaf_value, cut_scores, candidates, min_score) -> dict:
-    """Preorder growth that argsorts the candidate columns at every node; the
-    presorted grower must build the same tree bit for bit."""
+    """Growth one depth at a time that argsorts the candidate columns at
+    every node, then numbers the nodes in preorder; the presorted grower must
+    build the same tree bit for bit. ``candidates`` gets the targets of a
+    depth's nodes of two or more rows above ``max_depth``, in level order, and
+    returns each one's candidate features, or None to keep it a leaf."""
+    root = {"rows": np.arange(len(y))}
+    level, depth = [root], 0
+    while level:
+        for node in level:
+            node["value"] = leaf_value(y[node["rows"]])
+        if max_depth is not None and depth >= max_depth:
+            break
+        open_nodes = [node for node in level if len(node["rows"]) > 1]
+        level = []
+        for node, features in zip(open_nodes, candidates([y[n["rows"]] for n in open_nodes])):
+            if features is None:
+                continue
+            rows = node["rows"]
+            sub_y = y[rows]
+            cols = x[rows[:, None], features]
+            order = np.argsort(cols, axis=0, kind="stable")
+            xs = np.take_along_axis(cols, order, axis=0)
+            scores = cut_scores(sub_y[order], sub_y)
+            scores[~(xs[1:] > xs[:-1])] = -np.inf
+            column, row = divmod(int(np.argmax(scores.T)), len(rows) - 1)
+            if scores[row, column] <= min_score:
+                continue
+            node["feature"] = int(features[column])
+            node["threshold"] = float((xs[row, column] + xs[row + 1, column]) / 2.0)
+            goes_left = x[rows, node["feature"]] <= node["threshold"]
+            node["children"] = ({"rows": rows[goes_left]}, {"rows": rows[~goes_left]})
+            level.extend(node["children"])
+        depth += 1
+
     tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
-    def grow(rows, depth):
-        node = len(tree["feature"])
-        for key, blank in zip(tree, (-1, 0.0, -1, -1, 0.0)):
-            tree[key].append(blank)
-        sub_y = y[rows]
-        tree["value"][node] = leaf_value(sub_y)
-        if len(rows) < 2 or (max_depth is not None and depth >= max_depth):
-            return node
-        features = candidates(sub_y)
-        if features is None:
-            return node
-        cols = x[rows[:, None], features]
-        order = np.argsort(cols, axis=0, kind="stable")
-        xs = np.take_along_axis(cols, order, axis=0)
-        scores = cut_scores(sub_y[order], sub_y)
-        scores[~(xs[1:] > xs[:-1])] = -np.inf
-        column, row = divmod(int(np.argmax(scores.T)), len(rows) - 1)
-        if scores[row, column] <= min_score:
-            return node
-        feature = int(features[column])
-        threshold = float((xs[row, column] + xs[row + 1, column]) / 2.0)
-        goes_left = x[rows, feature] <= threshold
-        tree["feature"][node], tree["threshold"][node] = feature, threshold
-        tree["left"][node] = grow(rows[goes_left], depth + 1)
-        tree["right"][node] = grow(rows[~goes_left], depth + 1)
-        return node
+    def number(node):
+        index = len(tree["feature"])
+        tree["feature"].append(node.get("feature", -1))
+        tree["threshold"].append(node.get("threshold", 0.0))
+        tree["value"].append(node["value"])
+        tree["left"].append(-1)
+        tree["right"].append(-1)
+        if "children" in node:
+            tree["left"][index] = number(node["children"][0])
+            tree["right"][index] = number(node["children"][1])
+        return index
 
-    grow(np.arange(len(y)), 0)
+    number(root)
     return tree
 
 
@@ -1097,12 +1172,15 @@ def reference_gain(lambda_reg):
 
 
 def reference_cart_candidates(rng, n_features, per_split):
-    def candidates(sub_y):
-        if np.all(sub_y == sub_y[0]):
-            return None
+    """Per depth: one key row a node whose targets differ, drawn together in
+    level order; a node takes the features of its row's k smallest keys."""
+
+    def candidates(targets):
+        varied = [not np.all(t == t[0]) for t in targets]
         if per_split is None or per_split >= n_features:
-            return np.arange(n_features)
-        return np.sort(rng.choice(n_features, size=per_split, replace=False))
+            return [np.arange(n_features) if v else None for v in varied]
+        keys = iter(rng.random((sum(varied), n_features)))
+        return [np.sort(np.argsort(next(keys))[:per_split]) if v else None for v in varied]
 
     return candidates
 
@@ -1139,7 +1217,7 @@ def test_presorted_growth_matches_per_node_sorting(seed):
         depth or 4,
         lambda g: float(-g.sum() / (len(g) + lambda_reg)),
         reference_gain(lambda_reg),
-        lambda _: np.arange(f),
+        lambda targets: [np.arange(f)] * len(targets),
         gamma_reg,
     )
     assert json.dumps(boosted.state()) == json.dumps(expected)

@@ -52,14 +52,14 @@ GOLDEN = {
     "forecast": (
         ["forecast"],
         {
-            "archive.csv": "908fc2d6ebe3156779fb0cfe9665843edea5dc73c46ff3545e4d6b8acf130b91",
-            "forecast.csv": "03e47076f7b82ec99c15b9f41f6d7ec80d26ba1f82ae831ad6763e8a3abf94bd",
-            "weights.txt": "e615b332068d8491b2c8806df72981deb5d2741ae5074a5244f2522795b0d1a1",
+            "archive.csv": "0b7347eb1b327952edbe4cdef8536699ffcf23ea3ad13cde4e2018dca48552c7",
+            "forecast.csv": "c923dae565bc9d2791999bd2ecf04a9b1d9c66a5d9d42f14ea1ca23afad6f604",
+            "weights.txt": "ed89b276034b4c0da547e5dd9c4e6cfac0a4688f089cfb29712009af389508b9",
         },
     ),
     "forecast_random_forest": (
         ["forecast", "--model", "rf"],
-        {"forecast.csv": "03e47076f7b82ec99c15b9f41f6d7ec80d26ba1f82ae831ad6763e8a3abf94bd"},
+        {"forecast.csv": "c923dae565bc9d2791999bd2ecf04a9b1d9c66a5d9d42f14ea1ca23afad6f604"},
     ),
     "forecast_lstm_xgb": (
         ["forecast", "--model", "lstm-xgb"],
@@ -72,13 +72,13 @@ GOLDEN = {
             "model_cnn_gru.npz": "3bd7a6c2119fb0b979f8a947e89ae60600c0d0fc5f5e64ec451353fccf82c4a3",
             "model_lstm_xgb.npz": "e5a0b60e16325db61a5d99efbf9cb0f245e4c726a8213c8416435b4e5a885b78",
             "model_random_forest.npz": (
-                "1d4e93a21f5e2cee5c3fd0eda668596ef416146b817d44c47223a7527ddf4b80"
+                "269e63c4abd99ffcb6a4c25e838b17e9dc64c124a00de189ca690358ec0460a4"
             ),
         },
     ),
     "cv": (
         ["cv", "--folds", "3"],
-        {"cv_scores.csv": "babbb2ec07cfae6feff0ec2883bc97e36e50e2e754663d70813743fe79afa8a5"},
+        {"cv_scores.csv": "a9267b3469cb5bb37dd92561c0528adcde2e39d0948fa5e6fb5779188c6cf5bd"},
     ),
 }
 
