@@ -2,13 +2,15 @@ import re
 import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from granucast import timeseries
 from granucast.granulation import granulate_series
 from granucast.timeseries import (
     AllMissing,
@@ -31,6 +33,109 @@ def write(tmp_path, text, name="series.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def outcome(read):
+    """What ``read()`` gives: the dtypes and bytes of the series it returns,
+    or the type and text of what it raises."""
+    try:
+        raw = read()
+    except Exception as exc:  # the readers' faults, compared whatever they are
+        return type(exc), str(exc)
+    return raw.timestamps.dtype, raw.values.dtype, raw.timestamps.tobytes(), raw.values.tobytes()
+
+
+# lines the block parser must refuse, made from a row's stamp and reading
+SPOILERS = {
+    "quote": lambda stamp, value: f'"{stamp}",{value}'.encode(),
+    "space": lambda stamp, value: f"{stamp}, {value}".encode(),
+    "tab": lambda stamp, value: f"{stamp}\t,{value}".encode(),
+    "carriage return": lambda stamp, value: f"{stamp},\r{value}".encode(),
+    "fraction": lambda stamp, value: f"{stamp[:19]}.5{stamp[19:]},{value}".encode(),
+    "separator": lambda stamp, value: f"{stamp.replace('T', ' ')},{value}".encode(),
+    "plus": lambda stamp, value: f"+{stamp},{value}".encode(),
+    "not utf-8": lambda stamp, value: f"{stamp},{value}".encode() + b"\xff",
+    "latin": lambda stamp, value: f"{stamp},{value}\u00e9".encode(),
+    "nul": lambda stamp, value: f"{stamp},\x00{value}".encode(),
+    "bad stamp": lambda stamp, value: f"zz,{value}".encode(),
+    "bad value": lambda stamp, value: f"{stamp},abc".encode(),
+    "nan": lambda stamp, value: f"{stamp},nan".encode(),
+    "overflow": lambda stamp, value: f"{stamp},1e999".encode(),
+    "colon": lambda stamp, value: f"{stamp},1:5".encode(),
+    "three fields": lambda stamp, value: f"{stamp},{value},7".encode(),
+    "one field": lambda stamp, value: stamp.encode(),
+    "wide": lambda stamp, value: f"{stamp},{'0' * 40}1.5".encode(),
+    "19 digits": lambda stamp, value: f"{10**18 + 7},{value}".encode(),
+    "int64 overflow": lambda stamp, value: f"{2**63},{value}".encode(),
+    "year 0": lambda stamp, value: f"0000-01-01T00:00:00,{value}".encode(),
+    "year 1": lambda stamp, value: f"0001-01-01T00:00:00+05:00,{value}".encode(),
+    "year 9999": lambda stamp, value: f"9999-12-31T23:59:59-05:00,{value}".encode(),
+    "february 30": lambda stamp, value: f"2023-02-30T00:00:00,{value}".encode(),
+    "february 29, 2100": lambda stamp, value: f"2100-02-29T00:00:00,{value}".encode(),
+    "hour 24": lambda stamp, value: f"{stamp[:11]}24{stamp[13:]},{value}".encode(),
+    "offset 24h": lambda stamp, value: f"{stamp[:19]}+24:00,{value}".encode(),
+    "unsigned offset": lambda stamp, value: f"{stamp[:19]}005:30,{value}".encode(),
+}
+
+
+# other changes to a file that the block parser must refuse
+EDITS = ["disorder", "bare CR", "header", "byte", "moved comma"]
+# the stamps whose local date lies in years 2-9998 under every offset
+FIRST_STAMP = int(datetime(2, 1, 2, tzinfo=timezone.utc).timestamp())
+LAST_STAMP = int(datetime(9998, 12, 30, tzinfo=timezone.utc).timestamp())
+
+
+@st.composite
+def series_files(draw, spoiler):
+    """A CSV's bytes: rows in every form the block parser takes (epoch,
+    naive, Z and offset stamps; gaps and readings in several float
+    notations; LF and CRLF; blank lines; a byte-order mark; no final
+    newline), with one row changed by the named spoiler or edit, if any."""
+    # 1875-2128 holds non-leap century years; 12 steps stay below LAST_STAMP
+    stamp = draw(
+        st.integers(-3 * 10**9, 5 * 10**9) | st.integers(FIRST_STAMP, LAST_STAMP - 12 * 10**6)
+    )
+    rows = []
+    for _ in range(draw(st.integers(2, 12))):
+        stamp += draw(st.integers(1, 10**6))
+        moment = datetime.fromtimestamp(stamp, tz=timezone.utc)
+        form = draw(st.sampled_from(["epoch", "naive", "Z", "offset", "-00:00"]))
+        if form == "epoch":
+            text = str(stamp)
+        elif form == "offset":
+            offset = timedelta(minutes=draw(st.integers(-1439, 1439)))
+            text = moment.astimezone(timezone(offset)).isoformat()
+        else:
+            naive = moment.replace(tzinfo=None).isoformat()
+            text = naive + {"naive": "", "Z": "Z", "-00:00": "-00:00"}[form]
+        reading = draw(st.none() | st.floats(-1e6, 1e6))
+        notation = draw(st.sampled_from(["{!r}", "{:.3f}", "{:g}", "{:E}", "{:+.2e}"]))
+        value = "" if reading is None else notation.format(reading)
+        newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+        blank = draw(st.booleans()) and newline
+        rows.append([text, value, (blank or b"") + f"{text},{value}".encode(), newline])
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    header = b"timestamp,wind_speed"
+    if spoiler in SPOILERS:
+        row[2] = SPOILERS[spoiler](row[0], row[1])
+    elif spoiler == "disorder":
+        row[2] = f"{rows[0][0]},{row[1]}".encode() if row is not rows[0] else b"0,1"
+    elif spoiler == "bare CR":
+        row[3] = b"\r"
+    elif spoiler == "header":
+        header = b"Timestamp, Wind_Speed"
+    elif spoiler == "moved comma":
+        rows[-2][2] += b",7"
+        rows[-1][2] = rows[-1][2].replace(b",", b"")
+    elif spoiler == "byte":
+        at = draw(st.integers(0, len(row[2]) - 1))
+        byte = draw(st.sampled_from(b"0123456789-:TZ+.eE,")).to_bytes(1, "big")
+        row[2] = row[2][:at] + byte + row[2][at + 1 :]
+    text = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + header + b"\n"
+    text += b"".join(line + newline for *_, line, newline in rows)
+    if draw(st.booleans()):
+        text = text.rstrip(b"\r\n")
+    return text
 
 
 class TestLoadSeries:
@@ -252,6 +357,65 @@ class TestLoadSeries:
         path.write_bytes(text)
         with pytest.raises(MalformedRow, match=f"{path}: row {row}: not UTF-8 text$"):
             load_series(path)
+
+    def test_fractions_of_a_second_floor_to_the_second_before(self, tmp_path):
+        # truncation toward zero read both as 0: "timestamp does not increase"
+        path = write(
+            tmp_path, "timestamp,wind_speed\n1969-12-31T23:59:59.5,5.0\n1970-01-01T00:00:00.5,6.0\n"
+        )
+        assert load_series(path).timestamps.tolist() == [-1, 0]
+        # the last second datetime holds, not one past it
+        path = write(tmp_path, "timestamp,wind_speed\n9999-12-31T23:59:59.999999+00:00,5.0\n")
+        assert load_series(path).timestamps.tolist() == [253_402_300_799]
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_a_byte_order_mark_before_the_header_is_skipped(self, tmp_path, quote):
+        # quoted readings send the file to the row loop
+        path = tmp_path / "series.csv"
+        text = f"timestamp,wind_speed\r\n0,{quote}5.0{quote}\r\n600,6.0\r\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for read in (load_series, timeseries._read_rows):
+            raw = read(path)
+            assert raw.timestamps.tolist() == [0, 600]
+            assert raw.values.tolist() == [5.0, 6.0]
+
+    def test_the_block_parser_takes_the_synth_form(self, synth_csv):
+        raw = timeseries._read_blocks(synth_csv)
+        assert raw is not None
+        assert outcome(lambda: raw) == outcome(lambda: timeseries._read_rows(synth_csv))
+
+    @pytest.mark.parametrize("spoiler", [None, *SPOILERS, *EDITS])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), block=st.integers(16, 64))
+    def test_blocks_read_what_the_row_loop_reads(self, tmp_path_factory, spoiler, data, block):
+        # blocks of a few dozen bytes: lines cross block edges, and a
+        # spoiler often lies in a later block than the first
+        path = tmp_path_factory.mktemp("blocks") / "series.csv"
+        path.write_bytes(data.draw(series_files(spoiler)))
+        with mock.patch.object(timeseries, "_BLOCK", block):
+            assert outcome(lambda: load_series(path)) == outcome(
+                lambda: timeseries._read_rows(path)
+            )
+            if spoiler is None:
+                assert timeseries._read_blocks(path) is not None
+
+    @settings(max_examples=200)
+    @given(reading=st.text("0123456789.eE+-", min_size=1, max_size=24))
+    def test_a_reading_of_float_bytes_reads_as_float_reads_it(self, tmp_path_factory, reading):
+        path = tmp_path_factory.mktemp("readings") / "series.csv"
+        path.write_text(f"timestamp,wind_speed\n0,{reading}\n")
+        assert outcome(lambda: load_series(path)) == outcome(lambda: timeseries._read_rows(path))
+
+    def test_loading_holds_little_more_than_the_two_arrays(self, tmp_path):
+        timestamps, values = long_gappy_series()
+        rows = "".join(
+            f"{stamp},{'' if np.isnan(value) else repr(value)}\n"
+            for stamp, value in zip(timestamps.tolist(), values.tolist())
+        )
+        path = write(tmp_path, "timestamp,wind_speed\n" + rows)
+        assert timeseries._read_blocks(path) is not None
+        peak = traced_peak(lambda: load_series(path))
+        assert peak < 1.5 * (timestamps.nbytes + values.nbytes)
 
 
 def long_gappy_series():
