@@ -250,7 +250,7 @@ class GRULayer(Layer):
         return a
 
     def step(self, h_prev: np.ndarray | None, x_t: np.ndarray, out: np.ndarray | None = None):
-        """One cell application; returns the new state and a step cache.
+        """One cell application; returns the new state.
 
         ``h_prev=None`` stands for the all-zero initial state, whose matmuls
         are skipped. ``u``, ``r``, ``hr``, ``cand`` and the new state are
@@ -267,7 +267,7 @@ class GRULayer(Layer):
         # h = (1 - u) * h_prev + u * cand, whose two terms add alike in either order
         np.multiply(u, cand, out=h)
         h += (1.0 - u) * h_prev
-        return h, (x_t, h_prev, u, r, hr, cand)
+        return h
 
     def forward(self, x: np.ndarray, workspace: dict | None = None):
         if x.shape[2] != self.in_dim:
@@ -275,20 +275,20 @@ class GRULayer(Layer):
         batch, steps, _ = x.shape
         cells = buffer(workspace, (self, "cells"), (steps, 5, batch, self.hidden))
         h = None
-        cache = []
         for t in range(steps):
-            h, step_cache = self.step(h, x[:, t, :], cells[t])
-            cache.append(step_cache)
+            h = self.step(h, x[:, t, :], cells[t])
         # the states as a (batch, steps, hidden) view
-        return cells[:, 4].transpose(1, 0, 2), cache
+        return cells[:, 4].transpose(1, 0, 2), (x, cells)
 
     def backward(self, d_h_seq: np.ndarray, cache) -> np.ndarray:
         batch, steps, _ = d_h_seq.shape
         p, g = self.params, self.grads
         dx = np.empty((batch, steps, self.in_dim), DTYPE)
         dh_next = np.zeros((batch, self.hidden), DTYPE)
+        x, cells = cache
         for t in reversed(range(steps)):
-            x_t, h_prev, u, r, hr, cand = cache[t]
+            x_t, (u, r, hr, cand) = x[:, t, :], cells[t, :4]
+            h_prev = cells[t - 1, 4] if t else np.zeros_like(u)
             dh = np.add(d_h_seq[:, t, :], dh_next, out=dh_next)
             # dcin = dh * u * (1 - cand**2), drin = dhr * h_prev * r * (1 - r) and
             # duin = dh * (cand - h_prev) * u * (1 - u), each product taken left

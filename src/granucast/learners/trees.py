@@ -2,7 +2,7 @@
 
 ``build_cart`` grows the random forest's trees (the bagging lives in
 ``models.ForestRegressor``); ``BoostedTrees`` is lstm_xgb's second stage.
-Both grow a ``Tree``, five numpy node arrays in preorder, with one
+Both grow a ``Tree``, five numpy node arrays in level order, with one
 level-wise grower; they differ only in the leaf value, the cut score and one
 extra stop rule. ``Tree.predict`` is the one way to route rows: all rows go
 down together, one level a pass. A model file stores a tree as the JSON
@@ -10,11 +10,12 @@ lists of ``Tree.state``.
 
 Growth goes one depth a pass. The pass scores every open node of the depth
 at once, in blocks of nodes of like size, splits them, and stably
-partitions their rows into the children; the finished tree is renumbered
-in preorder. Split search is exact: ``presort`` orders each feature's rows
-by (value, row) once per tree (once per fit for boosting), a node ranks its
-own rows by their places in that order, and prefix sums over those rows
-alone score every cut of its candidate features. Cuts between equal values
+partitions their rows into the children, which are numbered as they
+grow: the next depth's nodes follow this one's. Split search is exact:
+``presort`` orders each feature's rows by (value, row) once per tree (once
+per fit for boosting), a node ranks its own rows by their places in that
+order, and prefix sums over those rows alone score every cut of its
+candidate features. Cuts between equal values
 are never taken. Ties break to the lowest feature, then the lowest
 threshold, but only between bit-equal scores: one partition reached through
 two features is summed in two row orders, and the two scores can differ in
@@ -23,10 +24,10 @@ the last bit (ROADMAP item 13).
 A node's value and cuts depend on its own rows only, never on the other
 nodes of its depth or on the block it is scored in. Node totals are
 ``np.add.reduce`` over the node's targets in ascending row order, as a
-preorder grower takes them, so growing by depth changes no tree grown on
-all features: every all-feature CART and every boosted tree is the one a
-node-by-node preorder grower builds, bit for bit. Feature sampling draws
-once per depth: one ``rng.random((nodes, features))`` over the depth's
+node-by-node grower takes them, so growing by depth changes no tree grown
+on all features: every all-feature CART and every boosted tree splits as
+a node-by-node grower splits it, bit for bit. Feature sampling draws once
+per depth: one ``rng.random((nodes, features))`` over the depth's
 nodes to split, in level order, and each node scores the features of its
 row's k smallest keys, sorted. That is a uniform k-subset for every node,
 as random forests need (Breiman, Machine Learning 2001); without sampling
@@ -49,9 +50,11 @@ _LEAF = -1
 
 @dataclass(eq=False)
 class Tree:
-    """Binary regression tree as five parallel node arrays, in preorder: a
-    leaf has feature -1, and a split sends a row to ``left`` when its
-    feature is at most ``threshold``."""
+    """Binary regression tree as five parallel node arrays: a leaf has
+    feature -1, and a split sends a row to ``left`` when its feature is at
+    most ``threshold``. A grown tree is in level order, depth by depth and
+    left to right, so the k-th split's children are nodes 2k + 1 and
+    2k + 2; any order with each child after its parent routes alike."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -67,8 +70,9 @@ class Tree:
     def load(cls, state: dict, width: int) -> "Tree":
         """The tree of a ``state()``; ValueError unless ``predict`` can route
         rows of ``width`` features through it: int split features in range,
-        each int child link after its parent, as the preorder grower puts it,
-        every link an int64, and finite float thresholds and leaf values."""
+        each int child link after its parent (level order and the preorder
+        of older model files both are), every link an int64, and finite
+        float thresholds and leaf values."""
         lists = vars(cls(**state))  # TypeError unless the keys are the five fields
         count = len(lists["feature"])
         if not count or {len(nodes) for nodes in lists.values()} != {count}:
@@ -234,29 +238,12 @@ def _grow(x, y, presorted, max_depth, leaf_value, cut_scores, candidates, min_sc
         child = 2 * (np.cumsum(splits) - 1)[node] + ~goes_left
         rows = rows[np.argsort(child, kind="stable")]
         sizes = np.bincount(child, minlength=2 * len(nodes))
-    return _preorder(levels)
-
-
-def _preorder(levels) -> Tree:
-    """One ``Tree`` in preorder from per-depth (feature, threshold, value)
-    arrays in level order, where each split's children are the next depth's
-    next two nodes, left first."""
-    spans = [np.ones(len(levels[-1][0]), dtype=np.int64)]  # subtree node counts
-    for feature, _, _ in reversed(levels[:-1]):
-        span = np.ones(len(feature), dtype=np.int64)
-        span[feature != _LEAF] += spans[-1].reshape(-1, 2).sum(axis=1)
-        spans.append(span)
-    spans.reverse()
-    tree = Tree(*(np.full(int(spans[0][0]), blank) for blank in (_LEAF, 0.0, _LEAF, _LEAF, 0.0)))
-    at = np.zeros(1, dtype=np.int64)
-    for (feature, threshold, value), span in zip(levels, spans[1:] + [None]):
-        tree.feature[at], tree.threshold[at], tree.value[at] = feature, threshold, value
-        parents = at[feature != _LEAF]
-        if len(parents):
-            tree.left[parents] = parents + 1
-            tree.right[parents] = parents + 1 + span[0::2]
-            at = np.column_stack([tree.left[parents], tree.right[parents]]).ravel()
-    return tree
+    feature, threshold, value = map(np.concatenate, zip(*levels))
+    # each split's children are the next depth's next two nodes, left first,
+    # so in level order split k (from 0) has children 2k + 1 and 2k + 2
+    splits = feature != _LEAF
+    left = np.where(splits, 2 * np.cumsum(splits) - 1, _LEAF)
+    return Tree(feature, threshold, left, np.where(splits, left + 1, _LEAF), value)
 
 
 def build_cart(

@@ -3,10 +3,11 @@
 Input format is a two-column CSV with header ``timestamp,wind_speed``, which
 may follow a UTF-8 byte-order mark. Timestamps are integer epoch seconds or
 ISO-8601 strings, and must be strictly increasing. The form is detected per
-value: text that ``int()`` accepts is epoch seconds (so ``20230101`` is a
-second count, not a date); anything else is read by
+value: ASCII digits with an optional sign are epoch seconds (so
+``20230101`` is a second count, not a date); anything else is read by
 ``datetime.fromisoformat``, an ISO string without an offset is UTC, and a
-fraction of a second is floored to the second before it. An empty
+fraction of a second is floored to the second before it. A timestamp or
+reading that holds ``_`` or a character outside ASCII is rejected. An empty
 wind_speed field marks a gap; NaN and infinite readings are rejected, so
 NaN is the only record of a gap.
 
@@ -122,17 +123,25 @@ class SplitSpec:
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
+def _ascii(text: str) -> str:
+    """``text``, or ValueError if it holds a "_" or a character outside
+    ASCII, which ``int()`` and ``float()`` take (``1_000``, ``２000``)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
+
+
 def _parse_timestamp(text: str, path: Path, row: int) -> int:
     text = text.strip()
     # int() fails on any "T" or ":", and on a "-" other than a leading sign,
     # so ISO text skips an attempt that can only raise
     if "T" not in text and ":" not in text and "-" not in text[1:]:
         try:
-            return int(text)
+            return int(_ascii(text))
         except ValueError:
             pass
     try:
-        stamp = datetime.fromisoformat(text)
+        stamp = datetime.fromisoformat(_ascii(text))
     except ValueError:
         raise MalformedRow(f"{path}: row {row}: unparseable timestamp {text!r}") from None
     if stamp.tzinfo is None:
@@ -195,20 +204,8 @@ def _stamp_bounds() -> np.ndarray:
 
 
 _STAMP_BOUNDS = _stamp_bounds()
-# the columns of the tens digits of year/100, year%100, month, day, hour,
-# minute, second, offset hours and offset minutes, and the range of each pair
-_TENS = np.array([0, 2, 5, 8, 11, 14, 17, 20, 23])
-_PAIR_LOW = np.array([0, 0, 1, 1, 0, 0, 0, 0, 0])
-_PAIR_HIGH = np.array([99, 99, 12, 31, 23, 59, 59, 23, 59])
-# whether each year 0-9999 is a leap year, and the days from 1970-01-01 to
-# its January 1
-_LEAP = np.zeros(10000, dtype=bool)
-_LEAP[::4], _LEAP[::100], _LEAP[::400] = True, False, True
-_NEW_YEAR = np.cumsum(365 + _LEAP) - (365 + _LEAP)
-_NEW_YEAR -= _NEW_YEAR[1970]
-# days in each month, and days of a common year before it, by month number
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_MONTH_START = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+# years 2-9998 keep every offset within datetime's range
+_FIRST, _END = np.datetime64("0002-01-01", "s"), np.datetime64("9999-01-01", "s")
 
 
 def _read_blocks(path: Path) -> RawSeries | None:
@@ -311,22 +308,18 @@ def _parse_stamps(grid: np.ndarray, length: np.ndarray) -> np.ndarray | None:
 def _iso_seconds(grid: np.ndarray) -> np.ndarray | None:
     """Epoch seconds of stamps that fit an ISO template, or None unless
     every field is in range."""
-    pairs = 10 * grid[:, _TENS].astype(np.int32) + grid[:, _TENS + 1] - 11 * ord("0")
-    # a stamp without an offset reads as +00:00
-    pairs[:, 7:] *= (grid[:, 22] == ord(":"))[:, None]
-    year = 100 * pairs[:, 0] + pairs[:, 1]
-    month, day, hour, minute, second, offset_hour, offset_minute = pairs[:, 2:].T
-    leap = _LEAP[year]
-    # years 2-9998 keep every offset within datetime's range
-    if not (
-        ((_PAIR_LOW <= pairs) & (pairs <= _PAIR_HIGH)).all()
-        and ((2 <= year) & (year <= 9998)).all()
-        and (day <= _MONTH_DAYS[month] + ((month == 2) & leap)).all()
-    ):
+    try:
+        local = np.ascontiguousarray(grid[:, :19]).view("S19")[:, 0].astype("datetime64[s]")
+    except ValueError:  # a month, day, hour, minute or second out of range
         return None
-    days = _NEW_YEAR[year] + _MONTH_START[month] + ((month > 2) & leap) + day - 1
-    east = np.where(grid[:, 19] == ord("-"), -1, 1) * (3600 * offset_hour + 60 * offset_minute)
-    return 86400 * days + 3600 * hour + 60 * minute + second - east
+    # the offset's digits; a stamp without an offset reads as +00:00
+    digits = grid[:, [20, 21, 23, 24]].astype(np.int64) - ord("0")
+    digits *= grid[:, 22:23] == ord(":")
+    hours, minutes = 10 * digits[:, 0::2].T + digits[:, 1::2].T
+    if not ((_FIRST <= local) & (local < _END) & (hours <= 23) & (minutes <= 59)).all():
+        return None
+    east = np.where(grid[:, 19] == ord("-"), -1, 1) * (3600 * hours + 60 * minutes)
+    return local.astype(np.int64) - east
 
 
 def _parse_readings(grid: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -391,7 +384,7 @@ def _read_rows(path: Path) -> RawSeries:
                     values.append(math.nan)
                 else:
                     try:
-                        value = float(raw_value)
+                        value = float(_ascii(raw_value))
                     except ValueError:
                         raise MalformedRow(
                             f"{path}: row {row_number}: unparseable wind_speed {raw_value!r}"

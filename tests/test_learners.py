@@ -407,21 +407,21 @@ class TestGruLayer:
     def test_zero_parameters_halve_the_state(self):
         layer = GRULayer(2, 3)
         h_prev = np.array([[1.0, -2.0, 4.0]])
-        h, _ = layer.step(h_prev, np.array([[0.3, 0.7]]))
+        h = layer.step(h_prev, np.array([[0.3, 0.7]]))
         np.testing.assert_array_equal(h, 0.5 * h_prev)
 
     def test_closed_update_gate_keeps_the_state(self):
         layer = GRULayer(2, 3)
         layer.params["bu"][...] = -1000.0
         h_prev = np.array([[1.0, -2.0, 4.0]])
-        h, _ = layer.step(h_prev, np.array([[0.3, 0.7]]))
+        h = layer.step(h_prev, np.array([[0.3, 0.7]]))
         np.testing.assert_array_equal(h, h_prev)
 
     def test_open_update_gate_jumps_to_the_candidate(self):
         layer = GRULayer(2, 3)
         layer.params["bu"][...] = 1000.0
         layer.params["bc"][...] = 0.3
-        h, _ = layer.step(
+        h = layer.step(
             np.array([[1.0, -2.0, 4.0]], np.float32), np.array([[0.3, 0.7]], np.float32)
         )
         np.testing.assert_array_equal(h, np.full((1, 3), np.tanh(np.float32(0.3))))
@@ -435,7 +435,7 @@ class TestGruLayer:
         h_seq, _ = layer.forward(x)
         h = np.zeros((2, 3))
         for t in range(5):
-            h, _ = layer.step(h, x[:, t, :])
+            h = layer.step(h, x[:, t, :])
             np.testing.assert_array_equal(h_seq[:, t, :], h)
 
     @given(st.integers(0, 10_000))
@@ -666,13 +666,18 @@ class TestBoostedTrees:
     def test_training_predictions_match_the_recorded_digest(self):
         """The fit's running prediction, which sets every gradient and
         objective, was recorded when ``Tree.predict`` walked one row at a
-        time; routing all rows together must not move a bit."""
+        time; routing all rows together must not move a bit. The objective
+        digest was re-recorded when trees came to be stored in level order:
+        its penalty sums the leaf values in node order. The predictions were
+        recorded with trees in preorder and hold."""
         rng = np.random.default_rng(8)
         x = np.round(rng.normal(size=(120, 5)), 1)
         y = np.round(x[:, 0] - x[:, 2] ** 2 + rng.normal(size=120), 1)
         model = BoostedTrees.fit(x, y, rounds=25, max_depth=3, gamma_reg=0.1)
         digest = hashlib.sha256(np.array(model.objective_history).tobytes()).hexdigest()
-        assert digest == "0b7174bac458589eca817864a708597d3f7e351f57261be009091cf233441ddd"
+        assert digest == "d19da60d0d212bc2c4ece2d4da4fa2606e8bf5df918a4f822e44c74e7b38a1f0"
+        digest = hashlib.sha256(model.predict(x).tobytes()).hexdigest()
+        assert digest == "bdc5333c19ceccf0dfc137a0e49ca5fc2fb32400d00bfc893409f78a60c3523c"
 
     def test_zero_rounds_is_the_mean_predictor(self):
         x = np.arange(6.0).reshape(-1, 1)
@@ -902,46 +907,85 @@ def sha256_of(tree) -> str:
     return hashlib.sha256(json.dumps(tree.state()).encode()).hexdigest()
 
 
+def level_order(tree, root: int = 0) -> list[int]:
+    """The nodes under ``root`` as a breadth-first walk of the links meets
+    them: depth by depth, each split's left child before its right."""
+    walk = [root]
+    for node in walk:
+        if tree.feature[node] != -1:
+            walk += [int(tree.left[node]), int(tree.right[node])]
+    return walk
+
+
+def renumbered(tree, order: list[int]) -> Tree:
+    """The subtree of ``tree`` whose nodes are ``order``, numbered by their
+    places in it."""
+    order = np.array(order)
+    place = np.full(len(tree.feature), -1)
+    place[order] = np.arange(len(order))
+    split = tree.feature[order] != -1
+    left, right = (np.where(split, place[links[order]], -1) for links in (tree.left, tree.right))
+    return Tree(tree.feature[order], tree.threshold[order], left, right, tree.value[order])
+
+
+def preorder(tree) -> Tree:
+    """``tree`` renumbered into preorder, the node order of the model files
+    written while trees were stored in preorder."""
+    order, stack = [], [0]
+    while stack:
+        order.append(node := stack.pop())
+        if tree.feature[node] != -1:
+            stack += [int(tree.right[node]), int(tree.left[node])]
+    return renumbered(tree, order)
+
+
 class TestGoldenTrees:
     """Trees pinned to the bit: a faster grower must reproduce them exactly.
 
     ROADMAP item 13 (ties decided by last-bit noise) will change these
     digests on purpose; a change that only speeds growth up must not.
     ``cart_sqrt_features`` was re-recorded when the feature draw became one
-    ``rng.random`` per depth.
+    ``rng.random`` per depth. The trees of more than one depth were
+    re-recorded when trees came to be stored in level order; renumbered into
+    preorder, each still hashes to the digest recorded before.
     """
 
     @pytest.mark.parametrize(
-        "build, nodes, digest",
+        "build, nodes, digest, preorder_digest",
         [
             (
                 lambda x, y, g: build_cart(x, y, np.random.default_rng(3), features_per_split=3),
                 177,
+                "e0e000cd9b006c237cff306b710bea1b0dbab7407da664c4dcb5ca50034d412c",
                 "ed6be7be6aa508b5784b40a543e82dee0d6f8f3d3119b90565afafd93d339392",
             ),
             (
                 lambda x, y, g: build_cart(x, y, np.random.default_rng(3), max_depth=3),
                 15,
+                "1240a87ca78439724e43281d8646c711c6971e43456285526c91ee6b09a3e1ae",
                 "94b903c913ffe68d8a31673f08893498d8874bad016e866552132703f322dbcd",
             ),
             (
                 lambda x, y, g: build_boosted_tree(x, g, 1.0, gamma_reg=0.5, max_depth=1),
                 3,
                 "8818fcd415ab894db0dfa1e021a2a3c52dc8af47cd8a6a52b1f167a092257536",
+                "8818fcd415ab894db0dfa1e021a2a3c52dc8af47cd8a6a52b1f167a092257536",
             ),
             (
                 lambda x, y, g: build_boosted_tree(x, g, 1.0, gamma_reg=0.5, max_depth=3),
                 15,
+                "acf3eecea72f13650c7c379bc5e3f342549cb81914a92e95db15fb432572982f",
                 "a3a008dbe718b5afc76b12206ce1ea11ce7088eabe3513205bdf864876ebd0d1",
             ),
         ],
         ids=["cart_sqrt_features", "cart_depth_3", "boosted_depth_1", "boosted_depth_3"],
     )
-    def test_tree(self, build, nodes, digest):
+    def test_tree(self, build, nodes, digest, preorder_digest):
         x, y = golden_sample()
         tree = build(x, y, np.round(y - y.mean(), 1))
         assert len(tree.feature) == nodes
         assert sha256_of(tree) == digest
+        assert sha256_of(preorder(tree)) == preorder_digest
 
     def test_boosting_predictions(self):
         x, y = golden_sample()
@@ -1028,28 +1072,52 @@ class TestLevelWiseGrowth:
 
     def test_a_nodes_subtree_depends_only_on_its_rows(self):
         # grown alone on a node's rows (kept ascending), CART rebuilds the
-        # node's subtree bit for bit: no prefix sum runs across nodes
+        # node's subtree, gathered by its links, bit for bit: no prefix sum
+        # runs across nodes
         x, y = golden_sample()
         tree = build_cart(x, y, np.random.default_rng(3))
-        state = tree.state()
-        members, ends = {0: np.arange(len(y))}, {}
-        for node in range(len(tree.feature)):  # preorder: parents first
+        members = {0: np.arange(len(y))}
+        for node in level_order(tree):  # parents first
             if tree.feature[node] != -1:
                 rows = members[node]
                 left = x[rows, tree.feature[node]] <= tree.threshold[node]
                 members[tree.left[node]], members[tree.right[node]] = rows[left], rows[~left]
-        for node in reversed(range(len(tree.feature))):
-            ends[node] = node + 1 if tree.feature[node] == -1 else ends[tree.right[node]]
         internal = np.flatnonzero(tree.feature != -1)
         assert len(internal) > 50
         for node in internal.tolist():
             rows = members[node]
             alone = build_cart(x[rows], y[rows], np.random.default_rng(0))
-            span = slice(node, ends[node])
-            expected = {key: values[span] for key, values in state.items()}
-            for key in ("left", "right"):
-                expected[key] = [-1 if link == -1 else link - node for link in expected[key]]
-            assert json.dumps(alone.state()) == json.dumps(expected)
+            subtree = renumbered(tree, level_order(tree, node))
+            assert json.dumps(alone.state()) == json.dumps(subtree.state())
+
+    def test_trees_are_stored_in_level_order(self):
+        # a breadth-first walk from the root meets the nodes in index order
+        x, y = golden_sample()
+        g = np.round(y - y.mean(), 1)
+        for tree in (
+            build_cart(x, y, np.random.default_rng(3), features_per_split=3),
+            build_cart(x, y, np.random.default_rng(3)),
+            build_boosted_tree(x, g, 1.0, gamma_reg=0.0, max_depth=6),
+            build_cart(x, np.full(len(y), 2.5), np.random.default_rng(0)),
+        ):
+            assert level_order(tree) == list(range(len(tree.feature)))
+
+    def test_a_forest_saved_in_preorder_loads_and_predicts_alike(self, tmp_path):
+        # model files written while trees were stored in preorder are format
+        # 3 too, and must load and predict as they did
+        data = toy_supervised()
+        forest = fit_learner("random_forest", data, SMALL["random_forest"])
+        path = tmp_path / "model.npz"
+        save_model(forest, path)
+        with np.load(path) as saved:
+            meta = json.loads(str(saved["meta"][()]))
+        old = [preorder(tree).state() for tree in forest.trees]
+        assert sum(state != tree.state() for state, tree in zip(old, forest.trees)) > 5
+        meta["extra"]["trees"] = old
+        write_npz(path, json.dumps(meta), {})
+        loaded = load_model(path)
+        assert [tree.state() for tree in loaded.trees] == old
+        assert_same_bits(loaded.predict(data.inputs), forest.predict(data.inputs))
 
     @pytest.mark.parametrize("cells", [1, 1 << 20], ids=["one_node_a_block", "one_block_a_depth"])
     def test_the_block_width_changes_no_tree(self, monkeypatch, cells):
@@ -1076,12 +1144,12 @@ class TestLevelWiseGrowth:
 
 def reference_tree(x, y, max_depth, leaf_value, cut_scores, candidates, min_score) -> dict:
     """Growth one depth at a time that argsorts the candidate columns at
-    every node, then numbers the nodes in preorder; the presorted grower must
+    every node, numbering the nodes in level order; the presorted grower must
     build the same tree bit for bit. ``candidates`` gets the targets of a
     depth's nodes of two or more rows above ``max_depth``, in level order, and
     returns each one's candidate features, or None to keep it a leaf."""
-    root = {"rows": np.arange(len(y))}
-    level, depth = [root], 0
+    nodes = [{"rows": np.arange(len(y)), "left": -1, "right": -1}]
+    level, depth = nodes[:], 0
     while level:
         for node in level:
             node["value"] = leaf_value(y[node["rows"]])
@@ -1105,26 +1173,16 @@ def reference_tree(x, y, max_depth, leaf_value, cut_scores, candidates, min_scor
             node["feature"] = int(features[column])
             node["threshold"] = float((xs[row, column] + xs[row + 1, column]) / 2.0)
             goes_left = x[rows, node["feature"]] <= node["threshold"]
-            node["children"] = ({"rows": rows[goes_left]}, {"rows": rows[~goes_left]})
-            level.extend(node["children"])
+            node["left"], node["right"] = len(nodes), len(nodes) + 1
+            for part in (rows[goes_left], rows[~goes_left]):
+                nodes.append({"rows": part, "left": -1, "right": -1})
+                level.append(nodes[-1])
         depth += 1
-
-    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
-
-    def number(node):
-        index = len(tree["feature"])
-        tree["feature"].append(node.get("feature", -1))
-        tree["threshold"].append(node.get("threshold", 0.0))
-        tree["value"].append(node["value"])
-        tree["left"].append(-1)
-        tree["right"].append(-1)
-        if "children" in node:
-            tree["left"][index] = number(node["children"][0])
-            tree["right"][index] = number(node["children"][1])
-        return index
-
-    number(root)
-    return tree
+    return {
+        "feature": [node.get("feature", -1) for node in nodes],
+        "threshold": [node.get("threshold", 0.0) for node in nodes],
+        **{key: [node[key] for node in nodes] for key in ("left", "right", "value")},
+    }
 
 
 def reference_predict(tree, x) -> np.ndarray:
@@ -1459,7 +1517,7 @@ class TestModelLifecycle:
         with np.load(path) as data:
             meta = json.loads(str(data["meta"][()]))
         tree = meta["extra"]["trees"][0]
-        # the root splits, and the last node in preorder is a leaf
+        # the root splits, and the last node is a leaf
         assert tree["feature"][0] >= 0 and tree["feature"][-1] == -1
         tree[key][node] = value
         write_npz(path, json.dumps(meta), {})

@@ -72,7 +72,7 @@ GOLDEN = {
             "model_cnn_gru.npz": "3bd7a6c2119fb0b979f8a947e89ae60600c0d0fc5f5e64ec451353fccf82c4a3",
             "model_lstm_xgb.npz": "e5a0b60e16325db61a5d99efbf9cb0f245e4c726a8213c8416435b4e5a885b78",
             "model_random_forest.npz": (
-                "269e63c4abd99ffcb6a4c25e838b17e9dc64c124a00de189ca690358ec0460a4"
+                "23211db55c2f9b0fd44d7679599ff5662a54f78184c652a98c02ddf14c059edd"
             ),
         },
     ),

@@ -74,6 +74,7 @@ SPOILERS = {
     "february 29, 2100": lambda stamp, value: f"2100-02-29T00:00:00,{value}".encode(),
     "hour 24": lambda stamp, value: f"{stamp[:11]}24{stamp[13:]},{value}".encode(),
     "offset 24h": lambda stamp, value: f"{stamp[:19]}+24:00,{value}".encode(),
+    "offset minute 60": lambda stamp, value: f"{stamp[:19]}+23:60,{value}".encode(),
     "unsigned offset": lambda stamp, value: f"{stamp[:19]}005:30,{value}".encode(),
 }
 
@@ -219,6 +220,33 @@ class TestLoadSeries:
         with pytest.raises(MalformedRow) as exc:
             load_series(path)
         assert str(exc.value) == f"{path}: row 3: unparseable timestamp 'zz'"
+
+    @pytest.mark.parametrize(
+        "line, field, text",
+        [
+            ("1_000,5.0", "timestamp", "1_000"),
+            ("0,1_0.5", "wind_speed", "1_0.5"),
+            ("0,1e1_0", "wind_speed", "1e1_0"),
+            ("\uff12000,5.0", "timestamp", "\uff12000"),
+            ("0,\uff15.0", "wind_speed", "\uff15.0"),
+            ("0,5\u0660", "wind_speed", "5\u0660"),
+        ],
+        ids=[
+            "underscore stamp",
+            "underscore reading",
+            "underscore exponent",
+            "fullwidth stamp",
+            "fullwidth reading",
+            "arabic-indic digit",
+        ],
+    )
+    def test_digits_are_ascii_without_underscores(self, tmp_path, line, field, text):
+        # int() and float() take both, and read 1_000 as 1000 and \uff12000 as 2000
+        path = tmp_path / "series.csv"
+        path.write_bytes(f"timestamp,wind_speed\n{line}\n".encode())
+        with pytest.raises(MalformedRow) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 2: unparseable {field} {text!r}"
 
     def test_field_count_message(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed\n0,5.0\n600,6.0,7.0\n")
