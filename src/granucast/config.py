@@ -121,13 +121,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _parse_value(text: str):
-    lowered = text.lower()
-    if lowered in ("none", "null"):
+    if text.lower() in ("none", "null"):
         return None
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
     if "," in text:
         return tuple(_parse_value(part.strip()) for part in text.split(","))
     try:

@@ -3,8 +3,11 @@
 ``build_cart`` grows the random forest's trees (the bagging lives in
 ``models.ForestRegressor``); ``BoostedTrees`` is lstm_xgb's second stage.
 Both grow a ``Tree``, five numpy node arrays in level order, with one
-level-wise grower; they differ only in the leaf value, the cut score and one
-extra stop rule. ``Tree.predict`` is the one way to route rows: all rows go
+level-wise grower and one split rule: XGBoost's second-order gain with unit
+hessians (Chen & Guestrin, KDD 2016). A forest tree is a boosted tree at
+lambda 0, where the gain is half CART's cut in squared error (Breiman et
+al. 1984) and the leaf is the mean; boosting negates its leaves into
+weights. ``Tree.predict`` is the one way to route rows: all rows go
 down together, one level a pass. A model file stores a tree as the JSON
 lists of ``Tree.state``.
 
@@ -155,27 +158,21 @@ def _blocks(sizes: np.ndarray, k: int):
         yield slice(first, len(sizes))
 
 
-def _grow(x, y, presorted, max_depth, leaf_value, cut_scores, candidates, min_score) -> Tree:
-    """Greedy growth shared by both learners, from ``presort(x)``: one pass
-    scores and splits all open nodes of one depth.
+def _grow(x, y, presorted, max_depth, lambda_reg, min_gain, rng=None, k=None) -> Tree:
+    """Greedy second-order growth from ``presort(x)``, one depth a pass.
 
     A depth's nodes hold their rows ascending, as consecutive segments of
-    one array in level order. A node stores ``leaf_value(sums, sizes)`` of
-    its targets and stays a leaf when it has one row, sits at ``max_depth``,
-    ``candidates`` skips it, or its best cut scores no more than
-    ``min_score``. ``candidates(varied)`` gets, for the depth's nodes of two
-    or more rows, whether their targets differ, and returns the indices of
-    those to score and their (nodes, k) sorted candidate features.
-
-    Nodes of like size score together, padded to the largest with the
-    padding row of ``presort``. ``cut_scores(targets, sizes, left, right,
-    sums)`` scores cutting each node after each of the first M - 1 rows of a
-    block: ``targets`` holds them as (nodes, k, M) in each candidate
-    feature's order, 0 past a node's own rows, and ``left`` and ``right``
-    count the rows on the two sides. Scores past a node's own rows are
-    ignored.
+    one array in level order. A node of target sum S and M rows stores
+    S / (M + λ), λ = ``lambda_reg``, and a cut with L rows of sum S_L on its
+    left and R of sum S_R on its right gains
+    (S_L²/(L + λ) + S_R²/(R + λ) - S²/(M + λ)) / 2. A node stays a leaf when
+    its targets are all equal, it sits at ``max_depth``, or its best cut
+    gains no more than ``min_gain``. With ``k`` below the feature count,
+    each node scores k features drawn from ``rng``, else all of them. Nodes
+    of like size score together, padded to the largest with the padding row
+    of ``presort``; scores past a node's own rows are ignored.
     """
-    n = len(y)
+    n, n_features = x.shape
     if not n:
         raise ValueError("cannot grow a tree on an empty training set")
     order, place, ordered_x = presorted
@@ -187,14 +184,18 @@ def _grow(x, y, presorted, max_depth, leaf_value, cut_scores, candidates, min_sc
         targets, starts = y[rows], np.cumsum(sizes) - sizes
         sums = _segment_sums(targets, starts, sizes)
         feature, threshold = np.full(len(sizes), _LEAF), np.zeros(len(sizes))
-        levels.append((feature, threshold, leaf_value(sums, sizes)))
+        levels.append((feature, threshold, sums / (sizes + lambda_reg)))
         if max_depth is not None and depth >= max_depth:
             break
-        open_nodes = np.flatnonzero(sizes > 1)
         varied = np.logical_or.reduceat(targets != np.repeat(targets[starts], sizes), starts)
-        picked, drawn = candidates(varied[open_nodes])
-        by_size = np.argsort(sizes[open_nodes[picked]], kind="stable")
-        scored, drawn = open_nodes[picked][by_size], drawn[by_size]
+        scored = np.flatnonzero(varied & (sizes > 1))
+        if k is None or k >= n_features:
+            drawn = np.broadcast_to(np.arange(n_features), (len(scored), n_features))
+        else:
+            keys = rng.random((len(scored), n_features))
+            drawn = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
+        by_size = np.argsort(sizes[scored], kind="stable")
+        scored, drawn = scored[by_size], drawn[by_size]
         padded = np.append(rows, n)
         found = []
         for block in _blocks(sizes[scored], drawn.shape[1]):
@@ -210,18 +211,24 @@ def _grow(x, y, presorted, max_depth, leaf_value, cut_scores, candidates, min_sc
                 places.sort(axis=2)
                 places += (features * (n + 1))[:, :, None]
                 xs, ranked_y = ordered_x.ravel()[places], ordered_y.ravel()[places]
+            total = sums[nodes, None, None]
+            left_sum = np.add.accumulate(ranked_y, axis=2)[..., :-1]
             left = counts[1:width]
             right = np.maximum(m[:, None, None] - left, 1.0)
-            scores = cut_scores(ranked_y, m, left, right, sums[nodes])
-            scores[~(xs[..., 1:] > xs[..., :-1])] = -np.inf
-            column, row = np.divmod(scores.reshape(len(nodes), -1).argmax(axis=1), width - 1)
+            gains = 0.5 * (
+                left_sum**2 / (left + lambda_reg)
+                + (total - left_sum) ** 2 / (right + lambda_reg)
+                - total**2 / (m[:, None, None] + lambda_reg)
+            )
+            gains[~(xs[..., 1:] > xs[..., :-1])] = -np.inf
+            column, row = np.divmod(gains.reshape(len(nodes), -1).argmax(axis=1), width - 1)
             each = np.arange(len(nodes))
             bounds = xs[each[:, None], column[:, None], row[:, None] + [0, 1]]
-            found.append((nodes, scores[each, column, row], features[each, column], bounds))
+            found.append((nodes, gains[each, column, row], features[each, column], bounds))
         if not found:
             break
         nodes, best, chosen, bounds = map(np.concatenate, zip(*found))
-        split = ~(best <= min_score)
+        split = ~(best <= min_gain)
         if not split.any():
             break
         nodes, (lo, hi) = nodes[split], bounds[split].T
@@ -255,37 +262,16 @@ def build_cart(
 ) -> Tree:
     """Greedy least-squares CART; optional per-split feature sampling.
 
-    Leaves hold the mean target; nodes whose targets are all equal stay
-    leaves. With sampling, each depth draws one ``rng.random((nodes,
-    features))`` for its nodes to split, in level order, and each node scores
-    the features of its row's k smallest keys.
+    ``_grow`` at lambda 0: leaves hold the mean target, a cut gains half
+    the drop it makes in summed squared error, and a node splits at its
+    best cut whatever the gain. With sampling, each depth draws one
+    ``rng.random((nodes, features))`` for its nodes to split, in level
+    order, and each node scores the features of its row's
+    ``features_per_split`` smallest keys.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _, n_features = x.shape
-    k = n_features if features_per_split is None else min(features_per_split, n_features)
-
-    def candidates(varied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nodes = np.flatnonzero(varied)
-        if k == n_features:
-            return nodes, np.broadcast_to(np.arange(k), (len(nodes), k))
-        keys = rng.random((len(nodes), n_features))
-        return nodes, np.sort(np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1)
-
-    def negative_sse(targets, _m, left, right, _sums) -> np.ndarray:
-        """Minus the summed squared error of the two sides of each cut."""
-        s1 = np.add.accumulate(targets, axis=2)
-        s2 = np.add.accumulate(targets * targets, axis=2)
-        # the padding adds zeros, so the last sums are the node's totals; a
-        # total of -0.0 turns 0.0, which squares the same
-        total1, total2 = s1[..., -1:], s2[..., -1:]
-        left1, left2 = s1[..., :-1], s2[..., :-1]
-        return -((left2 - left1**2 / left) + ((total2 - left2) - (total1 - left1) ** 2 / right))
-
-    def mean(sums, m):
-        return sums / m
-
-    return _grow(x, y, presort(x), max_depth, mean, negative_sse, candidates, -np.inf)
+    return _grow(x, y, presort(x), max_depth, 0.0, -np.inf, rng, features_per_split)
 
 
 def build_boosted_tree(
@@ -298,33 +284,18 @@ def build_boosted_tree(
 ) -> Tree:
     """One boosting round's tree on gradients of squared loss (hessian 1).
 
-    Leaf weight is -G / (H + lambda) with H = member count; a cut scores
-    its second-order gain over keeping the node whole, and is kept only
-    when that gain exceeds gamma. ``presorted`` is ``presort(x)``, sorted
-    here unless given.
+    ``_grow`` on the gradients, whose leaves G / (H + lambda), H the member
+    count, are then negated into the leaf weights; a cut is kept only when
+    its second-order gain exceeds gamma. ``presorted`` is ``presort(x)``,
+    sorted here unless given.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(residual_grad, dtype=np.float64)
-    all_features = np.arange(x.shape[1])
-
-    def candidates(varied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nodes = np.arange(len(varied))
-        return nodes, np.broadcast_to(all_features, (len(nodes), len(all_features)))
-
-    def gain(targets, m, left, right, sums) -> np.ndarray:
-        total_g = sums[:, None, None]
-        left_g = np.add.accumulate(targets, axis=2)[..., :-1]
-        return 0.5 * (
-            left_g**2 / (left + lambda_reg)
-            + (total_g - left_g) ** 2 / (right + lambda_reg)
-            - total_g**2 / (m[:, None, None] + lambda_reg)
-        )
-
-    def leaf_weight(sums, m):
-        return -sums / (m + lambda_reg)
-
     presorted = presort(x) if presorted is None else presorted
-    return _grow(x, g, presorted, max_depth, leaf_weight, gain, candidates, gamma_reg)
+    tree = _grow(x, g, presorted, max_depth, lambda_reg, gamma_reg)
+    # negating the leaves, not the gradients, keeps a zero-sum leaf at -0.0
+    np.negative(tree.value, out=tree.value)
+    return tree
 
 
 @dataclass

@@ -5,8 +5,9 @@ may follow a UTF-8 byte-order mark. Timestamps are integer epoch seconds or
 ISO-8601 strings, and must be strictly increasing. The form is detected per
 value: ASCII digits with an optional sign are epoch seconds (so
 ``20230101`` is a second count, not a date); anything else is read by
-``datetime.fromisoformat``, an ISO string without an offset is UTC, and a
-fraction of a second is floored to the second before it. A timestamp or
+``datetime.fromisoformat``, an ISO string without an offset is UTC, an
+offset's minutes and seconds must lie below 60, and a fraction of a second
+is floored to the second before it. A timestamp or
 reading that holds ``_`` or a character outside ASCII is rejected. An empty
 wind_speed field marks a gap; NaN and infinite readings are rejected, so
 NaN is the only record of a gap.
@@ -121,6 +122,8 @@ class SplitSpec:
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# an ISO offset's minute and second fields, which fromisoformat takes up to 99
+_OFFSET = re.compile(r"[+-][0-9]{2}(?::?([0-9]{2})(?::?([0-9]{2})(?:[.,][0-9]+)?)?)?$")
 
 
 def _ascii(text: str) -> str:
@@ -142,6 +145,9 @@ def _parse_timestamp(text: str, path: Path, row: int) -> int:
             pass
     try:
         stamp = datetime.fromisoformat(_ascii(text))
+        offset = _OFFSET.search(text) if stamp.tzinfo else None
+        if offset and any(int(field or 0) >= 60 for field in offset.groups()):
+            raise ValueError(text)  # +05:99 would read as +06:39
     except ValueError:
         raise MalformedRow(f"{path}: row {row}: unparseable timestamp {text!r}") from None
     if stamp.tzinfo is None:

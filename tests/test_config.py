@@ -78,8 +78,9 @@ class TestParseValue:
     def test_scalars(self):
         assert _parse_value("none") is None
         assert _parse_value("null") is None
-        assert _parse_value("True") is True
-        assert _parse_value("FALSE") is False
+        # no setting is boolean: a boolean word stays text, which no number check takes
+        assert _parse_value("True") == "True"
+        assert _parse_value("FALSE") == "FALSE"
         assert _parse_value("42") == 42
         assert isinstance(_parse_value("42"), int)
         assert _parse_value("0.95") == 0.95
@@ -248,6 +249,9 @@ class TestBuildRunConfig:
             ("cluster.tol = -1", "cluster.tol"),
             ("learners.lstm_xgb.lambda_reg = inf", "learners.lstm_xgb.lambda_reg"),
             ("learners.lstm_xgb.gamma_reg = inf", "learners.lstm_xgb.gamma_reg"),
+            ("learners.learning_rate = true", "learners.bilstm.learning_rate"),
+            ("cluster.tol = true", "cluster.tol"),
+            ("learners.lstm_xgb.lambda_reg = false", "learners.lstm_xgb.lambda_reg"),
             ("optimizer.rng_seed = -1", "optimizer.rng_seed"),
             ("learners.bilstm.rng_seed = -1", "learners.bilstm.rng_seed"),
             ("split.train = nan", "split.train"),

@@ -846,6 +846,19 @@ class TestSplitRule:
         assert root_split(tree) == exact_optima(x, negative_sse(y))[0]
 
     @pytest.mark.parametrize("seed", range(8))
+    def test_every_cart_split_is_the_least_sse_cut_of_its_rows(self, seed):
+        x, rng = tied_columns(seed)
+        y = rng.integers(0, 3, size=len(x)).astype(float)
+        tree = build_cart(x, y, rng)
+        internal = np.flatnonzero(tree.feature != -1)
+        assert len(internal) > 5
+        members = node_rows(tree, x)
+        for node in internal.tolist():
+            rows = members[node]
+            cut = (tree.feature[node], tree.threshold[node])
+            assert cut == exact_optima(x[rows], negative_sse(y[rows]))[0]
+
+    @pytest.mark.parametrize("seed", range(8))
     def test_boosted_root_is_the_highest_gain_cut(self, seed):
         x, rng = tied_columns(seed)
         g = rng.integers(-2, 3, size=len(x)).astype(float)
@@ -872,6 +885,21 @@ class TestSplitRule:
         assert root_split(build_cart(x, y, np.random.default_rng(0))) == optima[0]
         boosted = build_boosted_tree(x, g, lambda_reg=1.0, gamma_reg=0.0, max_depth=1)
         assert root_split(boosted) == optima[0]
+
+    def test_a_zero_sum_boosted_leaf_stores_minus_zero(self):
+        # the leaves are negated after growth: growing on -g would store +0.0
+        x = np.arange(4.0).reshape(-1, 1)
+        root = build_boosted_tree(x[:2], np.array([1.0, -1.0]), 1.0, 0.0, max_depth=0)
+        stump = build_boosted_tree(x, np.array([2.0, -2.0, 5.0, 5.0]), 1.0, 0.0, max_depth=1)
+        assert len(root.feature) == 1 and len(stump.feature) == 3
+        for value in (root.value[0], stump.value[1]):
+            assert value == 0.0 and np.signbit(value)
+
+    def test_equal_gradients_stay_a_leaf_at_lambda_zero(self):
+        # the gain of any cut is 0 in exact arithmetic but rounds above it
+        x = np.arange(3.0).reshape(-1, 1)
+        tree = build_boosted_tree(x, np.full(3, 0.1), 0.0, 0.0, max_depth=3)
+        assert len(tree.feature) == 1
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize(
@@ -917,6 +945,18 @@ def level_order(tree, root: int = 0) -> list[int]:
     return walk
 
 
+def node_rows(tree, x) -> dict[int, np.ndarray]:
+    """The training rows that reach each node of a tree grown on ``x``,
+    ascending."""
+    members = {0: np.arange(len(x))}
+    for node in level_order(tree):  # parents first
+        if tree.feature[node] != -1:
+            rows = members[node]
+            left = x[rows, tree.feature[node]] <= tree.threshold[node]
+            members[tree.left[node]], members[tree.right[node]] = rows[left], rows[~left]
+    return members
+
+
 def renumbered(tree, order: list[int]) -> Tree:
     """The subtree of ``tree`` whose nodes are ``order``, numbered by their
     places in it."""
@@ -945,7 +985,9 @@ class TestGoldenTrees:
     ROADMAP item 13 (ties decided by last-bit noise) will change these
     digests on purpose; a change that only speeds growth up must not.
     ``cart_sqrt_features`` was re-recorded when the feature draw became one
-    ``rng.random`` per depth. The trees of more than one depth were
+    ``rng.random`` per depth, and again when CART came to score its cuts by
+    the second-order gain at lambda 0, which ties up to rounding where the
+    squared error did not. The trees of more than one depth were
     re-recorded when trees came to be stored in level order; renumbered into
     preorder, each still hashes to the digest recorded before.
     """
@@ -956,8 +998,8 @@ class TestGoldenTrees:
             (
                 lambda x, y, g: build_cart(x, y, np.random.default_rng(3), features_per_split=3),
                 177,
-                "e0e000cd9b006c237cff306b710bea1b0dbab7407da664c4dcb5ca50034d412c",
-                "ed6be7be6aa508b5784b40a543e82dee0d6f8f3d3119b90565afafd93d339392",
+                "3dec454886b52896b50fcf1de1a2f0379663afd45ada5530fb8839a18e56dda8",
+                "d0ae8056ed869535a0bc62e147e288806091c02c65377e9d43b100dd703b2fd5",
             ),
             (
                 lambda x, y, g: build_cart(x, y, np.random.default_rng(3), max_depth=3),
@@ -1076,12 +1118,7 @@ class TestLevelWiseGrowth:
         # runs across nodes
         x, y = golden_sample()
         tree = build_cart(x, y, np.random.default_rng(3))
-        members = {0: np.arange(len(y))}
-        for node in level_order(tree):  # parents first
-            if tree.feature[node] != -1:
-                rows = members[node]
-                left = x[rows, tree.feature[node]] <= tree.threshold[node]
-                members[tree.left[node]], members[tree.right[node]] = rows[left], rows[~left]
+        members = node_rows(tree, x)
         internal = np.flatnonzero(tree.feature != -1)
         assert len(internal) > 50
         for node in internal.tolist():
@@ -1207,14 +1244,6 @@ def assert_routes_as_the_walk(tree, x) -> None:
     )
 
 
-def reference_negative_sse(ys, _y):
-    n = len(ys)
-    s1, s2 = np.cumsum(ys, axis=0), np.cumsum(ys**2, axis=0)
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    left1, left2 = s1[:-1], s2[:-1]
-    return -((left2 - left1**2 / left_n) + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / (n - left_n)))
-
-
 def reference_gain(lambda_reg):
     def gain(gs, g):
         n, total_g = len(g), g.sum()
@@ -1262,7 +1291,7 @@ def test_presorted_growth_matches_per_node_sorting(seed):
         y,
         depth,
         lambda t: float(t.mean()),
-        reference_negative_sse,
+        reference_gain(0.0),
         reference_cart_candidates(np.random.default_rng(seed), f, per_split),
         -np.inf,
     )

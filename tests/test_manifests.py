@@ -52,14 +52,14 @@ GOLDEN = {
     "forecast": (
         ["forecast"],
         {
-            "archive.csv": "0b7347eb1b327952edbe4cdef8536699ffcf23ea3ad13cde4e2018dca48552c7",
-            "forecast.csv": "c923dae565bc9d2791999bd2ecf04a9b1d9c66a5d9d42f14ea1ca23afad6f604",
-            "weights.txt": "ed89b276034b4c0da547e5dd9c4e6cfac0a4688f089cfb29712009af389508b9",
+            "archive.csv": "cc0029170f6f03c7bfc3e105789fd4241799eaa38cf2a45b7b33d200338b13d5",
+            "forecast.csv": "4e5cd3ff7184a42efb5ee272c2691aefb985c9af868891ff8abf2ddef5410dec",
+            "weights.txt": "b2914cbb2c78aa395abea897b833c937977fac4d0e4c06117c635ae11a1eab42",
         },
     ),
     "forecast_random_forest": (
         ["forecast", "--model", "rf"],
-        {"forecast.csv": "c923dae565bc9d2791999bd2ecf04a9b1d9c66a5d9d42f14ea1ca23afad6f604"},
+        {"forecast.csv": "4e5cd3ff7184a42efb5ee272c2691aefb985c9af868891ff8abf2ddef5410dec"},
     ),
     "forecast_lstm_xgb": (
         ["forecast", "--model", "lstm-xgb"],
@@ -72,13 +72,13 @@ GOLDEN = {
             "model_cnn_gru.npz": "3bd7a6c2119fb0b979f8a947e89ae60600c0d0fc5f5e64ec451353fccf82c4a3",
             "model_lstm_xgb.npz": "e5a0b60e16325db61a5d99efbf9cb0f245e4c726a8213c8416435b4e5a885b78",
             "model_random_forest.npz": (
-                "23211db55c2f9b0fd44d7679599ff5662a54f78184c652a98c02ddf14c059edd"
+                "6f0e0c9b687d61dc6097505a36d7ea77a5daa6eba5fb171946eb0426680c98fc"
             ),
         },
     ),
     "cv": (
         ["cv", "--folds", "3"],
-        {"cv_scores.csv": "a9267b3469cb5bb37dd92561c0528adcde2e39d0948fa5e6fb5779188c6cf5bd"},
+        {"cv_scores.csv": "4cea36e68eac88e1eb882f81817350d7e756eb8e983a4c2c2fad085df27779c7"},
     ),
 }
 

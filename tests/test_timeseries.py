@@ -75,6 +75,9 @@ SPOILERS = {
     "hour 24": lambda stamp, value: f"{stamp[:11]}24{stamp[13:]},{value}".encode(),
     "offset 24h": lambda stamp, value: f"{stamp[:19]}+24:00,{value}".encode(),
     "offset minute 60": lambda stamp, value: f"{stamp[:19]}+23:60,{value}".encode(),
+    "offset minute 99": lambda stamp, value: f"{stamp[:19]}+05:99,{value}".encode(),
+    "offset minute 99, no colon": lambda stamp, value: f"{stamp[:19]}+0599,{value}".encode(),
+    "offset second 99": lambda stamp, value: f"{stamp[:19]}+05:30:99,{value}".encode(),
     "unsigned offset": lambda stamp, value: f"{stamp[:19]}005:30,{value}".encode(),
 }
 
@@ -247,6 +250,27 @@ class TestLoadSeries:
         with pytest.raises(MalformedRow) as exc:
             load_series(path)
         assert str(exc.value) == f"{path}: row 2: unparseable {field} {text!r}"
+
+    @pytest.mark.parametrize("offset", ["+05:99", "+0599", "+05:30:99", "-053060", "-00:60"])
+    def test_an_offset_field_of_60_or_more_is_unparseable(self, tmp_path, offset):
+        # fromisoformat reads +05:99 as +06:39 and +05:30:99 as +05:31:39
+        stamp = f"2023-01-01T00:00:00{offset}"
+        path = write(tmp_path, f"timestamp,wind_speed\n0,5.0\n{stamp},6.0\n")
+        with pytest.raises(MalformedRow) as exc:
+            load_series(path)
+        assert str(exc.value) == f"{path}: row 3: unparseable timestamp {stamp!r}"
+
+    def test_offsets_below_60_in_every_form_load(self, tmp_path):
+        rows = ["+05", "+0559", "+05:59", "+05:59:59", "+055959", "-05:59:59.5", "Z"]
+        path = write(
+            tmp_path,
+            "timestamp,wind_speed\n"
+            + "".join(f"2023-01-0{day}T00:00:00{offset},5.0\n" for day, offset in enumerate(rows, 1)),
+        )
+        start = int(datetime(2023, 1, 1, tzinfo=timezone.utc).timestamp())
+        shifts = [-18000, -21540, -21540, -21599, -21599, 21599, 0]
+        expected = [start + 86400 * day + shift for day, shift in enumerate(shifts)]
+        assert load_series(path).timestamps.tolist() == expected
 
     def test_field_count_message(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed\n0,5.0\n600,6.0,7.0\n")
